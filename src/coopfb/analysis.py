@@ -12,9 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp_special
 
-from .numerics import DomainError, binomial, ln_gamma
+from .numerics import DomainError, binomial, expn, gammainc, gammaincc, ln_gamma
 
 COOPERATIVE = "cooperative"
 CONVENTIONAL = "conventional"
@@ -109,7 +108,7 @@ def effective_norm_cdf(u, m: int, n: int, varrho_sq: float):
     """Cdf companion of :func:`effective_norm_pdf` (regularized lower gamma)."""
     _check_dims(m, n)
     u_arr = np.asarray(u, dtype=float)
-    out = sp_special.gammainc(m - n, np.maximum(u_arr, 0.0) / varrho_sq)
+    out = gammainc(m - n, np.maximum(u_arr, 0.0) / varrho_sq)
     return float(out) if np.isscalar(u) else out
 
 
@@ -173,18 +172,20 @@ def sinr_cdf_exact(x, m: int, n: int, rho: float, alpha: float, varrho_sq: float
     #   1 - F = t^a / B(a, b) * sum_{i,r,j} (-1)^i C(a-1, i) C(b-1, r)
     #           tau^r t^(b-1-r) lam^j / j! * E_{n+2+i-r-j}(lam).
     tail = np.zeros_like(xp)
+    # Orders k >= 1 reach at most n + 1 + a = m; evaluate them in one pass.
+    e_k = expn(np.arange(1, m + 1), lam)
     for i in range(a):
         for r in range(b):
             for j in range(a + 1):
                 k = n + 2 + i - r - j
                 if k >= 1:
-                    lam_e = lam**j * sp_special.expn(k, lam)
+                    lam_e = lam**j * e_k[k - 1]
                 else:
                     # E_k(lam) = Gamma(1-k, lam) / lam^(1-k); here j + k - 1 >= 1,
                     # so the power of lam stays nonnegative as x -> 0.
                     lam_e = (
                         lam ** (j + k - 1)
-                        * sp_special.gammaincc(1 - k, lam)
+                        * gammaincc(1 - k, lam)
                         * math.factorial(-k)
                     )
                 coef = (-1) ** i * binomial(a - 1, i) * binomial(b - 1, r) / math.factorial(j)

@@ -192,6 +192,8 @@ def _gather(args) -> dict:
     rho = args.rho_db if args.rho_db is not None else _file_value(file_cfg, "rho_db")
     if rho is not None:
         merged["rho_db"] = parse_grid(str(rho)) if isinstance(rho, str) else [float(v) for v in np_listify(rho)]
+        if not merged["rho_db"]:
+            raise ConfigError("the SNR grid is empty")
     mode = _file_value(file_cfg, "mode")
     if mode is not None:
         merged["mode"] = mode
@@ -256,6 +258,13 @@ def _run_experiment_command(args) -> int:
     return 0
 
 
+def _given(merged: dict, key: str, default):
+    """The merged value of ``key``, or ``default`` only when none was given
+    (an explicit zero is kept and checked downstream)."""
+    value = merged.get(key)
+    return default if value is None else value
+
+
 def _run_sweep(args) -> int:
     merged = _gather(args)
     modes = args.mode or np_listify(merged.get("mode") or "cooperative")
@@ -263,15 +272,15 @@ def _run_sweep(args) -> int:
         if mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     cfg = SystemConfig(
-        m=merged.get("m") or 4,
-        n=merged.get("n") or 2,
-        k=merged.get("k") or 16,
-        bcl=merged.get("bcl") if merged.get("bcl") is not None else 8,
-        trials=merged.get("trials") or 1000,
-        seed=merged.get("seed") or 0,
-        codebook_mode=merged.get("codebook_mode") or "haar",
+        m=_given(merged, "m", 4),
+        n=_given(merged, "n", 2),
+        k=_given(merged, "k", 16),
+        bcl=_given(merged, "bcl", 8),
+        trials=_given(merged, "trials", 1000),
+        seed=_given(merged, "seed", 0),
+        codebook_mode=_given(merged, "codebook_mode", "haar"),
     )
-    rho_db = merged.get("rho_db") or [10.0]
+    rho_db = _given(merged, "rho_db", [10.0])
     result = montecarlo.run_sweep(cfg, modes, rho_db, workers=args.workers)
     paths = _emit(_out_dir(args), result)
     print(f"sweep: wrote {', '.join(str(p) for p in paths)}")
@@ -280,14 +289,14 @@ def _run_sweep(args) -> int:
 
 def _run_analyze(args) -> int:
     merged = _gather(args)
-    m = merged.get("m") or 4
-    n = merged.get("n") or 2
-    bcl = merged.get("bcl") if merged.get("bcl") is not None else 8
-    rho_db = merged.get("rho_db") or [float(d) for d in range(-5, 26)]
+    m = _given(merged, "m", 4)
+    n = _given(merged, "n", 2)
+    bcl = _given(merged, "bcl", 8)
+    rho_db = _given(merged, "rho_db", [float(d) for d in range(-5, 26)])
     if getattr(args, "k_grid", None):
         k_grid = _int_grid(parse_grid(args.k_grid))
     else:
-        k_grid = [merged.get("k") or 200]
+        k_grid = [_given(merged, "k", 200)]
     header = f"{'k':>6} {'rho_db':>8} {'rate_coop':>12} {'rate_conv':>12} {'delta':>10} decision"
     print(header)
     for k_users in k_grid:

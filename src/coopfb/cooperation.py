@@ -36,13 +36,14 @@ class LocalCsi:
 
     @property
     def quantized_virtual(self) -> np.ndarray:
-        return self.cqi * self.cdi
+        return np.expand_dims(self.cqi, -1) * self.cdi
 
     @property
     def error_direction(self) -> np.ndarray:
         """Unit vector e with h_virt = cqi*cdi + ||h_virt|| sin(phi) e.
 
-        Zero vector when the quantization was exact (sin(phi) ~ 0).
+        Zero vector when the quantization was exact (sin(phi) ~ 0). Defined
+        for the result of a single channel, not a stack.
         """
         residual = self.h_virt - self.quantized_virtual
         norm = np.linalg.norm(residual)
@@ -79,8 +80,17 @@ def acquire_local_csi(channel, codebook: LocalCodebook) -> LocalCsi:
     For each codeword the best QBC alignment is the squared norm of its
     projection onto the channel subspace, so the selection scans projection
     norms and only the winning codeword gets its combiner materialised.
+
+    A stack of channels ``(k, n, m)`` takes one codebook for all of them
+    (``vectors`` of shape ``(qcl, m)``) or one per channel ``(k, qcl, m)``,
+    and gives a :class:`LocalCsi` whose fields are stacked along axis 0.
     """
     h = qbc._channel_array(channel)
+    if h.ndim == 3:
+        gram, basis = qbc._subspace(h)
+        v = _local_choice(codebook.vectors, basis)
+        tau, z, h_virt, _, sin2 = _local_stage(h, gram, basis, v)
+        return LocalCsi(cdi=v, cqi=tau, combiner=z, h_virt=h_virt, sin2_error=sin2)
     basis = numerics.orthonormal_basis(h)
     cos2 = np.sum(np.abs(codebook.vectors.conj() @ basis) ** 2, axis=1)
     chosen = int(np.argmax(cos2))
@@ -96,6 +106,45 @@ def acquire_local_csi(channel, codebook: LocalCodebook) -> LocalCsi:
         h_virt=h_virt,
         sin2_error=sin2,
     )
+
+
+def _local_choice(vectors: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Codeword with the best QBC alignment to each subspace of ``basis``
+    ``(k, m, n)``: rows ``(k, m)`` out of one codebook ``(qcl, m)`` or out
+    of one codebook per subspace ``(k, qcl, m)``.
+
+    The best alignment per codeword is the squared norm of its projection
+    onto the channel subspace, so the argmax only needs one correlation pass.
+    """
+    # The correlations (k, qcl, n) as real pairs: their sum of squares
+    # needs no temporaries as large as the correlations themselves.
+    pairs = np.matmul(vectors.conj(), basis).view(np.float64)
+    chosen = np.argmax(np.einsum("...i,...i->...", pairs, pairs), axis=-1)
+    if vectors.ndim == 2:
+        return vectors[chosen]
+    return vectors[np.arange(chosen.size), chosen]
+
+
+def _local_stage(h: np.ndarray, gram: np.ndarray, basis: np.ndarray, v: np.ndarray):
+    """Batched local acquisition of stacked channels toward their chosen
+    codewords ``v`` ``(k, m)``.
+
+    Returns per user: the CQI tau, the unit combiner, the virtual channel,
+    its squared norm and the direction quantization error sin^2.
+    """
+    w = np.matmul(basis.conj().transpose(0, 2, 1), v[:, :, None])
+    proj = np.matmul(basis, w)[:, :, 0]
+    pnorm = np.linalg.norm(proj, axis=1)
+    if np.any(pnorm <= numerics.PROJECTION_TOL):
+        raise numerics.DegenerateProjection("local codeword orthogonal to a channel")
+    proj /= pnorm[:, None]
+    u = np.linalg.solve(gram, np.matmul(h, proj[:, :, None]))  # (k, n, 1)
+    z_local = (u / np.linalg.norm(u, axis=1, keepdims=True))[:, :, 0]
+    h_virt = np.matmul(h.conj().transpose(0, 2, 1), z_local[:, :, None])[:, :, 0]
+    tau = np.abs(np.sum(v.conj() * h_virt, axis=1))
+    hv_norm2 = np.sum(h_virt.real**2 + h_virt.imag**2, axis=1)
+    sin2_local = np.clip(1.0 - tau * tau / hv_norm2, 0.0, 1.0)
+    return tau, z_local, h_virt, hv_norm2, sin2_local
 
 
 def build_global_matrix(channel, partner: LocalCsi) -> GlobalChannel:

@@ -1,8 +1,9 @@
 """Trial orchestration, empirical statistics, and the figure-class experiments.
 
-The per-trial pipeline is vectorised across users (stacked small-matrix
-linear algebra) so large-population sweeps stay fast; the arithmetic is the
-same modified Gram-Schmidt / Gram-solve sequence the per-user modules use.
+The pipeline is vectorised across the users of a trial, and across blocks
+of trials in the distribution samplers, through the stacked stages of
+``qbc`` and ``cooperation`` (stacked small-matrix linear algebra; the same
+modified Gram-Schmidt / Gram-solve sequence as their single-channel path).
 Every random quantity is keyed by (seed, trial, purpose), so results are
 bit-identical for any worker count, and trials resample their draws when a
 channel comes out numerically rank deficient (counted, never silently).
@@ -22,6 +23,7 @@ import numpy as np
 from . import analysis, cooperation, numerics, qbc
 from .model import (
     GlobalCodebook,
+    LocalCodebook,
     RandomStream,
     SystemConfig,
     complex_gaussian,
@@ -128,30 +130,6 @@ def _beam_correlations(heff_cols: np.ndarray, cb: np.ndarray) -> tuple[np.ndarra
     return sig, powers.sum(axis=-1) - sig
 
 
-def _check_rank(gram: np.ndarray) -> None:
-    if np.any(np.abs(np.linalg.det(gram)) < numerics.RANK_TOL):
-        raise numerics.RankDeficient("Gram determinant below tolerance")
-
-
-def _qbc_stage(h: np.ndarray, gram: np.ndarray, basis: np.ndarray, cb: np.ndarray):
-    """Batched QBC of stacked channels against every codebook column.
-
-    Returns per-(user, beam): cos^2 of the projection, squared effective
-    norm, unit combiners as columns, and unit effective channels as columns.
-    """
-    corr = np.matmul(basis.conj().transpose(0, 2, 1), cb)  # (k, rank, beams)
-    cos2 = np.sum(corr.real**2 + corr.imag**2, axis=1)  # (k, beams)
-    norms = np.sqrt(cos2)
-    if np.any(norms <= numerics.PROJECTION_TOL):
-        raise numerics.DegenerateProjection("codeword orthogonal to a channel subspace")
-    projected = np.matmul(basis, corr) / norms[:, None, :]  # unit columns
-    u = np.linalg.solve(gram, np.matmul(h, projected))  # (k, rank, beams)
-    u_norm2 = np.sum(u.real**2 + u.imag**2, axis=1)
-    combiners = u / np.sqrt(u_norm2)[:, None, :]
-    heff_cols = projected / np.sqrt(u_norm2)[:, None, :]
-    return cos2, 1.0 / u_norm2, combiners, heff_cols
-
-
 def build_workspace(
     cfg: SystemConfig, trial: int, *, coop: bool = True, conv: bool = False
 ) -> TrialWorkspace:
@@ -161,11 +139,22 @@ def build_workspace(
     numerically rank deficient, which for Gaussian draws is a measure-zero
     event.
     """
-    base = derive_trial_rng(cfg.seed, trial)
+    ws, attempt = _resampled(
+        lambda rng: _build_workspace_once(cfg, trial, rng, coop, conv), cfg.seed, trial
+    )
+    ws.resamples = attempt
+    return ws
+
+
+def _resampled(draw: Callable, seed: int, trial: int):
+    """``(draw(rng), attempt)`` for the trial's first stream that gives
+    full-rank, non-degenerate draws: the trial stream, then its
+    ``("resample", attempt)`` children."""
+    base = derive_trial_rng(seed, trial)
     for attempt in range(MAX_RESAMPLE_ATTEMPTS):
         rng = base if attempt == 0 else base.child("resample", attempt)
         try:
-            return _build_workspace_once(cfg, trial, rng, attempt, coop, conv)
+            return draw(rng), attempt
         except _DEGENERATE:
             continue
     raise numerics.RankDeficient(
@@ -174,20 +163,18 @@ def build_workspace(
 
 
 def _build_workspace_once(
-    cfg: SystemConfig, trial: int, rng: RandomStream, attempt: int, coop: bool, conv: bool
+    cfg: SystemConfig, trial: int, rng: RandomStream, coop: bool, conv: bool
 ) -> TrialWorkspace:
     k, n, m = cfg.k, cfg.n, cfg.m
     h = complex_gaussian(rng.child("channels").generator(), (k, n, m))
     codebook = gen_global_codebook(cfg, rng)
     cb = codebook.matrix
 
-    gram = numerics.gram_matrix(h)
-    _check_rank(gram)
-    basis = numerics.mgs_columns(h.conj().transpose(0, 2, 1))  # (k, m, n)
+    gram, basis = qbc._subspace(h)
 
     conv_arrays = None
     if conv:
-        cos2, eff_norm2, _, heff = _qbc_stage(h, gram, basis, cb)
+        cos2, eff_norm2, _, heff = qbc._qbc_stage(h, gram, basis, cb)
         sig, intf = _beam_correlations(heff, cb)
         conv_arrays = _ConvArrays(
             sig=sig,
@@ -198,26 +185,9 @@ def _build_workspace_once(
 
     coop_arrays = None
     if coop:
-        local_cb = gen_local_codebook(cfg, rng).vectors
-        # Local acquisition: the best QBC alignment per codeword is the
-        # squared norm of its projection onto the channel subspace, so the
-        # argmax only needs one correlation pass.
-        corr = np.matmul(local_cb.conj(), basis)  # (k, qcl, n) via broadcasting
-        cos2_all = np.sum(corr.real**2 + corr.imag**2, axis=2)
-        chosen = np.argmax(cos2_all, axis=1)  # (k,)
-        v = local_cb[chosen]  # (k, m)
-        w = np.matmul(basis.conj().transpose(0, 2, 1), v[:, :, None])
-        proj = np.matmul(basis, w)[:, :, 0]
-        pnorm = np.linalg.norm(proj, axis=1)
-        if np.any(pnorm <= numerics.PROJECTION_TOL):
-            raise numerics.DegenerateProjection("local codeword orthogonal to a channel")
-        proj /= pnorm[:, None]
-        u = np.linalg.solve(gram, np.matmul(h, proj[:, :, None]))  # (k, n, 1)
-        z_local = (u / np.linalg.norm(u, axis=1, keepdims=True))[:, :, 0]
-        h_virt = np.matmul(h.conj().transpose(0, 2, 1), z_local[:, :, None])[:, :, 0]
-        tau = np.abs(np.sum(v.conj() * h_virt, axis=1))
-        hv_norm2 = np.sum(h_virt.real**2 + h_virt.imag**2, axis=1)
-        sin2_local = np.clip(1.0 - tau * tau / hv_norm2, 0.0, 1.0)
+        # Every user of the trial quantizes against the same local codebook.
+        v = cooperation._local_choice(gen_local_codebook(cfg, rng).vectors, basis)  # (k, m)
+        tau, _, h_virt, hv_norm2, sin2_local = cooperation._local_stage(h, gram, basis, v)
 
         # Global acquisition over the partner-stacked (n+1)-row matrices.
         partner = np.arange(k) ^ 1
@@ -225,10 +195,8 @@ def _build_workspace_once(
         downlink_row = h_virt.conj()[partner][:, None, :]
         h_qu = np.concatenate([h, quant_row], axis=1)  # (k, n+1, m)
         h_dl = np.concatenate([h, downlink_row], axis=1)
-        gram_g = numerics.gram_matrix(h_qu)
-        _check_rank(gram_g)
-        basis_g = numerics.mgs_columns(h_qu.conj().transpose(0, 2, 1))
-        cos2_g, eff_norm2, combiners, heff_qu = _qbc_stage(h_qu, gram_g, basis_g, cb)
+        gram_g, basis_g = qbc._subspace(h_qu)
+        cos2_g, eff_norm2, combiners, heff_qu = qbc._qbc_stage(h_qu, gram_g, basis_g, cb)
         sig_qu, intf_qu = _beam_correlations(heff_qu, cb)
         heff_dl = np.matmul(h_dl.conj().transpose(0, 2, 1), combiners)  # (k, m, beams)
         sig_dl, intf_dl = _beam_correlations(heff_dl, cb)
@@ -246,7 +214,7 @@ def _build_workspace_once(
         )
 
     return TrialWorkspace(
-        cfg=cfg, trial=trial, resamples=attempt, codebook=codebook, conv=conv_arrays, coop=coop_arrays
+        cfg=cfg, trial=trial, resamples=0, codebook=codebook, conv=conv_arrays, coop=coop_arrays
     )
 
 
@@ -345,6 +313,11 @@ class TrialRecord:
     resamples: int
 
 
+def _adaptive_rates(decisions: list, coop: np.ndarray, conv: np.ndarray) -> np.ndarray:
+    """Per-SNR rate of the mode the switching rule picked."""
+    return np.where([d.mode == analysis.COOPERATIVE for d in decisions], coop, conv)
+
+
 def run_trial(cfg: SystemConfig, mode: str, trial: int) -> TrialRecord:
     """One full trial: draws, acquisition, scheduling, and numerical rates.
 
@@ -407,56 +380,76 @@ def run_trial(cfg: SystemConfig, mode: str, trial: int) -> TrialRecord:
 
 
 # ---------------------------------------------------------------------------
-# Single-pair samplers used by the distribution experiments
+# Blocked samplers used by the distribution experiments
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class _PairSample:
-    sin2_local: float
-    sin2_global: float
-    eff_norm2: float
-    local_intf: float
+# Trials stacked into one pass of the batched kernel by the samplers, and
+# the most local-codebook rows (trials x codewords) one block may hold:
+# 64 trials up to 1,024-word codebooks, fewer beyond.
+_BLOCK = 64
+_BLOCK_ROWS = 64 * 1024
 
 
-def _sample_pair(cfg: SystemConfig, trial: int, beam: int = 0) -> tuple[_PairSample, int]:
-    """One cooperation-pair draw evaluated at a fixed beam.
+def _block_trials(cfg: SystemConfig) -> int:
+    return max(1, min(_BLOCK, _BLOCK_ROWS // cfg.qcl))
+
+
+def _blocked(kernel: Callable, cfg: SystemConfig, lo: int, hi: int):
+    """Stack ``kernel(rngs)`` (one output row per stream) over the trials
+    ``[lo, hi)`` in blocks of :func:`_block_trials`; returns the rows and the
+    resample count.
+
+    A block that hits a degenerate draw is redone trial by trial on each
+    trial's resample streams, so no trial's output or resample count depends
+    on where the block boundaries fall.
+    """
+    parts = []
+    resamples = 0
+    size = _block_trials(cfg)
+    for start in range(lo, hi, size):
+        trials = range(start, min(start + size, hi))
+        try:
+            parts.append(kernel([derive_trial_rng(cfg.seed, t) for t in trials]))
+        except _DEGENERATE:
+            for trial in trials:
+                rows, attempt = _resampled(lambda rng: kernel([rng]), cfg.seed, trial)
+                parts.append(rows)
+                resamples += attempt
+    return np.concatenate(parts), resamples
+
+
+def _local_codebooks(cfg: SystemConfig, rngs: Sequence[RandomStream]) -> LocalCodebook:
+    """Each stream's own RVQ codebook, stacked ``(b, qcl, m)``."""
+    return LocalCodebook(np.stack([gen_local_codebook(cfg, rng).vectors for rng in rngs]))
+
+
+def _pair_block(cfg: SystemConfig, beam: int, rngs: Sequence[RandomStream]) -> np.ndarray:
+    """Cooperation-pair draws evaluated at a fixed beam, one row per stream:
+    sin^2 local error, sin^2 global error, squared effective norm, local
+    interference power.
 
     No role swap and no scheduling: this samples the per-candidate
     distributions the closed-form chain models (user 0 stacks user 1's
     shared local CSI).
     """
-    base = derive_trial_rng(cfg.seed, trial)
-    for attempt in range(MAX_RESAMPLE_ATTEMPTS):
-        rng = base if attempt == 0 else base.child("resample", attempt)
-        try:
-            pair = complex_gaussian(rng.child("channels").generator(), (2, cfg.n, cfg.m))
-            codebook = gen_global_codebook(cfg, rng)
-            local_cb = gen_local_codebook(cfg, rng)
-            local = cooperation.acquire_local_csi(pair[1], local_cb)
-            glob = cooperation.build_global_matrix(pair[0], local)
-            combined = qbc.combine_for_codeword(glob.h_qu, codebook.codeword(beam))
-            h_eff = combined.h_eff
-            norm2 = float(np.vdot(h_eff, h_eff).real)
-            cos2 = float(np.abs(np.vdot(h_eff, codebook.codeword(beam))) ** 2 / norm2)
-            sin2 = min(max(1.0 - cos2, 0.0), 1.0)
-            local_intf = float(
-                np.abs(combined.combiner[cfg.n]) ** 2
-                * np.vdot(local.h_virt, local.h_virt).real
-                * local.sin2_error
-            )
-            return (
-                _PairSample(
-                    sin2_local=local.sin2_error,
-                    sin2_global=sin2,
-                    eff_norm2=norm2,
-                    local_intf=local_intf,
-                ),
-                attempt,
-            )
-        except _DEGENERATE:
-            continue
-    raise numerics.RankDeficient(f"pair sample {trial} failed after {MAX_RESAMPLE_ATTEMPTS} attempts")
+    pairs = np.stack([complex_gaussian(rng.child("channels").generator(), (2, cfg.n, cfg.m)) for rng in rngs])
+    codewords = np.stack([gen_global_codebook(cfg, rng).codeword(beam) for rng in rngs])
+    local = cooperation.acquire_local_csi(pairs[:, 1], _local_codebooks(cfg, rngs))
+    h_qu = np.concatenate([pairs[:, 0], local.quantized_virtual.conj()[:, None, :]], axis=1)
+    combined = qbc.combine_for_codeword(h_qu, codewords)
+    h_eff = combined.h_eff
+    norm2 = np.sum(h_eff.real**2 + h_eff.imag**2, axis=1)
+    cos2 = np.abs(np.sum(h_eff.conj() * codewords, axis=1)) ** 2 / norm2
+    last_row = combined.combiner[:, cfg.n]
+    hv_norm2 = np.sum(local.h_virt.real**2 + local.h_virt.imag**2, axis=1)
+    local_intf = (last_row.real**2 + last_row.imag**2) * hv_norm2 * local.sin2_error
+    return np.column_stack([local.sin2_error, np.clip(1.0 - cos2, 0.0, 1.0), norm2, local_intf])
+
+
+def _local_error_block(cfg: SystemConfig, rngs: Sequence[RandomStream]) -> np.ndarray:
+    """Selected local quantization error of a single fresh user per stream."""
+    h = np.stack([complex_gaussian(rng.child("channels").generator(), (cfg.n, cfg.m)) for rng in rngs])
+    return cooperation.acquire_local_csi(h, _local_codebooks(cfg, rngs)).sin2_error
 
 
 def _surrogate_norm_sample(cfg: SystemConfig, trial: int, omega: float) -> float:
@@ -499,34 +492,13 @@ def _parallel_chunks(fn, n_trials: int, workers: int) -> list:
 
 
 def _pair_chunk(cfg: SystemConfig, beam: int, lo: int, hi: int):
-    out = np.empty((hi - lo, 4))
-    resamples = 0
-    for i, trial in enumerate(range(lo, hi)):
-        sample, attempts = _sample_pair(cfg, trial, beam)
-        out[i] = (sample.sin2_local, sample.sin2_global, sample.eff_norm2, sample.local_intf)
-        resamples += attempts
-    return out, resamples
+    """Pair samples of trials ``[lo, hi)`` as rows ``(hi - lo, 4)`` (see
+    :func:`_pair_block`) plus the resample count."""
+    return _blocked(partial(_pair_block, cfg, beam), cfg, lo, hi)
 
 
 def _local_error_chunk(cfg: SystemConfig, lo: int, hi: int):
-    """Selected local quantization error of a single fresh user per trial."""
-    out = np.empty(hi - lo)
-    resamples = 0
-    for i, trial in enumerate(range(lo, hi)):
-        base = derive_trial_rng(cfg.seed, trial)
-        for attempt in range(MAX_RESAMPLE_ATTEMPTS):
-            rng = base if attempt == 0 else base.child("resample", attempt)
-            try:
-                h = complex_gaussian(rng.child("channels").generator(), (cfg.n, cfg.m))
-                local_cb = gen_local_codebook(cfg, rng)
-                out[i] = cooperation.acquire_local_csi(h, local_cb).sin2_error
-                resamples += attempt
-                break
-            except _DEGENERATE:
-                continue
-        else:
-            raise numerics.RankDeficient(f"trial {trial} failed to draw a full-rank channel")
-    return out, resamples
+    return _blocked(partial(_local_error_block, cfg), cfg, lo, hi)
 
 
 def _surrogate_chunk(cfg: SystemConfig, omega: float, lo: int, hi: int):
@@ -829,21 +801,18 @@ def _run_fig8(params: dict, workers: int) -> ExperimentResult:
     rho_db = np.asarray(params["rho_db"], dtype=float)
     rho_lin = db_to_linear(rho_db)
     cfg = _base_config(params)
+    # Decided before simulating, so an operating point where both estimates
+    # are out of regime fails with InvalidRegime before any trial runs.
+    decisions = [analysis.mode_switch(cfg.k, cfg.m, cfg.n, rho, cfg.bcl) for rho in rho_lin]
     chunks = _parallel_chunks(partial(_rate_chunk, cfg, rho_lin, True, True), cfg.trials, workers)
     coop = np.concatenate([c[0] for c in chunks], axis=0).mean(axis=0)
     conv = np.concatenate([c[1] for c in chunks], axis=0).mean(axis=0)
     resamples = sum(c[2] for c in chunks)
     unassigned = sum(c[3] for c in chunks)
 
-    est_coop = np.full(rho_db.size, np.nan)
-    est_conv = np.full(rho_db.size, np.nan)
-    decisions = []
-    for i, rho in enumerate(rho_lin):
-        decision = analysis.mode_switch(cfg.k, cfg.m, cfg.n, rho, cfg.bcl)
-        est_coop[i] = decision.rate_cooperative
-        est_conv[i] = decision.rate_conventional
-        decisions.append(decision.mode)
-    adaptive = np.where([d == analysis.COOPERATIVE for d in decisions], coop, conv)
+    est_coop = np.array([d.rate_cooperative for d in decisions])
+    est_conv = np.array([d.rate_conventional for d in decisions])
+    adaptive = _adaptive_rates(decisions, coop, conv)
 
     rows = [
         (float(db), float(cv), float(cp), float(ad), float(ec), float(eo))
@@ -852,7 +821,7 @@ def _run_fig8(params: dict, workers: int) -> ExperimentResult:
     aggregates = {
         "mc_crossing_db": _crossing_db(rho_db, coop - conv),
         "analytic_crossing_db": _crossing_db(rho_db, est_coop - est_conv),
-        "decisions": {f"{db:g}": mode for db, mode in zip(rho_db, decisions)},
+        "decisions": {f"{db:g}": d.mode for db, d in zip(rho_db, decisions)},
         "unassigned_beams": unassigned,
     }
     return ExperimentResult(
@@ -927,6 +896,10 @@ def run_sweep(
     rho_lin = db_to_linear(rho_db)
     want_coop = any(m in ("cooperative", "adaptive") for m in modes)
     want_conv = any(m in ("conventional", "adaptive") for m in modes)
+    decisions = None
+    if "adaptive" in modes:
+        # Decided before simulating, as in fig8.
+        decisions = [analysis.mode_switch(cfg.k, cfg.m, cfg.n, rho, cfg.bcl) for rho in rho_lin]
     chunks = _parallel_chunks(
         partial(_rate_chunk, cfg, rho_lin, want_coop, want_conv), cfg.trials, workers
     )
@@ -939,15 +912,7 @@ def run_sweep(
         elif mode == "conventional":
             rates = conv
         else:
-            rates = np.array(
-                [
-                    coop[i]
-                    if analysis.mode_switch(cfg.k, cfg.m, cfg.n, rho, cfg.bcl).mode
-                    == analysis.COOPERATIVE
-                    else conv[i]
-                    for i, rho in enumerate(rho_lin)
-                ]
-            )
+            rates = _adaptive_rates(decisions, coop, conv)
         rows.extend((float(db), mode, float(r)) for db, r in zip(rho_db, rates))
     config = dict(
         m=cfg.m, n=cfg.n, k=cfg.k, bcl=cfg.bcl, trials=cfg.trials, seed=cfg.seed,
@@ -958,7 +923,7 @@ def run_sweep(
         config=config,
         columns=["rho_db", "mode", "sum_rate"],
         rows=rows,
-        aggregates={},
+        aggregates={"unassigned_beams": sum(c[3] for c in chunks)},
         seed=cfg.seed,
         trials=cfg.trials,
         resample_count=sum(c[2] for c in chunks),

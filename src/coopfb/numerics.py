@@ -13,8 +13,10 @@ import math
 
 import numpy as np
 
-# Rank tolerance on the Gram determinant magnitude. Gaussian channels are
-# almost surely full rank; hitting this triggers resampling upstream.
+# Relative rank tolerance: on det(G) / prod(G_ii) for a Gram matrix G, and
+# on how much of a column's norm survives orthogonalisation. Both ratios are
+# unchanged when the channel is scaled. Gaussian channels are almost surely
+# full rank; hitting this triggers resampling upstream.
 RANK_TOL = 1e-12
 # Minimum norm of a subspace projection before it counts as degenerate.
 PROJECTION_TOL = 1e-12
@@ -50,6 +52,12 @@ def _as_vector(v) -> np.ndarray:
     return v
 
 
+def _holds(mask) -> bool:
+    """``mask.all()``, skipping its cost on the scalar of an unstacked input;
+    the per-user path runs these checks once per beam."""
+    return bool(mask.all() if mask.shape else mask)
+
+
 def mgs_columns(a: np.ndarray) -> np.ndarray:
     """Orthonormalise the columns of ``a`` (modified Gram-Schmidt).
 
@@ -59,7 +67,10 @@ def mgs_columns(a: np.ndarray) -> np.ndarray:
     """
     q = np.array(a, dtype=np.complex128)
     ncols = q.shape[-1]
-    for _sweep in range(2):
+    # A column collapses when the first sweep leaves less than RANK_TOL of
+    # its input norm; the second sweep starts from unit columns that passed.
+    floor = RANK_TOL * np.sqrt(np.sum(q.real**2 + q.imag**2, axis=-2))
+    for sweep in range(2):
         for j in range(ncols):
             col = q[..., :, j]
             for i in range(j):
@@ -67,7 +78,8 @@ def mgs_columns(a: np.ndarray) -> np.ndarray:
                 coeff = np.sum(prev.conj() * col, axis=-1)
                 col -= coeff[..., None] * prev
             norm = np.sqrt(np.sum(col.real**2 + col.imag**2, axis=-1))
-            if np.any(norm < RANK_TOL):
+            # Negated strict test, so a zero or NaN column fails too.
+            if sweep == 0 and not _holds(norm > floor[..., j]):
                 raise RankDeficient("column collapsed during orthonormalisation")
             col /= norm[..., None]
     return q
@@ -78,20 +90,30 @@ def gram_matrix(h: np.ndarray) -> np.ndarray:
     return h @ np.conj(np.swapaxes(h, -1, -2))
 
 
+def check_full_rank(gram: np.ndarray) -> None:
+    """Raise :class:`RankDeficient` unless every Gram matrix of the stack
+    ``(..., n, n)`` has ``|det(G)| / prod(G_ii)`` above ``RANK_TOL``.
+
+    The ratio lies in [0, 1] and does not depend on the scale of the rows.
+    """
+    ratio_ok = abs(np.linalg.det(gram)) > RANK_TOL * gram.diagonal(0, -2, -1).real.prod(-1)
+    # Negated strict test, so a zero row (0 > 0) and NaN fail too.
+    if not _holds(ratio_ok):
+        raise RankDeficient("Gram matrix numerically singular")
+
+
 def orthonormal_basis(h) -> np.ndarray:
     """Orthonormal basis of the subspace spanned by the conjugated rows of ``h``.
 
     Returns an ``m x n`` matrix with orthonormal columns whose span equals the
     column span of ``h^H`` (the receive subspace a combiner can steer within).
-    Raises :class:`RankDeficient` when ``|det(H H^H)|`` falls below the rank
-    tolerance.
+    Raises :class:`RankDeficient` when ``H H^H`` fails :func:`check_full_rank`.
     """
     h = _as_matrix(h)
     n, m = h.shape
     if n > m:
         raise ValueError(f"need row count <= column count, got {n}x{m}")
-    if abs(np.linalg.det(gram_matrix(h))) < RANK_TOL:
-        raise RankDeficient("Gram determinant below tolerance")
+    check_full_rank(gram_matrix(h))
     return mgs_columns(h.conj().T)
 
 
@@ -121,8 +143,7 @@ def gram_solve(h, v, gram: np.ndarray | None = None) -> np.ndarray:
     v = _as_vector(v)
     if gram is None:
         gram = gram_matrix(h)
-    if abs(np.linalg.det(gram)) < RANK_TOL:
-        raise RankDeficient("Gram determinant below tolerance")
+    check_full_rank(gram)
     return np.linalg.solve(gram, h @ v)
 
 
@@ -149,6 +170,114 @@ def binomial(n: int, k: int) -> int:
     if n < 0 or k < 0 or k > n:
         raise DomainError(f"binomial requires 0 <= k <= n, got ({n}, {k})")
     return math.comb(n, k)
+
+
+_EPS = np.finfo(float).eps
+_EULER = 0.5772156649015329
+_MAX_TERMS = 500
+
+
+def gammaincc(a: int, x) -> np.ndarray:
+    """Regularized upper incomplete gamma Q(a, x) for an integer shape a >= 1.
+
+    For integer shapes Q(a, x) = exp(-x) * sum_{j<a} x^j / j!, a finite sum
+    of positive terms, so it is accurate wherever it is not rounded to 1.
+    """
+    if int(a) != a or a < 1:
+        raise DomainError(f"gammaincc needs an integer shape >= 1, got {a}")
+    x = np.asarray(x, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        term = np.exp(-x)
+        total = term.copy()
+        for j in range(1, int(a)):
+            term = term * x / j
+            total += term
+    return np.where(np.isposinf(x), 0.0, total)
+
+
+def gammainc(a: int, x) -> np.ndarray:
+    """Regularized lower incomplete gamma P(a, x) for an integer shape a >= 1.
+
+    Below x = a + 1 the series P = exp(-x) x^a / a! * sum_i x^i / ((a+1)...(a+i))
+    avoids the cancellation of 1 - Q; above it, 1 - Q is exact to rounding.
+    """
+    if int(a) != a or a < 1:
+        raise DomainError(f"gammainc needs an integer shape >= 1, got {a}")
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0.0):
+        raise DomainError("gammainc needs x >= 0")
+    low = x < a + 1.0
+    xs = np.where(low, x, 0.0)
+    term = np.ones_like(xs)
+    series = np.ones_like(xs)
+    for i in range(1, _MAX_TERMS):
+        term = term * xs / (a + i)
+        series += term
+        if np.all(term <= _EPS * series):
+            break
+    lead = np.exp(a * np.log(np.where(xs > 0.0, xs, 1.0)) - xs - math.lgamma(a + 1.0))
+    lower = np.where(xs > 0.0, lead * series, 0.0)
+    return np.where(low, lower, 1.0 - gammaincc(a, np.where(low, a + 1.0, x)))
+
+
+def expn(k, x) -> np.ndarray:
+    """Generalised exponential integral E_k(x) = int_1^inf exp(-x t) t^(-k) dt
+    for x > 0 and integer orders k >= 1.
+
+    ``k`` is one order or a 1-D sequence of them; the result has shape
+    ``shape(k) + shape(x)``, so one call evaluates several orders. Power
+    series for x <= 2 and the continued fraction for x > 2 (the two
+    classical expansions of E_k). The series' alternating terms cost at
+    most a factor e^(2x) of rounding, and the fraction needs fewer levels
+    the larger x is, so the switch sits at 2 rather than the usual 1.
+    """
+    orders = np.atleast_1d(np.asarray(k))
+    if orders.ndim != 1 or np.any(orders < 1) or np.any(orders != np.floor(orders)):
+        raise DomainError(f"expn needs integer orders >= 1, got {k}")
+    x = np.asarray(x, dtype=float)
+    if np.any(~(x > 0.0)):
+        raise DomainError("expn needs x > 0")
+    flat = x.ravel()
+    kcol = orders.astype(float)[:, None]
+    kmax = int(orders.max())
+    out = np.empty((orders.size, flat.size))
+
+    small = flat <= 2.0
+    if small.any():
+        xs = flat[small]
+        log_x = np.log(xs)
+        # psi(k) = -gamma + H_(k-1), the coefficient of the log term.
+        psi = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1.0, kmax))])[orders - 1] - _EULER
+        total = np.where(kcol > 1, 1.0 / np.maximum(kcol - 1, 1), -log_x - _EULER)
+        # E_k(x) > exp(-x) / (x + k), so terms below this are negligible.
+        floor = _EPS * math.exp(-2.0) / (2.0 + kmax)
+        fact = np.ones_like(xs)
+        for i in range(1, _MAX_TERMS):
+            fact *= -xs / i
+            denom = i - kcol + 1.0
+            log_row = denom == 0.0
+            total -= np.where(log_row, 0.0, 1.0 / np.where(log_row, 1.0, denom)) * fact
+            for r in np.flatnonzero(log_row[:, 0]):
+                total[r] += fact * (psi[r] - log_x)
+            if i >= kmax - 1 and np.abs(fact).max() <= floor:
+                break
+        out[:, small] = total
+
+    if not small.all():
+        xl = flat[~small]
+        # E_k(x) = exp(-x) / (x + k - 1*k / (x + k + 2 - 2*(k+1) / (x + k + 4 - ...))),
+        # evaluated bottom-up. Its convergence is slowest at small x and
+        # large k; this depth reaches full double precision for x > 1
+        # (the tests check orders up to 32 against mpmath).
+        depth = int(math.ceil(100.0 / xl.min())) + 20 + kmax
+        denom = xl + kcol + 2.0 * (depth + 1)
+        tail = np.zeros_like(denom)
+        for i in range(depth, 0, -1):
+            denom -= 2.0
+            np.add(denom, tail, out=tail)
+            np.divide(-i * (kcol - 1.0 + i), tail, out=tail)
+        out[:, ~small] = np.exp(-xl) / (denom - 2.0 + tail)
+    return out.reshape(np.shape(k) + x.shape)
 
 
 def haar_unitary(m: int, rng: np.random.Generator) -> np.ndarray:

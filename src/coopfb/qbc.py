@@ -45,9 +45,18 @@ class CsiReport:
 
 
 def combine_for_codeword(channel, codeword) -> CombinedChannel:
-    """QBC combiner and effective channel for a single target codeword."""
+    """QBC combiner and effective channel for a single target codeword.
+
+    A stack of channels ``(k, n, m)`` takes one codeword per channel
+    ``(k, m)`` and gives the combiners ``(k, n)`` and effective channels
+    ``(k, m)`` of the stack.
+    """
     h = _channel_array(channel)
-    return _combine(h, numerics.orthonormal_basis(h), numerics.gram_matrix(h), codeword)
+    if h.ndim == 2:
+        return _combine(h, numerics.orthonormal_basis(h), numerics.gram_matrix(h), codeword)
+    gram, basis = _subspace(h)
+    _, _, combiners, heff_cols = _qbc_stage(h, gram, basis, np.asarray(codeword)[:, :, None])
+    return CombinedChannel(combiner=combiners[:, :, 0], h_eff=heff_cols[:, :, 0])
 
 
 def _combine(h: np.ndarray, basis: np.ndarray, gram: np.ndarray, codeword) -> CombinedChannel:
@@ -57,6 +66,34 @@ def _combine(h: np.ndarray, basis: np.ndarray, gram: np.ndarray, codeword) -> Co
     u = numerics.gram_solve(h, projected, gram)
     z = u / np.linalg.norm(u)
     return CombinedChannel(combiner=z, h_eff=h.conj().T @ z)
+
+
+def _subspace(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrices and orthonormal row-space bases ``(k, m, rank)`` of
+    stacked channels ``(k, rank, m)``, after the rank check."""
+    gram = numerics.gram_matrix(h)
+    numerics.check_full_rank(gram)
+    return gram, numerics.mgs_columns(h.conj().transpose(0, 2, 1))
+
+
+def _qbc_stage(h: np.ndarray, gram: np.ndarray, basis: np.ndarray, cb: np.ndarray):
+    """Batched QBC of stacked channels against every column of ``cb``: one
+    codebook ``(m, beams)`` for all channels, or one per channel ``(k, m, beams)``.
+
+    Returns per-(user, beam): cos^2 of the projection, squared effective
+    norm, unit combiners as columns, and effective channels as columns.
+    """
+    corr = np.matmul(basis.conj().transpose(0, 2, 1), cb)  # (k, rank, beams)
+    cos2 = np.sum(corr.real**2 + corr.imag**2, axis=1)  # (k, beams)
+    norms = np.sqrt(cos2)
+    if np.any(norms <= numerics.PROJECTION_TOL):
+        raise numerics.DegenerateProjection("codeword orthogonal to a channel subspace")
+    projected = np.matmul(basis, corr) / norms[:, None, :]  # unit columns
+    u = np.linalg.solve(gram, np.matmul(h, projected))  # (k, rank, beams)
+    u_norm2 = np.sum(u.real**2 + u.imag**2, axis=1)
+    combiners = u / np.sqrt(u_norm2)[:, None, :]
+    heff_cols = projected / np.sqrt(u_norm2)[:, None, :]
+    return cos2, 1.0 / u_norm2, combiners, heff_cols
 
 
 def sinr_for_beam(h_eff: np.ndarray, codebook: GlobalCodebook, beam: int, rho: float) -> float:

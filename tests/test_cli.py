@@ -139,6 +139,84 @@ class TestSweepAndAnalyze:
         assert "error" in capsys.readouterr().err
 
 
+class TestExplicitValues:
+    """Explicit zeros are checked, never replaced by a default."""
+
+    def test_sweep_rejects_zero_trials_and_users(self, tmp_path, capsys):
+        status = cli.run(["sweep", "--trials", "0", "--k", "0", "--out-dir", str(tmp_path)])
+        assert status == 2
+        assert "error" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_sweep_rejects_empty_snr_grid(self, tmp_path, capsys):
+        status = cli.run(["sweep", "--rho-db", "", "--trials", "2", "--out-dir", str(tmp_path)])
+        assert status == 2
+        assert "SNR grid is empty" in capsys.readouterr().err
+
+    def test_analyze_rejects_zero_users(self, capsys):
+        status = cli.run(["analyze", "--m", "4", "--n", "2", "--k", "0", "--bcl", "4", "--rho-db", "0"])
+        assert status == 2
+        captured = capsys.readouterr()
+        assert "error" in captured.err
+        assert len(captured.out.splitlines()) <= 1  # at most the header
+
+
+class TestAdaptiveDecidedFirst:
+    """Where both closed-form estimates are out of regime, adaptive runs stop
+    with InvalidRegime before any trial is simulated."""
+
+    @pytest.fixture
+    def rate_chunks(self, monkeypatch):
+        from coopfb import montecarlo
+
+        calls = []
+        original = montecarlo._rate_chunk
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(montecarlo, "_rate_chunk", counted)
+        return calls
+
+    def test_sweep_adaptive_fails_before_simulating(self, tmp_path, capsys, rate_chunks):
+        status = cli.run(
+            ["sweep", "--mode", "adaptive", "--k", "16", "--rho-db", "0..20..5", "--out-dir", str(tmp_path)]
+        )
+        assert status == 2
+        assert "out of regime" in capsys.readouterr().err
+        assert rate_chunks == []
+
+    def test_fig8_fails_before_simulating(self, tmp_path, capsys, rate_chunks):
+        status = cli.run(["fig8", "--k", "16", "--n", "2", "--bcl", "8", "--out-dir", str(tmp_path)])
+        assert status == 2
+        assert "out of regime" in capsys.readouterr().err
+        assert rate_chunks == []
+
+    def test_sweep_records_unassigned_beams(self, tmp_path, rate_chunks):
+        import numpy as np
+
+        from coopfb import montecarlo
+        from coopfb.model import SystemConfig, db_to_linear
+
+        status = cli.run(
+            [
+                "sweep", "--mode", "cooperative", "--k", "8", "--rho-db", "0,20",
+                "--trials", "6", "--out-dir", str(tmp_path),
+            ]
+        )
+        assert status == 0
+        assert rate_chunks
+        cfg = SystemConfig(k=8, trials=6)
+        rho = db_to_linear(np.array([0.0, 20.0]))
+        expected = sum(
+            int(montecarlo.evaluate_mode(montecarlo.build_workspace(cfg, t), "cooperative", rho).unassigned.sum())
+            for t in range(cfg.trials)
+        )
+        summary = json.loads((tmp_path / "sweep.json").read_text())
+        assert summary["aggregates"]["unassigned_beams"] == expected
+
+
 class TestEnvOutDir(object):
     def test_env_var_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / "envout"))

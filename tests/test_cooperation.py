@@ -78,6 +78,26 @@ class TestAcquireLocalCsi:
             assert np.linalg.norm(rebuilt - local.h_virt) < 1e-9 * hv_norm
 
 
+class TestStackedLocalCsi:
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_matches_one_channel_at_a_time(self, shared):
+        rng = np.random.default_rng(77)
+        hs = np.stack([random_channel(2, 4, rng) for _ in range(7)])
+        books = [random_codebook(32, 4, rng) for _ in range(7)]
+        if shared:
+            books = [books[0]] * 7
+            stacked = acquire_local_csi(hs, books[0])
+        else:
+            stacked = acquire_local_csi(hs, LocalCodebook(np.stack([b.vectors for b in books])))
+        for i in range(7):
+            single = acquire_local_csi(hs[i], books[i])
+            np.testing.assert_array_equal(stacked.cdi[i], single.cdi)
+            for field in ("cqi", "combiner", "h_virt", "sin2_error", "quantized_virtual"):
+                np.testing.assert_allclose(
+                    getattr(stacked, field)[i], getattr(single, field), rtol=1e-12, atol=1e-14
+                )
+
+
 class TestBuildGlobalMatrix:
     def test_exact_quantization_gives_equal_matrices(self):
         h_b = random_channel(2, 4)

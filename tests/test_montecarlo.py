@@ -227,6 +227,20 @@ class TestExperimentDeterminism:
         res2 = run_experiment("fig8", dict(overrides), workers=3)
         assert res1.rows == res2.rows
         assert res1.aggregates == res2.aggregates
+        # The blocked samplers: two workers split the trials into chunks
+        # whose edges are not multiples of the block size.
+        sampled = {
+            "fig3": dict(trials=150, bcl_grid=[2, 6]),
+            "fig5": dict(trials=150),
+            "fig6": dict(trials=150, rho_db=[10.0]),
+            "fig9": dict(trials=150),
+        }
+        for experiment, params in sampled.items():
+            one = run_experiment(experiment, dict(params), workers=1)
+            two = run_experiment(experiment, dict(params), workers=2)
+            assert one.rows == two.rows, experiment
+            assert one.aggregates == two.aggregates, experiment
+            assert one.resample_count == two.resample_count, experiment
 
     def test_seed_changes_results(self):
         res1 = run_experiment("fig5", dict(trials=40), workers=1)

@@ -99,6 +99,31 @@ class TestSubspaceProjectUnit:
             assert abs(np.abs(np.vdot(out, c)) ** 2 - expected) < 1e-10
 
 
+class TestScaleRelativeRank:
+    def test_scaled_channels_pass_the_rank_checks(self):
+        h = random_channel(3, 4, np.random.default_rng(0))
+        v = random_channel(1, 4, np.random.default_rng(1))[0]
+        for scale in (1e-3, 1e3):
+            numerics.check_full_rank(numerics.gram_matrix(scale * h))
+            np.testing.assert_allclose(orthonormal_basis(scale * h), orthonormal_basis(h), atol=1e-12)
+            np.testing.assert_allclose(gram_solve(scale * h, v) * scale, gram_solve(h, v), rtol=1e-10)
+
+    def test_parallel_rows_rejected_at_any_scale(self):
+        h = random_channel(1, 4)
+        for scale in (1e-6, 1.0, 1e6):
+            with pytest.raises(RankDeficient):
+                numerics.check_full_rank(numerics.gram_matrix(scale * np.vstack([h, 2 * h])))
+            with pytest.raises(RankDeficient):
+                numerics.mgs_columns(scale * np.vstack([h, 2 * h]).conj().T)
+
+    def test_zero_row_rejected(self):
+        h = np.vstack([random_channel(1, 4), np.zeros((1, 4))])
+        with pytest.raises(RankDeficient):
+            numerics.check_full_rank(numerics.gram_matrix(h))
+        with pytest.raises(RankDeficient):
+            numerics.mgs_columns(h.conj().T)
+
+
 class TestGramSolve:
     def test_identity_gram(self):
         h = np.hstack([np.eye(2), np.zeros((2, 2))]).astype(complex)
@@ -194,6 +219,82 @@ class TestSpecialFunctions:
             binomial(3, 4)
         with pytest.raises(DomainError):
             binomial(-1, 0)
+
+
+class TestIncompleteGammaAndExpn:
+    """In-package special functions against mpmath, over the arguments the
+    fig6 exact-law cdf and the fig9 norm model evaluate."""
+
+    @staticmethod
+    def assert_relative(value, expected, tol=1e-13):
+        expected = float(expected)
+        assert abs(value - expected) <= tol * abs(expected), (value, expected)
+
+    def test_gammainc_against_mpmath(self):
+        x = np.concatenate([[0.0], np.logspace(-10, np.log10(200.0), 121)])
+        for a in range(1, 7):
+            values = numerics.gammainc(a, x)
+            assert values[0] == 0.0
+            for xi, value in zip(x[1:], values[1:]):
+                self.assert_relative(value, mpmath.gammainc(a, 0, mpmath.mpf(xi), regularized=True))
+
+    def test_gammaincc_against_mpmath(self):
+        x = np.logspace(-10, np.log10(500.0), 121)
+        for a in range(1, 7):
+            for xi, value in zip(x, numerics.gammaincc(a, x)):
+                self.assert_relative(value, mpmath.gammainc(a, mpmath.mpf(xi), mpmath.inf, regularized=True))
+
+    def test_expn_against_mpmath(self):
+        x = np.logspace(-8, np.log10(500.0), 161)
+        orders = np.arange(1, 8)
+        together = numerics.expn(orders, x)
+        assert together.shape == (orders.size, x.size)
+        for k, row in zip(orders, together):
+            alone = numerics.expn(int(k), x)
+            for xi, a, b in zip(x, row, alone):
+                expected = mpmath.expint(int(k), mpmath.mpf(xi))
+                self.assert_relative(a, expected)
+                self.assert_relative(b, expected)
+
+    def test_high_orders_against_mpmath(self):
+        # sinr_cdf_exact evaluates E_k for k = 1..m and effective_norm_cdf
+        # P(m - n, .), so larger antenna counts reach higher orders; m is
+        # unbounded, and this covers m up to 33. mpmath's own expint loses
+        # digits at large k and x in double precision, hence the extra digits.
+        x = np.logspace(-8, np.log10(500.0), 41)
+        orders = np.arange(8, 33)
+        with mpmath.workdps(40):
+            for k, row in zip(orders, numerics.expn(orders, x)):
+                for xi, value in zip(x, row):
+                    self.assert_relative(value, mpmath.expint(int(k), mpmath.mpf(xi)))
+            for a in range(7, 33):
+                # The lower series carries exp(a ln x - x), whose rounding
+                # grows with a |ln x|.
+                for xi, value in zip(x, numerics.gammainc(a, x)):
+                    self.assert_relative(
+                        value, mpmath.gammainc(a, 0, mpmath.mpf(xi), regularized=True), tol=2e-13
+                    )
+                for xi, value in zip(x, numerics.gammaincc(a, x)):
+                    self.assert_relative(value, mpmath.gammainc(a, mpmath.mpf(xi), mpmath.inf, regularized=True))
+
+    def test_limits(self):
+        assert numerics.gammainc(2, np.inf) == 1.0
+        assert numerics.gammaincc(2, np.inf) == 0.0
+        assert numerics.gammainc(3, 1e6) == 1.0
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            numerics.gammainc(0, 1.0)
+        with pytest.raises(DomainError):
+            numerics.gammainc(1.5, 1.0)
+        with pytest.raises(DomainError):
+            numerics.gammainc(2, -1.0)
+        with pytest.raises(DomainError):
+            numerics.gammaincc(0, 1.0)
+        with pytest.raises(DomainError):
+            numerics.expn(0, 1.0)
+        with pytest.raises(DomainError):
+            numerics.expn(2, 0.0)
 
 
 class TestHaarUnitary:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopfb import numerics, qbc
 from coopfb.model import GlobalCodebook, SystemConfig, derive_trial_rng, gen_global_codebook
@@ -63,6 +65,26 @@ class TestCombineForCodeword:
         h_effs = w @ h.conj()  # row i is H^H w_i
         gains = np.abs(h_effs.conj() @ c) ** 2 / np.sum(np.abs(h_effs) ** 2, axis=1)
         assert best >= gains.max() - 1e-12
+
+
+class TestStackedCombine:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_one_channel_at_a_time(self, n):
+        rng = np.random.default_rng(40 + n)
+        hs = np.stack([random_channel(n, 4, rng) for _ in range(9)])
+        cs = np.stack([haar_codebook(4, seed=s).codeword(s % 4) for s in range(9)])
+        stacked = combine_for_codeword(hs, cs)
+        assert stacked.combiner.shape == (9, n) and stacked.h_eff.shape == (9, 4)
+        for i in range(9):
+            single = combine_for_codeword(hs[i], cs[i])
+            np.testing.assert_allclose(stacked.combiner[i], single.combiner, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(stacked.h_eff[i], single.h_eff, rtol=0, atol=1e-12)
+
+    def test_rank_deficient_member_fails_the_stack(self):
+        hs = np.stack([random_channel(2, 4), np.zeros((2, 4), complex)])
+        cs = np.stack([haar_codebook(4).codeword(0)] * 2)
+        with pytest.raises(numerics.RankDeficient):
+            combine_for_codeword(hs, cs)
 
 
 class TestSinrForBeam:
@@ -172,3 +194,35 @@ class TestCsiReportInvariant:
             combined = combine_for_codeword(h, cb.codeword(report.beam))
             again = sinr_for_beam(combined.h_eff, cb, report.beam, cfg.rho)
             assert abs(report.cqi - again) <= 1e-12 * max(1.0, report.cqi)
+
+
+class TestScaleInvariance:
+    """QBC and local acquisition depend on the channel's direction only:
+    scaling h by s leaves combiners, chosen codewords and errors unchanged
+    and scales effective channels and CQIs by s."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 3),
+        scale=st.sampled_from([1e-3, 1e3]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_combine_and_local_acquisition(self, seed, n, scale):
+        from coopfb.cooperation import acquire_local_csi
+        from coopfb.model import LocalCodebook
+
+        rng = np.random.default_rng(seed)
+        h = random_channel(n, 4, rng)
+        c = haar_codebook(4, seed=seed).codeword(seed % 4)
+        ref, scaled = combine_for_codeword(h, c), combine_for_codeword(scale * h, c)
+        np.testing.assert_allclose(scaled.combiner, ref.combiner, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(scaled.h_eff, scale * ref.h_eff, rtol=1e-9, atol=1e-12 * scale)
+
+        vecs = random_channel(16, 4, rng)
+        codebook = LocalCodebook(vecs / np.linalg.norm(vecs, axis=1, keepdims=True))
+        ref, scaled = acquire_local_csi(h, codebook), acquire_local_csi(scale * h, codebook)
+        np.testing.assert_array_equal(scaled.cdi, ref.cdi)
+        assert abs(scaled.sin2_error - ref.sin2_error) <= 1e-12
+        assert abs(scaled.cqi - scale * ref.cqi) <= 1e-9 * scale * ref.cqi
+        np.testing.assert_allclose(scaled.combiner, ref.combiner, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(scaled.h_virt, scale * ref.h_virt, rtol=1e-9, atol=1e-12 * scale)

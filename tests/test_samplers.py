@@ -1,0 +1,147 @@
+"""The blocked distribution samplers against an independent per-user oracle.
+
+The oracle below draws each trial from the same ``(seed, trial, purpose)``
+streams and runs it one trial at a time through the single-channel path of
+``cooperation`` and ``qbc`` (orthonormal basis, projection, Gram solve per
+channel). The samplers take the stacked path of the same functions, which
+shares none of that arithmetic.
+"""
+
+import numpy as np
+import pytest
+
+from coopfb import cooperation, montecarlo, numerics, qbc
+from coopfb.model import (
+    RandomStream,
+    SystemConfig,
+    complex_gaussian,
+    derive_trial_rng,
+    gen_global_codebook,
+    gen_local_codebook,
+)
+
+DEGENERATE = (numerics.RankDeficient, numerics.DegenerateProjection)
+
+# sin^2 values are formed as 1 - cos^2, so their absolute rounding is ~1e-16
+# whatever their size; at n = m - 1 the global error is exactly zero.
+RTOL, ATOL = 1e-10, 1e-14
+
+
+def oracle_pair(cfg, trial, beam=0):
+    """One cooperation-pair draw at a fixed beam, per user: returns
+    (sin2_local, sin2_global, eff_norm2, local_intf) and the attempt used."""
+    base = derive_trial_rng(cfg.seed, trial)
+    for attempt in range(montecarlo.MAX_RESAMPLE_ATTEMPTS):
+        rng = base if attempt == 0 else base.child("resample", attempt)
+        try:
+            pair = complex_gaussian(rng.child("channels").generator(), (2, cfg.n, cfg.m))
+            codebook = gen_global_codebook(cfg, rng)
+            local_cb = gen_local_codebook(cfg, rng)
+            local = cooperation.acquire_local_csi(pair[1], local_cb)
+            glob = cooperation.build_global_matrix(pair[0], local)
+            combined = qbc.combine_for_codeword(glob.h_qu, codebook.codeword(beam))
+            h_eff = combined.h_eff
+            norm2 = float(np.vdot(h_eff, h_eff).real)
+            cos2 = float(np.abs(np.vdot(h_eff, codebook.codeword(beam))) ** 2 / norm2)
+            local_intf = float(
+                np.abs(combined.combiner[cfg.n]) ** 2
+                * np.vdot(local.h_virt, local.h_virt).real
+                * local.sin2_error
+            )
+            row = (local.sin2_error, min(max(1.0 - cos2, 0.0), 1.0), norm2, local_intf)
+            return np.array(row), attempt
+        except DEGENERATE:
+            continue
+    raise AssertionError(f"oracle trial {trial} never drew a full-rank pair")
+
+
+def oracle_local_error(cfg, trial):
+    """Selected local quantization error of one fresh user, per user."""
+    base = derive_trial_rng(cfg.seed, trial)
+    for attempt in range(montecarlo.MAX_RESAMPLE_ATTEMPTS):
+        rng = base if attempt == 0 else base.child("resample", attempt)
+        try:
+            h = complex_gaussian(rng.child("channels").generator(), (cfg.n, cfg.m))
+            return cooperation.acquire_local_csi(h, gen_local_codebook(cfg, rng)).sin2_error, attempt
+        except DEGENERATE:
+            continue
+    raise AssertionError(f"oracle trial {trial} never drew a full-rank channel")
+
+
+def cfg_for(n, trials=300, seed=11):
+    return SystemConfig(m=4, n=n, k=8, bcl=8, trials=trials, seed=seed)
+
+
+def zero_channels_at(monkeypatch, trial):
+    """Make the first channel draw of ``trial`` all zeros (rank deficient);
+    its resample streams and every other trial stay untouched."""
+    original = RandomStream.generator
+
+    class Zeros:
+        def standard_normal(self, shape):
+            return np.zeros(shape)
+
+    def generator(self):
+        if self.path == (trial, "channels"):
+            return Zeros()
+        return original(self)
+
+    monkeypatch.setattr(RandomStream, "generator", generator)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+class TestAgainstOracle:
+    def test_pair_chunk(self, n):
+        cfg = cfg_for(n)
+        rows, resamples = montecarlo._pair_chunk(cfg, 0, 0, cfg.trials)
+        assert rows.shape == (cfg.trials, 4)
+        expected = [oracle_pair(cfg, t) for t in range(cfg.trials)]
+        np.testing.assert_allclose(rows, [e[0] for e in expected], rtol=RTOL, atol=ATOL)
+        assert resamples == sum(e[1] for e in expected)
+
+    def test_local_error_chunk(self, n):
+        cfg = cfg_for(n)
+        errors, resamples = montecarlo._local_error_chunk(cfg, 0, cfg.trials)
+        expected = [oracle_local_error(cfg, t) for t in range(cfg.trials)]
+        np.testing.assert_allclose(errors, [e[0] for e in expected], rtol=RTOL, atol=ATOL)
+        assert resamples == sum(e[1] for e in expected)
+
+
+class TestBlockBoundaries:
+    @pytest.mark.parametrize("bcl", [8, 12])
+    def test_split_range_concatenates(self, bcl):
+        cfg = SystemConfig(m=4, n=2, k=8, bcl=bcl, trials=200, seed=11)
+        size = montecarlo._block_trials(cfg)
+        assert size == (64 if bcl == 8 else 16)
+        split = size + 7
+        whole, _ = montecarlo._pair_chunk(cfg, 0, 0, cfg.trials)
+        head, _ = montecarlo._pair_chunk(cfg, 0, 0, split)
+        tail, _ = montecarlo._pair_chunk(cfg, 0, split, cfg.trials)
+        np.testing.assert_array_equal(whole, np.concatenate([head, tail]))
+        errors, _ = montecarlo._local_error_chunk(cfg, 0, cfg.trials)
+        parts = [montecarlo._local_error_chunk(cfg, lo, hi)[0] for lo, hi in ((0, split), (split, cfg.trials))]
+        np.testing.assert_array_equal(errors, np.concatenate(parts))
+
+
+class TestForcedResample:
+    def test_pair_trial_resamples_like_the_oracle(self, monkeypatch):
+        cfg = cfg_for(2, trials=40)
+        clean, _ = montecarlo._pair_chunk(cfg, 0, 0, cfg.trials)
+        zero_channels_at(monkeypatch, 17)
+        rows, resamples = montecarlo._pair_chunk(cfg, 0, 0, cfg.trials)
+        expected, attempt = oracle_pair(cfg, 17)
+        assert attempt == 1 and resamples == 1
+        np.testing.assert_allclose(rows[17], expected, rtol=RTOL, atol=ATOL)
+        others = np.arange(cfg.trials) != 17
+        np.testing.assert_array_equal(rows[others], clean[others])
+
+    def test_local_error_trial_resamples_like_the_oracle(self, monkeypatch):
+        cfg = cfg_for(3, trials=40)
+        clean, _ = montecarlo._local_error_chunk(cfg, 0, cfg.trials)
+        zero_channels_at(monkeypatch, 3)
+        errors, resamples = montecarlo._local_error_chunk(cfg, 0, cfg.trials)
+        expected, attempt = oracle_local_error(cfg, 3)
+        assert attempt == 1 and resamples == 1
+        np.testing.assert_allclose(errors[3], expected, rtol=RTOL, atol=ATOL)
+        others = np.arange(cfg.trials) != 3
+        np.testing.assert_array_equal(errors[others], clean[others])
