@@ -103,11 +103,11 @@ def parse_grid(text: str) -> list:
     if ".." in text:
         parts = text.split("..")
         if len(parts) not in (2, 3):
-            raise argparse.ArgumentTypeError(f"bad grid {text!r}; use start..stop[..step]")
+            raise ConfigError(f"bad grid {text!r}; use start..stop[..step]")
         start, stop = float(parts[0]), float(parts[1])
         step = float(parts[2]) if len(parts) == 3 else 1.0
         if step <= 0:
-            raise argparse.ArgumentTypeError("grid step must be positive")
+            raise ConfigError("grid step must be positive")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         return [start + i * step for i in range(count)]
     return [float(v) for v in text.split(",") if v.strip()]
@@ -117,7 +117,7 @@ def _int_grid(values) -> list:
     out = []
     for v in values:
         if abs(v - round(v)) > 1e-9:
-            raise argparse.ArgumentTypeError(f"expected integers in grid, got {v}")
+            raise ConfigError(f"expected integers in grid, got {v}")
         out.append(int(round(v)))
     return out
 
@@ -187,6 +187,8 @@ def _gather(args) -> dict:
     bcl = args.bcl if args.bcl is not None else _file_value(file_cfg, "b_cl", "bcl")
     if bcl is not None:
         grid = _int_grid(parse_grid(str(bcl)))
+        if len(grid) != 1 and args.command != "fig3":
+            raise ConfigError(f"{args.command} takes a single --bcl value")
         merged["bcl"] = grid[0] if len(grid) == 1 else None
         merged["bcl_grid"] = grid
     rho = args.rho_db if args.rho_db is not None else _file_value(file_cfg, "rho_db")
@@ -231,12 +233,7 @@ def _emit(out_dir: Path, result: montecarlo.ExperimentResult) -> list:
 def _run_experiment_command(args) -> int:
     merged = _gather(args)
     overrides = {k: v for k, v in merged.items() if v is not None and k != "mode"}
-    if args.command != "fig3":
-        overrides.pop("bcl_grid", None)
-        if merged.get("bcl") is None and merged.get("bcl_grid"):
-            raise ConfigError(f"{args.command} takes a single --bcl value")
-    else:
-        overrides.pop("bcl", None)
+    overrides.pop("bcl" if args.command == "fig3" else "bcl_grid", None)
     if args.command == "fig7":
         overrides.pop("k", None)
         if getattr(args, "k_grid", None):

@@ -1,7 +1,7 @@
 """Trial orchestration, empirical statistics, and the figure-class experiments.
 
-The pipeline is vectorised across the users of a trial, and across blocks
-of trials in the distribution samplers, through the stacked stages of
+The pipeline is vectorised across the users of a block of trials, in the
+rate engine and in the distribution samplers, through the stacked stages of
 ``qbc`` and ``cooperation`` (stacked small-matrix linear algebra; the same
 modified Gram-Schmidt / Gram-solve sequence as their single-channel path).
 Every random quantity is keyed by (seed, trial, purpose), so results are
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -22,6 +23,7 @@ import numpy as np
 
 from . import analysis, cooperation, numerics, qbc
 from .model import (
+    ConfigError,
     GlobalCodebook,
     LocalCodebook,
     RandomStream,
@@ -63,6 +65,12 @@ def ks_distance(samples: Sequence[float], cdf: Callable, region: Optional[float]
     ``region`` restricts the sup to where the model cdf is at least that
     probability, which is how upper-tail agreement is scored.
     """
+    return ks_distances(samples, cdf, [region])[0]
+
+
+def ks_distances(samples: Sequence[float], cdf: Callable, regions: Sequence[Optional[float]]) -> list:
+    """:func:`ks_distance` for each of ``regions``, evaluating ``cdf`` once
+    for all of them."""
     s = np.sort(np.asarray(samples, dtype=float))
     n = s.size
     if n == 0:
@@ -74,16 +82,17 @@ def ks_distance(samples: Sequence[float], cdf: Callable, region: Optional[float]
     below = np.arange(0, n) / n
     above = np.arange(1, n + 1) / n
     gaps = np.maximum(np.abs(above - model_right), np.abs(below - model_left))
-    if region is not None:
-        mask = model_right >= region
-        if not mask.any():
+    distances = []
+    for region in regions:
+        in_region = gaps if region is None else gaps[model_right >= region]
+        if in_region.size == 0:
             raise ValueError(f"no samples fall in the region with model cdf >= {region}")
-        gaps = gaps[mask]
-    return float(gaps.max())
+        distances.append(float(in_region.max()))
+    return distances
 
 
 # ---------------------------------------------------------------------------
-# Batched per-trial engine
+# Batched trial engine
 # ---------------------------------------------------------------------------
 
 
@@ -125,7 +134,7 @@ def _beam_correlations(heff_cols: np.ndarray, cb: np.ndarray) -> tuple[np.ndarra
     columns ``(k, m_dim, beams)`` against codebook columns ``cb``."""
     corr = np.matmul(heff_cols.conj().transpose(0, 2, 1), cb)  # (k, beams, m)
     powers = corr.real**2 + corr.imag**2
-    beams = np.arange(cb.shape[1])
+    beams = np.arange(cb.shape[-1])
     sig = powers[:, beams, beams]
     return sig, powers.sum(axis=-1) - sig
 
@@ -139,10 +148,7 @@ def build_workspace(
     numerically rank deficient, which for Gaussian draws is a measure-zero
     event.
     """
-    ws, attempt = _resampled(
-        lambda rng: _build_workspace_once(cfg, trial, rng, coop, conv), cfg.seed, trial
-    )
-    ws.resamples = attempt
+    (ws,), _ = _resampled(lambda rng: _workspaces(cfg, [rng], coop, conv), cfg.seed, trial)
     return ws
 
 
@@ -162,13 +168,30 @@ def _resampled(draw: Callable, seed: int, trial: int):
     )
 
 
-def _build_workspace_once(
-    cfg: SystemConfig, trial: int, rng: RandomStream, coop: bool, conv: bool
-) -> TrialWorkspace:
+def _origin(rng: RandomStream) -> tuple[int, int]:
+    """Trial and resample attempt a stream of :func:`_resampled` belongs to."""
+    trial, *redraw = rng.path
+    return trial, redraw[1] if redraw else 0
+
+
+def _per_trial(arrays, b: int, k: int) -> list:
+    """Views of block-stacked arrays (``b`` trials of ``k`` users along
+    axis 0), one trial at a time."""
+    if arrays is None:
+        return [None] * b
+    fields = vars(arrays).items()
+    return [type(arrays)(**{name: value[i * k : (i + 1) * k] for name, value in fields}) for i in range(b)]
+
+
+def _workspaces(
+    cfg: SystemConfig, rngs: Sequence[RandomStream], coop: bool, conv: bool
+) -> list[TrialWorkspace]:
+    """One :class:`TrialWorkspace` per stream, with the users of all the
+    streams' trials stacked ``(b*k, ...)`` through the batched stages."""
     k, n, m = cfg.k, cfg.n, cfg.m
-    h = complex_gaussian(rng.child("channels").generator(), (k, n, m))
-    codebook = gen_global_codebook(cfg, rng)
-    cb = codebook.matrix
+    h = np.concatenate([complex_gaussian(rng.child("channels").generator(), (k, n, m)) for rng in rngs])
+    codebooks = [gen_global_codebook(cfg, rng) for rng in rngs]
+    cb = np.repeat(np.stack([c.matrix for c in codebooks]), k, axis=0)  # each trial's, per user
 
     gram, basis = qbc._subspace(h)
 
@@ -185,20 +208,27 @@ def _build_workspace_once(
 
     coop_arrays = None
     if coop:
-        # Every user of the trial quantizes against the same local codebook.
-        v = cooperation._local_choice(gen_local_codebook(cfg, rng).vectors, basis)  # (k, m)
+        # The users of a trial quantize against that trial's local codebook,
+        # one trial at a time: all at once would take b*k*qcl*n correlations.
+        v = np.concatenate(
+            [
+                cooperation._local_choice(gen_local_codebook(cfg, rng).vectors, basis[i * k : (i + 1) * k])
+                for i, rng in enumerate(rngs)
+            ]
+        )  # (b*k, m)
         tau, _, h_virt, hv_norm2, sin2_local = cooperation._local_stage(h, gram, basis, v)
 
-        # Global acquisition over the partner-stacked (n+1)-row matrices.
-        partner = np.arange(k) ^ 1
+        # Global acquisition over the partner-stacked (n+1)-row matrices;
+        # k is even, so u ^ 1 stays inside u's trial.
+        partner = np.arange(len(h)) ^ 1
         quant_row = (tau[:, None] * v).conj()[partner][:, None, :]
         downlink_row = h_virt.conj()[partner][:, None, :]
-        h_qu = np.concatenate([h, quant_row], axis=1)  # (k, n+1, m)
+        h_qu = np.concatenate([h, quant_row], axis=1)  # (b*k, n+1, m)
         h_dl = np.concatenate([h, downlink_row], axis=1)
         gram_g, basis_g = qbc._subspace(h_qu)
         cos2_g, eff_norm2, combiners, heff_qu = qbc._qbc_stage(h_qu, gram_g, basis_g, cb)
         sig_qu, intf_qu = _beam_correlations(heff_qu, cb)
-        heff_dl = np.matmul(h_dl.conj().transpose(0, 2, 1), combiners)  # (k, m, beams)
+        heff_dl = np.matmul(h_dl.conj().transpose(0, 2, 1), combiners)  # (b*k, m, beams)
         sig_dl, intf_dl = _beam_correlations(heff_dl, cb)
         last_row_power = combiners[:, n, :].real ** 2 + combiners[:, n, :].imag ** 2
         coop_arrays = _CoopArrays(
@@ -213,9 +243,13 @@ def _build_workspace_once(
             local_intf=last_row_power * (hv_norm2 * sin2_local)[partner][:, None],
         )
 
-    return TrialWorkspace(
-        cfg=cfg, trial=trial, resamples=0, codebook=codebook, conv=conv_arrays, coop=coop_arrays
-    )
+    b = len(rngs)
+    return [
+        TrialWorkspace(cfg, *_origin(rng), codebook, conv_part, coop_part)
+        for rng, codebook, conv_part, coop_part in zip(
+            rngs, codebooks, _per_trial(conv_arrays, b, k), _per_trial(coop_arrays, b, k)
+        )
+    ]
 
 
 @dataclass
@@ -380,42 +414,50 @@ def run_trial(cfg: SystemConfig, mode: str, trial: int) -> TrialRecord:
 
 
 # ---------------------------------------------------------------------------
-# Blocked samplers used by the distribution experiments
+# Blocks of trials: the rate engine and the distribution samplers
 # ---------------------------------------------------------------------------
 
-# Trials stacked into one pass of the batched kernel by the samplers, and
-# the most local-codebook rows (trials x codewords) one block may hold:
-# 64 trials up to 1,024-word codebooks, fewer beyond.
+# Trials stacked into one pass of the batched kernel. The samplers bound a
+# block by its local-codebook rows (trials x codewords): 64 trials up to
+# 1,024-word codebooks, fewer beyond. The rate engine bounds it by users
+# (trials x k): 16 trials at k = 16, one trial from k = 129 on.
 _BLOCK = 64
 _BLOCK_ROWS = 64 * 1024
+_BLOCK_USERS = 256
 
 
 def _block_trials(cfg: SystemConfig) -> int:
     return max(1, min(_BLOCK, _BLOCK_ROWS // cfg.qcl))
 
 
-def _blocked(kernel: Callable, cfg: SystemConfig, lo: int, hi: int):
-    """Stack ``kernel(rngs)`` (one output row per stream) over the trials
-    ``[lo, hi)`` in blocks of :func:`_block_trials`; returns the rows and the
-    resample count.
+def _rate_block_trials(cfg: SystemConfig) -> int:
+    return max(1, min(_BLOCK, _BLOCK_USERS // cfg.k))
+
+
+def _blocked(kernel: Callable, seed: int, lo: int, hi: int, size: int):
+    """Yield ``(kernel(rngs), resamples)`` over the trials ``[lo, hi)`` in
+    blocks of ``size`` trials, one stream per trial.
 
     A block that hits a degenerate draw is redone trial by trial on each
-    trial's resample streams, so no trial's output or resample count depends
-    on where the block boundaries fall.
+    trial's resample streams, one yield per trial, so no trial's output or
+    resample count depends on where the block boundaries fall.
     """
-    parts = []
-    resamples = 0
-    size = _block_trials(cfg)
     for start in range(lo, hi, size):
         trials = range(start, min(start + size, hi))
         try:
-            parts.append(kernel([derive_trial_rng(cfg.seed, t) for t in trials]))
+            out = kernel([derive_trial_rng(seed, t) for t in trials])
         except _DEGENERATE:
             for trial in trials:
-                rows, attempt = _resampled(lambda rng: kernel([rng]), cfg.seed, trial)
-                parts.append(rows)
-                resamples += attempt
-    return np.concatenate(parts), resamples
+                yield _resampled(lambda rng: kernel([rng]), seed, trial)
+        else:
+            yield out, 0
+
+
+def _sampled(kernel: Callable, cfg: SystemConfig, lo: int, hi: int):
+    """Rows of ``kernel`` (one per stream) stacked over the trials
+    ``[lo, hi)`` in blocks of :func:`_block_trials`, and the resample count."""
+    parts = list(_blocked(kernel, cfg.seed, lo, hi, _block_trials(cfg)))
+    return np.concatenate([rows for rows, _ in parts]), sum(attempts for _, attempts in parts)
 
 
 def _local_codebooks(cfg: SystemConfig, rngs: Sequence[RandomStream]) -> LocalCodebook:
@@ -470,14 +512,22 @@ def _surrogate_norm_sample(cfg: SystemConfig, trial: int, omega: float) -> float
 # ---------------------------------------------------------------------------
 
 
+def _worker_count(workers: int, n_trials: int, cpus: Optional[int]) -> int:
+    """Processes to run: the requested count, capped at the CPU count and
+    at the trial count (which caps the chunk count)."""
+    if workers < 1:
+        raise ConfigError(f"need workers >= 1, got workers={workers}")
+    return min(workers, cpus or 1, n_trials)
+
+
 def _parallel_chunks(fn, n_trials: int, workers: int) -> list:
     """Run ``fn(lo, hi)`` over a partition of the trial range.
 
     Results come back in chunk order; per-trial outputs depend only on the
     trial index, so the assembled output is identical for any worker count.
     """
-    workers = max(1, int(workers))
-    if workers == 1 or n_trials == 1:
+    workers = _worker_count(workers, n_trials, os.cpu_count())
+    if workers == 1:
         return [fn(0, n_trials)]
     chunks = min(workers * 4, n_trials)
     bounds = np.linspace(0, n_trials, chunks + 1).astype(int)
@@ -494,11 +544,11 @@ def _parallel_chunks(fn, n_trials: int, workers: int) -> list:
 def _pair_chunk(cfg: SystemConfig, beam: int, lo: int, hi: int):
     """Pair samples of trials ``[lo, hi)`` as rows ``(hi - lo, 4)`` (see
     :func:`_pair_block`) plus the resample count."""
-    return _blocked(partial(_pair_block, cfg, beam), cfg, lo, hi)
+    return _sampled(partial(_pair_block, cfg, beam), cfg, lo, hi)
 
 
 def _local_error_chunk(cfg: SystemConfig, lo: int, hi: int):
-    return _blocked(partial(_local_error_block, cfg), cfg, lo, hi)
+    return _sampled(partial(_local_error_block, cfg), cfg, lo, hi)
 
 
 def _surrogate_chunk(cfg: SystemConfig, omega: float, lo: int, hi: int):
@@ -506,23 +556,21 @@ def _surrogate_chunk(cfg: SystemConfig, omega: float, lo: int, hi: int):
 
 
 def _rate_chunk(cfg: SystemConfig, rho_lin: np.ndarray, want_coop: bool, want_conv: bool, lo: int, hi: int):
-    n_rho = rho_lin.size
-    coop_rates = np.empty((hi - lo, n_rho)) if want_coop else None
-    conv_rates = np.empty((hi - lo, n_rho)) if want_conv else None
-    resamples = 0
-    unassigned = 0
-    for i, trial in enumerate(range(lo, hi)):
-        ws = build_workspace(cfg, trial, coop=want_coop, conv=want_conv)
-        resamples += ws.resamples
-        if want_coop:
-            ev = evaluate_mode(ws, analysis.COOPERATIVE, rho_lin)
-            coop_rates[i] = ev.sum_rate
-            unassigned += int(ev.unassigned.sum())
-        if want_conv:
-            ev = evaluate_mode(ws, analysis.CONVENTIONAL, rho_lin)
-            conv_rates[i] = ev.sum_rate
-            unassigned += int(ev.unassigned.sum())
-    return coop_rates, conv_rates, resamples, unassigned
+    """Per-trial sum-rates ``(hi - lo, r)`` of the cooperative and the
+    conventional mode (None when not wanted), the resample count and the
+    unassigned-beam count over the trials ``[lo, hi)``."""
+    wanted = {analysis.COOPERATIVE: want_coop, analysis.CONVENTIONAL: want_conv}
+    rates = {mode: np.empty((hi - lo, rho_lin.size)) for mode, want in wanted.items() if want}
+    resamples = unassigned = 0
+    kernel = partial(_workspaces, cfg, coop=want_coop, conv=want_conv)
+    for workspaces, attempts in _blocked(kernel, cfg.seed, lo, hi, _rate_block_trials(cfg)):
+        resamples += attempts
+        for ws in workspaces:
+            for mode, trial_rates in rates.items():
+                ev = evaluate_mode(ws, mode, rho_lin)
+                trial_rates[ws.trial - lo] = ev.sum_rate
+                unassigned += int(ev.unassigned.sum())
+    return rates.get(analysis.COOPERATIVE), rates.get(analysis.CONVENTIONAL), resamples, unassigned
 
 
 # ---------------------------------------------------------------------------
@@ -713,12 +761,10 @@ def _run_fig6(params: dict, workers: int) -> ExperimentResult:
             for x, a, b, c, d in zip(grid, cdf_exact, cdf_approx, model(grid), small_error(grid))
         )
         key = f"{rho_db:g}"
-        aggregates["ks_full"][key] = ks_distance(sinr_approx, model)
-        aggregates["ks_upper_tail"][key] = ks_distance(sinr_approx, model, region=0.5)
-        aggregates["ks_full_small_error"][key] = ks_distance(sinr_approx, small_error)
-        aggregates["ks_upper_tail_small_error"][key] = ks_distance(
-            sinr_approx, small_error, region=0.5
-        )
+        for suffix, cdf in (("", model), ("_small_error", small_error)):
+            full, upper = ks_distances(sinr_approx, cdf, [None, 0.5])
+            aggregates["ks_full" + suffix][key] = full
+            aggregates["ks_upper_tail" + suffix][key] = upper
     return ExperimentResult(
         experiment="fig6",
         config=params,

@@ -161,6 +161,37 @@ class TestExplicitValues:
         assert len(captured.out.splitlines()) <= 1  # at most the header
 
 
+class TestRejectedInputs:
+    """Malformed grids, multi-value --bcl where one value is taken, and
+    worker counts below one exit 2 with an error line and write nothing."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["sweep", "--rho-db", "1..2..0"], "grid step must be positive"),
+            (["sweep", "--rho-db", "1..2..3..4"], "bad grid"),
+            (["fig3", "--bcl", "2.5"], "expected integers in grid"),
+            (["sweep", "--bcl", "2,4"], "sweep takes a single --bcl value"),
+            (["fig8", "--bcl", "2,4"], "fig8 takes a single --bcl value"),
+            (["sweep", "--workers", "0"], "need workers >= 1"),
+            (["fig3", "--bcl", "2", "--workers", "-1"], "need workers >= 1"),
+        ],
+    )
+    def test_command_exits_2(self, tmp_path, capsys, args, message):
+        status = cli.run(args + ["--trials", "2", "--out-dir", str(tmp_path)])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not list(tmp_path.iterdir())
+
+    def test_analyze_rejects_multi_value_bcl(self, capsys):
+        status = cli.run(["analyze", "--bcl", "2,4", "--k", "200", "--rho-db", "0"])
+        assert status == 2
+        captured = capsys.readouterr()
+        assert "analyze takes a single --bcl value" in captured.err
+        assert captured.out == ""
+
+
 class TestAdaptiveDecidedFirst:
     """Where both closed-form estimates are out of regime, adaptive runs stop
     with InvalidRegime before any trial is simulated."""

@@ -6,6 +6,7 @@ from scipy import stats
 
 from coopfb import analysis, cooperation, link, montecarlo, qbc, scheduler
 from coopfb.model import (
+    ConfigError,
     SystemConfig,
     derive_trial_rng,
     gen_all_channels,
@@ -21,6 +22,7 @@ from coopfb.montecarlo import (
     run_experiment,
     run_trial,
 )
+from test_samplers import zero_channels_at
 
 
 def small_cfg(**kw):
@@ -197,6 +199,87 @@ class TestEngineAgainstModules:
                 downlink = {r.user: h[r.user].conj().T @ r.combiner for r in reports}
                 rate = link.sum_rate_numerical(sched, downlink, codebook, rho)
                 assert abs(rate - ev.sum_rate[0]) <= 1e-10 * max(1.0, rate)
+
+
+def assert_same_workspace(got, want):
+    """Every field of two workspaces equal, arrays bit for bit."""
+    assert (got.trial, got.resamples) == (want.trial, want.resamples)
+    assert np.array_equal(got.codebook.matrix, want.codebook.matrix)
+    for stage in ("conv", "coop"):
+        a, b = getattr(got, stage), getattr(want, stage)
+        assert (a is None) == (b is None), stage
+        for name, value in (vars(b) if b is not None else {}).items():
+            assert np.array_equal(getattr(a, name), value), (stage, name)
+
+
+class TestBlockedEngine:
+    """The rate engine builds the workspaces of a block of trials in one
+    pass; each trial must come out exactly as it does built alone."""
+
+    @pytest.mark.parametrize("k, size", [(8, 32), (16, 16), (100, 2), (200, 1), (400, 1)])
+    def test_block_size_counts_users(self, k, size):
+        assert montecarlo._rate_block_trials(small_cfg(k=k)) == size
+
+    @pytest.mark.parametrize("coop, conv", [(True, True), (True, False), (False, True)])
+    def test_block_workspaces_equal_single_trials(self, coop, conv):
+        cfg = small_cfg(k=16, bcl=6, seed=21)
+        trials = range(3, 3 + montecarlo._rate_block_trials(cfg))
+        block = montecarlo._workspaces(cfg, [derive_trial_rng(cfg.seed, t) for t in trials], coop, conv)
+        assert [ws.trial for ws in block] == list(trials)
+        for ws in block:
+            assert_same_workspace(ws, build_workspace(cfg, ws.trial, coop=coop, conv=conv))
+
+    def test_split_range_concatenates(self):
+        cfg = small_cfg(k=16, bcl=6, seed=22)
+        rho_lin = np.array([0.5, 5.0, 50.0])
+        n_trials = 50
+        split = montecarlo._rate_block_trials(cfg) + 5
+        whole = montecarlo._rate_chunk(cfg, rho_lin, True, True, 0, n_trials)
+        head = montecarlo._rate_chunk(cfg, rho_lin, True, True, 0, split)
+        tail = montecarlo._rate_chunk(cfg, rho_lin, True, True, split, n_trials)
+        for i in (0, 1):
+            np.testing.assert_array_equal(whole[i], np.concatenate([head[i], tail[i]]))
+        assert whole[2:] == (head[2] + tail[2], head[3] + tail[3])
+        for i, mode in ((0, "cooperative"), (1, "conventional")):
+            alone = [
+                evaluate_mode(build_workspace(cfg, t, conv=True), mode, rho_lin).sum_rate
+                for t in range(n_trials)
+            ]
+            np.testing.assert_array_equal(whole[i], alone)
+
+    def test_degenerate_trial_inside_a_block_resamples_alone(self, monkeypatch):
+        cfg = small_cfg(k=16, bcl=6, seed=23)
+        rho_lin = np.array([1.0, 10.0])
+        size = montecarlo._rate_block_trials(cfg)
+        n_trials, bad = 2 * size + 4, size + 3
+        clean = montecarlo._rate_chunk(cfg, rho_lin, True, True, 0, n_trials)
+        assert clean[2] == 0
+        zero_channels_at(monkeypatch, bad)
+        coop, conv, resamples, _ = montecarlo._rate_chunk(cfg, rho_lin, True, True, 0, n_trials)
+        assert resamples == 1
+        ws = build_workspace(cfg, bad, coop=True, conv=True)
+        redraw = derive_trial_rng(cfg.seed, bad).child("resample", 1)
+        assert_same_workspace(ws, montecarlo._workspaces(cfg, [redraw], True, True)[0])
+        assert (ws.trial, ws.resamples) == (bad, 1)
+        np.testing.assert_array_equal(coop[bad], evaluate_mode(ws, "cooperative", rho_lin).sum_rate)
+        np.testing.assert_array_equal(conv[bad], evaluate_mode(ws, "conventional", rho_lin).sum_rate)
+        assert not np.array_equal(coop[bad], clean[0][bad])
+        others = np.arange(n_trials) != bad
+        np.testing.assert_array_equal(coop[others], clean[0][others])
+        np.testing.assert_array_equal(conv[others], clean[1][others])
+
+
+class TestWorkerCount:
+    def test_capped_at_cpus_and_trials(self):
+        assert montecarlo._worker_count(1000, 10**6, 2) == 2
+        assert montecarlo._worker_count(8, 3, 16) == 3
+        assert montecarlo._worker_count(4, 100, None) == 1
+        assert montecarlo._worker_count(2, 100, 8) == 2
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_below_one_rejected(self, workers):
+        with pytest.raises(ConfigError):
+            montecarlo._worker_count(workers, 100, 2)
 
 
 class TestWorkspaceEvaluate:
