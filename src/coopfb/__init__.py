@@ -2,7 +2,6 @@
 MIMO limited feedback with pairwise user cooperation."""
 
 from .model import (
-    ChannelMatrix,
     ConfigError,
     GlobalCodebook,
     LocalCodebook,
@@ -15,7 +14,6 @@ from .montecarlo import ExperimentResult, TrialRecord, run_experiment, run_sweep
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelMatrix",
     "ConfigError",
     "ExperimentResult",
     "GlobalCodebook",

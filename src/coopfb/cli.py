@@ -1,4 +1,5 @@
-"""Command-line front end: experiment dispatch and CSV/JSON emission.
+"""Command-line front end: flags and config files resolved against each
+command's spec, and CSV/JSON emission.
 
 Every randomized run requires an explicit seed (or uses seed 0); nothing is
 clock-seeded, and floats are printed with 17 significant digits so output
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import analysis, montecarlo
-from .model import MODES, ConfigError, SystemConfig, db_to_linear
+from .model import CODEBOOK_MODES, MODES, ConfigError
 
 OUT_DIR_ENV = "COOPFB_OUT_DIR"
 
@@ -122,18 +123,40 @@ def _int_grid(values) -> list:
     return out
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--m", type=int, default=None, help="transmit antennas / beams")
-    p.add_argument("--n", type=int, default=None, help="receive antennas per user")
-    p.add_argument("--k", type=int, default=None, help="number of users (even)")
-    p.add_argument("--bcl", type=str, default=None, help="cooperation-link bits (scalar or grid)")
-    p.add_argument("--rho-db", type=str, default=None, help="SNR grid in dB (scalar, list, or a..b[..step])")
-    p.add_argument("--trials", type=int, default=None, help="Monte Carlo repetitions")
-    p.add_argument("--seed", type=int, default=None, help="master seed (default 0, never wall clock)")
-    p.add_argument("--codebook", choices=("haar", "dft"), default=None, help="global codebook mode")
-    p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
-    p.add_argument("--out-dir", type=str, default=None, help=f"output directory (or ${OUT_DIR_ENV})")
-    p.add_argument("--config", type=str, default=None, help="JSON config file; flags override its keys")
+# Every flag a command may take, by argparse dest: the parameter it sets
+# unless the command's spec remaps it, and its argparse options.
+FLAGS = {
+    "m": ("m", dict(type=int, help="transmit antennas / beams")),
+    "n": ("n", dict(type=int, help="receive antennas per user")),
+    "k": ("k", dict(type=int, help="number of users (even)")),
+    "k_grid": ("k_grid", dict(help="user-count grid, e.g. 50,100,200,400")),
+    "bcl": ("bcl", dict(help="cooperation-link bits")),
+    "rho_db": ("rho_db", dict(help="SNR grid in dB (scalar, list, or a..b[..step])")),
+    "trials": ("trials", dict(type=int, help="Monte Carlo repetitions")),
+    "seed": ("seed", dict(type=int, help="master seed (default 0, never wall clock)")),
+    "codebook": ("codebook_mode", dict(choices=CODEBOOK_MODES, help="global codebook mode")),
+    "mode": ("modes", dict(choices=MODES, action="append", help="mode(s) to simulate")),
+}
+
+# Config-file keys and the flag each stands for.
+CONFIG_KEYS = {key: key for key in ("m", "n", "k", "bcl", "rho_db", "trials", "seed", "mode")} | {
+    "b_cl": "bcl",
+    "codebook_mode": "codebook",
+}
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _routes(spec: montecarlo.Spec) -> dict:
+    """``flag -> (parameter, flags that set it together)`` for every flag
+    the command takes, in :data:`FLAGS` order."""
+    routes = {dest: (param, (dest,)) for dest, (param, _) in FLAGS.items() if param in spec.params}
+    for names, param in spec.remaps.items():
+        group = names if isinstance(names, tuple) else (names,)
+        routes.update((dest, (param, group)) for dest in group)
+    return {dest: routes[dest] for dest in FLAGS if dest in routes}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,68 +165,89 @@ def build_parser() -> argparse.ArgumentParser:
         description="Link-level simulator and closed-form analysis for cooperative limited feedback",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for fig in montecarlo.EXPERIMENTS:
-        p = sub.add_parser(fig, help=f"run the {fig} experiment")
-        _add_common(p)
-        if fig == "fig7":
-            p.add_argument("--k-grid", type=str, default=None, help="user-count grid, e.g. 50,100,200,400")
-    p = sub.add_parser("sweep", help="mean sum-rate over an SNR grid for chosen modes")
-    _add_common(p)
-    p.add_argument("--mode", choices=MODES, action="append", default=None, help="mode(s) to simulate")
-    p = sub.add_parser("analyze", help="closed-form mode advice without simulation")
-    _add_common(p)
-    p.add_argument("--k-grid", type=str, default=None, help="user-count grid")
+    for command, spec in montecarlo.SPECS.items():
+        # No abbreviations: fig7's --k would otherwise be read as --k-grid.
+        p = sub.add_parser(command, help=spec.runner.__doc__.splitlines()[0].rstrip("."), allow_abbrev=False)
+        for dest in _routes(spec):
+            p.add_argument(_flag(dest), dest=dest, **FLAGS[dest][1])
+        if spec.writes:
+            p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+            p.add_argument("--out-dir", type=str, default=None, help=f"output directory (or ${OUT_DIR_ENV})")
+            p.add_argument("--config", type=str, default=None, help="JSON config file; flags override its keys")
     return parser
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str, routes: dict) -> dict:
+    """The file's keys as flags; a key that stands for no flag of the
+    command, and two keys for one flag, are refused."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    return data
+    flags = {}
+    for key, value in data.items():
+        dest = CONFIG_KEYS.get(key)
+        if dest not in routes:
+            raise ConfigError(f"config file {path}: this command takes no key {key!r}")
+        if dest in flags:
+            raise ConfigError(f"config file {path}: two keys set {_flag(dest)}")
+        flags[dest] = value
+    return flags
 
 
-def _file_value(file_cfg: dict, *names):
-    for name in names:
-        if name in file_cfg:
-            return file_cfg[name]
-    return None
+def _numbers(item) -> list:
+    """The numbers of one flag text (a grid) or one config-file value."""
+    if isinstance(item, str):
+        return parse_grid(item)
+    if isinstance(item, (int, float)) and not isinstance(item, bool):
+        return [item]
+    raise ConfigError(f"expected a number or a grid, got {item!r}")
 
 
-def _gather(args) -> dict:
-    """Merge config file and flags; flags win."""
-    file_cfg = _load_config_file(args.config) if args.config else {}
-    merged = {
-        "m": args.m if args.m is not None else _file_value(file_cfg, "m"),
-        "n": args.n if args.n is not None else _file_value(file_cfg, "n"),
-        "k": args.k if args.k is not None else _file_value(file_cfg, "k"),
-        "trials": args.trials if args.trials is not None else _file_value(file_cfg, "trials"),
-        "seed": args.seed if args.seed is not None else _file_value(file_cfg, "seed") or 0,
-        "codebook_mode": args.codebook
-        if args.codebook is not None
-        else _file_value(file_cfg, "codebook_mode"),
-    }
-    bcl = args.bcl if args.bcl is not None else _file_value(file_cfg, "b_cl", "bcl")
-    if bcl is not None:
-        grid = _int_grid(parse_grid(str(bcl)))
-        if len(grid) != 1 and args.command != "fig3":
-            raise ConfigError(f"{args.command} takes a single --bcl value")
-        merged["bcl"] = grid[0] if len(grid) == 1 else None
-        merged["bcl_grid"] = grid
-    rho = args.rho_db if args.rho_db is not None else _file_value(file_cfg, "rho_db")
-    if rho is not None:
-        merged["rho_db"] = parse_grid(str(rho)) if isinstance(rho, str) else [float(v) for v in np_listify(rho)]
-        if not merged["rho_db"]:
-            raise ConfigError("the SNR grid is empty")
-    mode = _file_value(file_cfg, "mode")
-    if mode is not None:
-        merged["mode"] = mode
-    return merged
+def _value(command: str, dest: str, value, default):
+    """A flag's text or a config-file value, in the shape and element type
+    of the parameter's ``default``: a list for a grid, else one value."""
+    grid = isinstance(default, list)
+    kind = type(default[0] if grid else default)
+    items = value if isinstance(value, list) else [value]
+    if kind is not str:
+        items = [v for item in items for v in _numbers(item)]
+        items = _int_grid(items) if kind is int else [float(v) for v in items]
+    if not items:
+        raise ConfigError("the SNR grid is empty" if dest == "rho_db" else f"{_flag(dest)} is empty")
+    if grid:
+        return items
+    if len(items) != 1:
+        raise ConfigError(f"{command} takes a single {_flag(dest)} value")
+    return items[0]
 
 
-def np_listify(value):
-    return value if isinstance(value, (list, tuple)) else [value]
+def resolve(command: str, *sources: dict) -> dict:
+    """The command's parameters: its spec's defaults overlaid by each of
+    ``sources`` (flag dest -> value, None for not given) in turn, so a
+    later source wins. Within one source, two flags that set one parameter
+    are refused unless the spec has them set it together."""
+    spec = montecarlo.SPECS[command]
+    routes = _routes(spec)
+    params = dict(spec.params)
+    for source in sources:
+        given = {}
+        for dest, value in source.items():
+            if value is not None:
+                given.setdefault(routes[dest][0], {})[dest] = value
+        for param, values in given.items():
+            group = routes[next(iter(values))][1]
+            default = spec.params[param]
+            if len(group) > 1:  # one grid point, set by the group's flags together
+                if set(values) != set(group):
+                    raise ConfigError(f"{command} takes {' and '.join(map(_flag, group))} together")
+                params[param] = [tuple(_value(command, d, values[d], dv) for d, dv in zip(group, default[0]))]
+            elif len(values) > 1:
+                raise ConfigError(f"{command}: {' and '.join(map(_flag, values))} set the same parameter; give one")
+            else:
+                (dest, value), = values.items()
+                params[param] = _value(command, dest, value, default)
+    return params
 
 
 def _out_dir(args) -> Path:
@@ -230,93 +274,27 @@ def _emit(out_dir: Path, result: montecarlo.ExperimentResult) -> list:
     return [csv_path, json_path, manifest_path]
 
 
-def _run_experiment_command(args) -> int:
-    merged = _gather(args)
-    overrides = {k: v for k, v in merged.items() if v is not None and k != "mode"}
-    overrides.pop("bcl" if args.command == "fig3" else "bcl_grid", None)
-    if args.command == "fig7":
-        overrides.pop("k", None)
-        if getattr(args, "k_grid", None):
-            overrides["k_grid"] = _int_grid(parse_grid(args.k_grid))
-        if merged.get("n") is not None or merged.get("bcl") is not None:
-            n = merged.get("n")
-            bcl = merged.get("bcl")
-            if n is None or bcl is None:
-                raise ConfigError("fig7 needs both --n and --bcl to pin a single configuration")
-            overrides["configs"] = [(int(n), int(bcl))]
-            overrides.pop("n", None)
-            overrides.pop("bcl", None)
-    if args.command == "fig9" and merged.get("n") is not None:
-        overrides["n_grid"] = [int(merged["n"])]
-        overrides.pop("n", None)
-    result = montecarlo.run_experiment(args.command, overrides, workers=args.workers)
-    paths = _emit(_out_dir(args), result)
-    print(f"{result.experiment}: wrote {', '.join(str(p) for p in paths)}")
-    return 0
-
-
-def _given(merged: dict, key: str, default):
-    """The merged value of ``key``, or ``default`` only when none was given
-    (an explicit zero is kept and checked downstream)."""
-    value = merged.get(key)
-    return default if value is None else value
-
-
-def _run_sweep(args) -> int:
-    merged = _gather(args)
-    modes = args.mode or np_listify(merged.get("mode") or "cooperative")
-    for mode in modes:
-        if mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    cfg = SystemConfig(
-        m=_given(merged, "m", 4),
-        n=_given(merged, "n", 2),
-        k=_given(merged, "k", 16),
-        bcl=_given(merged, "bcl", 8),
-        trials=_given(merged, "trials", 1000),
-        seed=_given(merged, "seed", 0),
-        codebook_mode=_given(merged, "codebook_mode", "haar"),
-    )
-    rho_db = _given(merged, "rho_db", [10.0])
-    result = montecarlo.run_sweep(cfg, modes, rho_db, workers=args.workers)
-    paths = _emit(_out_dir(args), result)
-    print(f"sweep: wrote {', '.join(str(p) for p in paths)}")
-    return 0
-
-
-def _run_analyze(args) -> int:
-    merged = _gather(args)
-    m = _given(merged, "m", 4)
-    n = _given(merged, "n", 2)
-    bcl = _given(merged, "bcl", 8)
-    rho_db = _given(merged, "rho_db", [float(d) for d in range(-5, 26)])
-    if getattr(args, "k_grid", None):
-        k_grid = _int_grid(parse_grid(args.k_grid))
-    else:
-        k_grid = [_given(merged, "k", 200)]
-    header = f"{'k':>6} {'rho_db':>8} {'rate_coop':>12} {'rate_conv':>12} {'delta':>10} decision"
-    print(header)
-    for k_users in k_grid:
-        for db in rho_db:
-            decision = analysis.mode_switch(k_users, m, n, db_to_linear(db), bcl)
-            print(
-                f"{k_users:>6} {db:>8.2f} {decision.rate_cooperative:>12.4f} "
-                f"{decision.rate_conventional:>12.4f} {decision.delta_rate:>10.4f} {decision.mode}"
-            )
-    return 0
+def _print_advice(result: montecarlo.ExperimentResult) -> None:
+    """analyze's table, one row per (k, SNR)."""
+    print(f"{'k':>6} {'rho_db':>8} {'rate_coop':>12} {'rate_conv':>12} {'delta':>10} decision")
+    for k_users, db, coop, conv, delta, mode in result.rows:
+        print(f"{k_users:>6} {db:>8.2f} {coop:>12.4f} {conv:>12.4f} {delta:>10.4f} {mode}")
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    spec = montecarlo.SPECS[args.command]
+    routes = _routes(spec)
     try:
-        if args.command in montecarlo.EXPERIMENTS:
-            return _run_experiment_command(args)
-        if args.command == "sweep":
-            return _run_sweep(args)
-        if args.command == "analyze":
-            return _run_analyze(args)
-        parser.error(f"unknown command {args.command!r}")
+        config = getattr(args, "config", None)
+        sources = [_load_config_file(config, routes)] if config else []
+        params = resolve(args.command, *sources, {dest: getattr(args, dest) for dest in routes})
+        result = montecarlo.run_experiment(args.command, params, workers=getattr(args, "workers", 1))
+        if not spec.writes:
+            _print_advice(result)
+            return 0
+        paths = _emit(_out_dir(args), result)
+        print(f"{result.experiment}: wrote {', '.join(str(p) for p in paths)}")
     except (ConfigError, analysis.InvalidRegime, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

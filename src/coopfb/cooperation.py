@@ -74,7 +74,7 @@ class RoleAssignment:
     mu_csi: qbc.CsiReport
 
 
-def acquire_local_csi(channel, codebook: LocalCodebook) -> LocalCsi:
+def acquire_local_csi(h: np.ndarray, codebook: LocalCodebook) -> LocalCsi:
     """Quantize a user's channel against the cooperation-link codebook.
 
     For each codeword the best QBC alignment is the squared norm of its
@@ -85,7 +85,6 @@ def acquire_local_csi(channel, codebook: LocalCodebook) -> LocalCsi:
     (``vectors`` of shape ``(qcl, m)``) or one per channel ``(k, qcl, m)``,
     and gives a :class:`LocalCsi` whose fields are stacked along axis 0.
     """
-    h = qbc._channel_array(channel)
     if h.ndim == 3:
         gram, basis = qbc._subspace(h)
         v = _local_choice(codebook.vectors, basis)
@@ -147,9 +146,8 @@ def _local_stage(h: np.ndarray, gram: np.ndarray, basis: np.ndarray, v: np.ndarr
     return tau, z_local, h_virt, hv_norm2, sin2_local
 
 
-def build_global_matrix(channel, partner: LocalCsi) -> GlobalChannel:
+def build_global_matrix(h: np.ndarray, partner: LocalCsi) -> GlobalChannel:
     """Stack a user's own rows over the partner's virtual row."""
-    h = qbc._channel_array(channel)
     h_qu = np.vstack([h, partner.quantized_virtual.conj()])
     h_dl = np.vstack([h, partner.h_virt.conj()])
     return GlobalChannel(h_qu=h_qu, h_dl=h_dl)

@@ -1,23 +1,21 @@
-"""Downlink symbol path, received-signal decomposition, and numerical rates.
+"""Downlink symbol path, received-signal decomposition, and numerical SINR.
 
 The symbol path exists to verify exact signal identities (the stacked
 observation equals the direct evaluation through the downlink matrix, and
-the four-term decomposition recombines to the received scalar). Rates are
-computed from the SINR formula, not from decoded symbols.
+the four-term decomposition recombines to the received scalar). SINRs are
+computed from the formula, not from decoded symbols.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from . import qbc
 from .cooperation import GlobalChannel, LocalCsi
 from .model import GlobalCodebook, RandomStream, complex_gaussian
-from .scheduler import ScheduleResult
 
 
 @dataclass(frozen=True)
@@ -55,7 +53,7 @@ class DecompositionTerms:
 
 
 def simulate_symbol_path(
-    channel_mu,
+    h_mu: np.ndarray,
     partner: LocalCsi,
     z_bar: np.ndarray,
     codebook: GlobalCodebook,
@@ -69,7 +67,6 @@ def simulate_symbol_path(
     virtual channel (its own combiner applied to its receive vector), which
     is the exact scalar it would forward over the sidelink.
     """
-    h_mu = qbc._channel_array(channel_mu)
     n_rx = h_mu.shape[0]
     gen = rng.generator()
     noise_mu = complex_gaussian(gen, (n_rx,))
@@ -149,18 +146,3 @@ def decompose_received(
 def numerical_sinr(h_eff: np.ndarray, codebook: GlobalCodebook, beam: int, rho: float) -> float:
     """SINR evaluated on a downlink effective channel (same formula as CQI)."""
     return qbc.sinr_for_beam(h_eff, codebook, beam, rho)
-
-
-def sum_rate_numerical(
-    schedule: ScheduleResult,
-    downlink_channels: Mapping[int, np.ndarray],
-    codebook: GlobalCodebook,
-    rho: float,
-) -> float:
-    """Sum over assigned beams of log2(1 + SINR); empty beams contribute zero."""
-    total = 0.0
-    for beam, user in enumerate(schedule.assignment):
-        if user is None:
-            continue
-        total += math.log2(1.0 + numerical_sinr(downlink_channels[user], codebook, beam, rho))
-    return total

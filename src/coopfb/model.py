@@ -119,14 +119,6 @@ class SystemConfig:
 
 
 @dataclass(frozen=True)
-class ChannelMatrix:
-    """Per-user downlink channel, ``n x m`` with i.i.d. CN(0, 1) entries."""
-
-    user: int
-    h: np.ndarray
-
-
-@dataclass(frozen=True)
 class GlobalCodebook:
     """Unitary beamforming codebook; codewords are the columns of ``matrix``."""
 
@@ -158,15 +150,6 @@ def gen_all_channels(cfg: SystemConfig, rng: RandomStream) -> np.ndarray:
     """
     gen = rng.child("channels").generator()
     return complex_gaussian(gen, (cfg.k, cfg.n, cfg.m))
-
-
-def gen_channel(cfg: SystemConfig, user: int, rng: RandomStream) -> ChannelMatrix:
-    """Channel matrix of one user, deterministic per (seed, trial, user)."""
-    if not 0 <= user < cfg.k:
-        raise ConfigError(f"user index {user} outside 0..{cfg.k - 1}")
-    gen = rng.child("channels").generator()
-    block = complex_gaussian(gen, (user + 1, cfg.n, cfg.m))
-    return ChannelMatrix(user=user, h=block[user])
 
 
 def dft_matrix(m: int) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Trial orchestration, empirical statistics, and the figure-class experiments.
+"""Trial orchestration, empirical statistics, and the experiments with the
+spec of each command (:data:`SPECS`).
 
 The pipeline is vectorised across the users of a block of trials, in the
 rate engine and in the distribution samplers, through the stacked stages of
@@ -11,6 +12,8 @@ channel comes out numerically rank deficient (counted, never silently).
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -23,6 +26,7 @@ import numpy as np
 
 from . import analysis, cooperation, numerics, qbc
 from .model import (
+    MODES,
     ConfigError,
     GlobalCodebook,
     LocalCodebook,
@@ -36,7 +40,6 @@ from .model import (
 )
 
 MAX_RESAMPLE_ATTEMPTS = 16
-EXPERIMENTS = ("fig3", "fig5", "fig6", "fig7", "fig8", "fig9")
 
 _DEGENERATE = (numerics.RankDeficient, numerics.DegenerateProjection)
 
@@ -58,12 +61,13 @@ def empirical_cdf(samples: Sequence[float], grid) -> np.ndarray:
     return np.searchsorted(s, np.asarray(grid, dtype=float), side="right") / s.size
 
 
-def ks_distance(samples: Sequence[float], cdf: Callable, region: Optional[float] = None) -> float:
+def ks_distance(samples: Sequence[float], cdf: Callable, region: Optional[float] = None) -> Optional[float]:
     """Sup distance between the empirical cdf of ``samples`` and ``cdf``.
 
     Evaluated at the sample points (both sides of each empirical jump).
     ``region`` restricts the sup to where the model cdf is at least that
-    probability, which is how upper-tail agreement is scored.
+    probability, which is how upper-tail agreement is scored; None when no
+    sample falls in the region.
     """
     return ks_distances(samples, cdf, [region])[0]
 
@@ -85,9 +89,7 @@ def ks_distances(samples: Sequence[float], cdf: Callable, regions: Sequence[Opti
     distances = []
     for region in regions:
         in_region = gaps if region is None else gaps[model_right >= region]
-        if in_region.size == 0:
-            raise ValueError(f"no samples fall in the region with model cdf >= {region}")
-        distances.append(float(in_region.max()))
+        distances.append(float(in_region.max()) if in_region.size else None)
     return distances
 
 
@@ -347,11 +349,6 @@ class TrialRecord:
     resamples: int
 
 
-def _adaptive_rates(decisions: list, coop: np.ndarray, conv: np.ndarray) -> np.ndarray:
-    """Per-SNR rate of the mode the switching rule picked."""
-    return np.where([d.mode == analysis.COOPERATIVE for d in decisions], coop, conv)
-
-
 def run_trial(cfg: SystemConfig, mode: str, trial: int) -> TrialRecord:
     """One full trial: draws, acquisition, scheduling, and numerical rates.
 
@@ -587,67 +584,44 @@ class ExperimentResult:
     columns: list
     rows: list
     aggregates: dict
-    seed: int
-    trials: int
+    seed: Optional[int]
     resample_count: int
 
 
 _CDF_PROBS = np.arange(1, 200) / 200.0  # quantile grid for cdf-style figures
 
 
-def _experiment_defaults(experiment: str) -> dict:
-    rho_grid = [float(d) for d in range(-5, 26)]
-    common = dict(m=4, trials=10000, seed=0, codebook_mode="haar")
-    per_id = {
-        "fig3": dict(n=2, bcl_grid=list(range(2, 11))),
-        "fig5": dict(n=2, bcl=8, beam=0),
-        "fig6": dict(n=2, bcl=8, beam=0, rho_db=[0.0, 10.0, 20.0]),
-        "fig7": dict(configs=[(3, 4), (2, 8)], k_grid=[50, 100, 200, 400], rho_db=rho_grid),
-        "fig8": dict(n=3, bcl=6, k=200, rho_db=rho_grid),
-        "fig9": dict(n_grid=[2, 3], bcl=8, beam=0),
-    }
-    if experiment not in per_id:
-        raise ValueError(f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}")
-    return {**common, **per_id[experiment]}
+@dataclass(frozen=True)
+class Spec:
+    """One command: its runner, the parameters the runner reads with their
+    defaults (a list default marks a grid), and the flags, by argparse dest,
+    that set a parameter of another name. A tuple of flags sets one grid
+    point of its parameter together."""
 
-
-def _resolve(experiment: str, overrides: Optional[dict]) -> dict:
-    params = _experiment_defaults(experiment)
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if key not in params and key not in ("k", "n", "bcl", "rho_db"):
-            raise ValueError(f"{experiment} does not accept override {key!r}")
-        params[key] = value
-    return params
-
-
-def _base_config(params: dict, **extra) -> SystemConfig:
-    fields = dict(
-        m=params["m"],
-        n=params.get("n", 2),
-        k=params.get("k", 2 * params["m"]),
-        bcl=params.get("bcl", 8),
-        trials=params["trials"],
-        seed=params["seed"],
-        codebook_mode=params["codebook_mode"],
-    )
-    fields.update(extra)
-    return SystemConfig(**fields)
+    runner: Callable
+    params: dict
+    remaps: dict = dataclasses.field(default_factory=dict)
+    writes: bool = True  # writes output files; otherwise its table is printed
 
 
 def run_experiment(experiment: str, overrides: Optional[dict] = None, workers: int = 1) -> ExperimentResult:
-    """Run one figure-class experiment and return its table and aggregates."""
-    params = _resolve(experiment, overrides)
-    runner = {
-        "fig3": _run_fig3,
-        "fig5": _run_fig5,
-        "fig6": _run_fig6,
-        "fig7": _run_fig7,
-        "fig8": _run_fig8,
-        "fig9": _run_fig9,
-    }[experiment]
-    return runner(params, workers)
+    """Run one command of :data:`SPECS` with ``overrides`` of its parameters."""
+    if experiment not in SPECS:
+        raise ValueError(f"unknown experiment {experiment!r}; expected one of {tuple(SPECS)}")
+    spec = SPECS[experiment]
+    overrides = {key: value for key, value in (overrides or {}).items() if value is not None}
+    unknown = sorted(overrides.keys() - spec.params.keys())
+    if unknown:
+        raise ValueError(f"{experiment} does not accept override(s) {unknown}")
+    return spec.runner(copy.deepcopy({**spec.params, **overrides}), workers)
+
+
+def _system(params: dict, **fields) -> SystemConfig:
+    """The run's :class:`SystemConfig` from ``params`` and ``fields``. A run
+    that reads no user count gets the smallest its ``m`` allows, which only
+    the validation looks at."""
+    known = {f.name: params[f.name] for f in dataclasses.fields(SystemConfig) if f.name in params}
+    return SystemConfig(**{"k": 2 * params["m"], **known, **fields})
 
 
 def _run_fig3(params: dict, workers: int) -> ExperimentResult:
@@ -656,7 +630,7 @@ def _run_fig3(params: dict, workers: int) -> ExperimentResult:
     aggregates = {"rel_err_closed_form": {}, "rel_err_reference": {}}
     resamples = 0
     for bcl in params["bcl_grid"]:
-        cfg = _base_config(params, bcl=int(bcl))
+        cfg = _system(params, bcl=int(bcl))
         chunks = _parallel_chunks(partial(_local_error_chunk, cfg), cfg.trials, workers)
         samples = np.concatenate([c[0] for c in chunks])
         resamples += sum(c[1] for c in chunks)
@@ -666,21 +640,13 @@ def _run_fig3(params: dict, workers: int) -> ExperimentResult:
         rows.append((int(bcl), mc_mean, closed, reference))
         aggregates["rel_err_closed_form"][str(bcl)] = abs(mc_mean - closed) / mc_mean
         aggregates["rel_err_reference"][str(bcl)] = abs(mc_mean - reference) / mc_mean
-    return ExperimentResult(
-        experiment="fig3",
-        config=params,
-        columns=["bcl", "mc_mean", "closed_form", "reference_formula"],
-        rows=rows,
-        aggregates=aggregates,
-        seed=params["seed"],
-        trials=params["trials"],
-        resample_count=resamples,
-    )
+    columns = ["bcl", "mc_mean", "closed_form", "reference_formula"]
+    return ExperimentResult("fig3", params, columns, rows, aggregates, params["seed"], resamples)
 
 
 def _collect_pair_samples(params: dict, workers: int) -> tuple[SystemConfig, np.ndarray, int]:
-    cfg = _base_config(params)
-    chunks = _parallel_chunks(partial(_pair_chunk, cfg, params.get("beam", 0)), cfg.trials, workers)
+    cfg = _system(params)
+    chunks = _parallel_chunks(partial(_pair_chunk, cfg, params["beam"]), cfg.trials, workers)
     data = np.concatenate([c[0] for c in chunks], axis=0)  # columns: sin2_local, sin2_global, u2, li
     return cfg, data, sum(c[1] for c in chunks)
 
@@ -709,16 +675,8 @@ def _run_fig5(params: dict, workers: int) -> ExperimentResult:
     aggregates["local_interference_dominated"] = bool(
         aggregates["median_local_interference"] < aggregates["median_global_interference"]
     )
-    return ExperimentResult(
-        experiment="fig5",
-        config=params,
-        columns=["variable", "probability", "quantile"],
-        rows=rows,
-        aggregates=aggregates,
-        seed=params["seed"],
-        trials=params["trials"],
-        resample_count=resamples,
-    )
+    columns = ["variable", "probability", "quantile"]
+    return ExperimentResult("fig5", params, columns, rows, aggregates, params["seed"], resamples)
 
 
 def _run_fig6(params: dict, workers: int) -> ExperimentResult:
@@ -726,7 +684,8 @@ def _run_fig6(params: dict, workers: int) -> ExperimentResult:
 
     ``cdf_model`` and the ``ks_full``/``ks_upper_tail`` keys score the
     exact-law cdf; the small-error form keeps its own column and
-    ``*_small_error`` keys.
+    ``*_small_error`` keys. An upper-tail key is None at an SNR where no
+    sample reaches model cdf 0.5.
     """
     cfg, data, resamples = _collect_pair_samples(params, workers)
     sin2_local, sin2_global, norm2, local_intf = data.T
@@ -765,43 +724,53 @@ def _run_fig6(params: dict, workers: int) -> ExperimentResult:
             full, upper = ks_distances(sinr_approx, cdf, [None, 0.5])
             aggregates["ks_full" + suffix][key] = full
             aggregates["ks_upper_tail" + suffix][key] = upper
-    return ExperimentResult(
-        experiment="fig6",
-        config=params,
-        columns=[
-            "rho_db",
-            "sinr",
-            "cdf_exact_bound",
-            "cdf_approx",
-            "cdf_model",
-            "cdf_model_small_error",
-        ],
-        rows=rows,
-        aggregates=aggregates,
-        seed=params["seed"],
-        trials=params["trials"],
-        resample_count=resamples,
-    )
+    columns = ["rho_db", "sinr", "cdf_exact_bound", "cdf_approx", "cdf_model", "cdf_model_small_error"]
+    return ExperimentResult("fig6", params, columns, rows, aggregates, params["seed"], resamples)
+
+
+def _mode_rates(cfg: SystemConfig, modes: Sequence[str], rho_lin: np.ndarray, workers: int):
+    """Mean sum-rate per SNR of each of ``modes``, the switching rule's
+    decisions (None unless ``adaptive`` is asked for), the resample count and
+    the unassigned-beam count.
+
+    Only the pipelines the modes need are simulated. ``adaptive`` takes at
+    each SNR the rate of the mode the closed-form rule picks; the rule is
+    consulted before any trial runs, so an operating point where both
+    estimates are out of regime fails with InvalidRegime without simulating.
+    """
+    for mode in modes:
+        if mode not in MODES:
+            raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+    adaptive = "adaptive" in modes
+    decisions = [analysis.mode_switch(cfg.k, cfg.m, cfg.n, rho, cfg.bcl) for rho in rho_lin] if adaptive else None
+    pipelines = (analysis.COOPERATIVE, analysis.CONVENTIONAL)  # in _rate_chunk's order
+    wanted = [adaptive or mode in modes for mode in pipelines]
+    chunks = _parallel_chunks(partial(_rate_chunk, cfg, rho_lin, *wanted), cfg.trials, workers)
+    means = {
+        mode: np.concatenate([c[i] for c in chunks], axis=0).mean(axis=0)
+        for i, mode in enumerate(pipelines)
+        if wanted[i]
+    }
+    if adaptive:
+        picks_coop = [d.mode == analysis.COOPERATIVE for d in decisions]
+        means["adaptive"] = np.where(picks_coop, means[analysis.COOPERATIVE], means[analysis.CONVENTIONAL])
+    return means, decisions, sum(c[2] for c in chunks), sum(c[3] for c in chunks)
 
 
 def _run_fig7(params: dict, workers: int) -> ExperimentResult:
     """Cooperative sum-rate: Monte Carlo vs closed-form estimate over K and SNR."""
     rho_db = np.asarray(params["rho_db"], dtype=float)
     rho_lin = db_to_linear(rho_db)
-    configs = [tuple(c) for c in params["configs"]]
     rows = []
     aggregates = {"mean_rel_gap": {}, "max_rel_gap": {}}
-    resamples = 0
-    unassigned = 0
-    for n_rx, bcl in configs:
+    resamples = unassigned = 0
+    for n_rx, bcl in params["configs"]:
         for k_users in params["k_grid"]:
-            cfg = _base_config(params, n=int(n_rx), bcl=int(bcl), k=int(k_users))
-            chunks = _parallel_chunks(
-                partial(_rate_chunk, cfg, rho_lin, True, False), cfg.trials, workers
-            )
-            rates = np.concatenate([c[0] for c in chunks], axis=0).mean(axis=0)
-            resamples += sum(c[2] for c in chunks)
-            unassigned += sum(c[3] for c in chunks)
+            cfg = _system(params, n=int(n_rx), bcl=int(bcl), k=int(k_users))
+            means, _, point_resamples, point_unassigned = _mode_rates(cfg, [analysis.COOPERATIVE], rho_lin, workers)
+            rates = means[analysis.COOPERATIVE]
+            resamples += point_resamples
+            unassigned += point_unassigned
             estimates = np.array(
                 [
                     analysis.estimate_sum_rate(cfg.k, cfg.m, cfg.n, rho, cfg.bcl, analysis.COOPERATIVE)
@@ -817,16 +786,8 @@ def _run_fig7(params: dict, workers: int) -> ExperimentResult:
                 for db, mc, est in zip(rho_db, rates, estimates)
             )
     aggregates["unassigned_beams"] = unassigned
-    return ExperimentResult(
-        experiment="fig7",
-        config=params,
-        columns=["n", "bcl", "k", "rho_db", "rate_num", "rate_estimate"],
-        rows=rows,
-        aggregates=aggregates,
-        seed=params["seed"],
-        trials=params["trials"],
-        resample_count=resamples,
-    )
+    columns = ["n", "bcl", "k", "rho_db", "rate_num", "rate_estimate"]
+    return ExperimentResult("fig7", params, columns, rows, aggregates, params["seed"], resamples)
 
 
 def _crossing_db(rho_db: np.ndarray, delta: np.ndarray) -> Optional[float]:
@@ -845,24 +806,13 @@ def _crossing_db(rho_db: np.ndarray, delta: np.ndarray) -> Optional[float]:
 def _run_fig8(params: dict, workers: int) -> ExperimentResult:
     """Sum-rates of conventional, cooperative, and adaptive modes vs SNR."""
     rho_db = np.asarray(params["rho_db"], dtype=float)
-    rho_lin = db_to_linear(rho_db)
-    cfg = _base_config(params)
-    # Decided before simulating, so an operating point where both estimates
-    # are out of regime fails with InvalidRegime before any trial runs.
-    decisions = [analysis.mode_switch(cfg.k, cfg.m, cfg.n, rho, cfg.bcl) for rho in rho_lin]
-    chunks = _parallel_chunks(partial(_rate_chunk, cfg, rho_lin, True, True), cfg.trials, workers)
-    coop = np.concatenate([c[0] for c in chunks], axis=0).mean(axis=0)
-    conv = np.concatenate([c[1] for c in chunks], axis=0).mean(axis=0)
-    resamples = sum(c[2] for c in chunks)
-    unassigned = sum(c[3] for c in chunks)
-
+    means, decisions, resamples, unassigned = _mode_rates(_system(params), MODES, db_to_linear(rho_db), workers)
+    coop, conv = means[analysis.COOPERATIVE], means[analysis.CONVENTIONAL]
     est_coop = np.array([d.rate_cooperative for d in decisions])
     est_conv = np.array([d.rate_conventional for d in decisions])
-    adaptive = _adaptive_rates(decisions, coop, conv)
-
     rows = [
         (float(db), float(cv), float(cp), float(ad), float(ec), float(eo))
-        for db, cv, cp, ad, ec, eo in zip(rho_db, conv, coop, adaptive, est_conv, est_coop)
+        for db, cv, cp, ad, ec, eo in zip(rho_db, conv, coop, means["adaptive"], est_conv, est_coop)
     ]
     aggregates = {
         "mc_crossing_db": _crossing_db(rho_db, coop - conv),
@@ -870,23 +820,8 @@ def _run_fig8(params: dict, workers: int) -> ExperimentResult:
         "decisions": {f"{db:g}": d.mode for db, d in zip(rho_db, decisions)},
         "unassigned_beams": unassigned,
     }
-    return ExperimentResult(
-        experiment="fig8",
-        config=params,
-        columns=[
-            "rho_db",
-            "rate_conv",
-            "rate_coop",
-            "rate_adaptive",
-            "rate_analytic_conv",
-            "rate_analytic_coop",
-        ],
-        rows=rows,
-        aggregates=aggregates,
-        seed=params["seed"],
-        trials=params["trials"],
-        resample_count=resamples,
-    )
+    columns = ["rho_db", "rate_conv", "rate_coop", "rate_adaptive", "rate_analytic_conv", "rate_analytic_coop"]
+    return ExperimentResult("fig8", params, columns, rows, aggregates, params["seed"], resamples)
 
 
 def _run_fig9(params: dict, workers: int) -> ExperimentResult:
@@ -895,8 +830,8 @@ def _run_fig9(params: dict, workers: int) -> ExperimentResult:
     aggregates = {"ks_direct_vs_model": {}, "ks_surrogate_vs_model": {}, "ks_surrogate_vs_direct": {}}
     resamples = 0
     for n_rx in params["n_grid"]:
-        cfg = _base_config(params, n=int(n_rx))
-        chunks = _parallel_chunks(partial(_pair_chunk, cfg, params.get("beam", 0)), cfg.trials, workers)
+        cfg = _system(params, n=int(n_rx))
+        chunks = _parallel_chunks(partial(_pair_chunk, cfg, params["beam"]), cfg.trials, workers)
         direct = np.concatenate([c[0] for c in chunks], axis=0)[:, 2]
         resamples += sum(c[1] for c in chunks)
         omega = analysis.expected_local_error(cfg.m, cfg.n, cfg.qcl)
@@ -922,16 +857,8 @@ def _run_fig9(params: dict, workers: int) -> ExperimentResult:
         aggregates["ks_surrogate_vs_direct"][key] = ks_distance(
             surrogate, lambda x, _d=direct: empirical_cdf(_d, x)
         )
-    return ExperimentResult(
-        experiment="fig9",
-        config=params,
-        columns=["n", "norm_sq", "cdf_direct", "cdf_surrogate", "cdf_model"],
-        rows=rows,
-        aggregates=aggregates,
-        seed=params["seed"],
-        trials=params["trials"],
-        resample_count=resamples,
-    )
+    columns = ["n", "norm_sq", "cdf_direct", "cdf_surrogate", "cdf_model"]
+    return ExperimentResult("fig9", params, columns, rows, aggregates, params["seed"], resamples)
 
 
 def run_sweep(
@@ -939,38 +866,50 @@ def run_sweep(
 ) -> ExperimentResult:
     """Mean sum-rate of the requested modes over an SNR grid."""
     rho_db = np.asarray(rho_db, dtype=float)
-    rho_lin = db_to_linear(rho_db)
-    want_coop = any(m in ("cooperative", "adaptive") for m in modes)
-    want_conv = any(m in ("conventional", "adaptive") for m in modes)
-    decisions = None
-    if "adaptive" in modes:
-        # Decided before simulating, as in fig8.
-        decisions = [analysis.mode_switch(cfg.k, cfg.m, cfg.n, rho, cfg.bcl) for rho in rho_lin]
-    chunks = _parallel_chunks(
-        partial(_rate_chunk, cfg, rho_lin, want_coop, want_conv), cfg.trials, workers
-    )
-    coop = np.concatenate([c[0] for c in chunks], axis=0).mean(axis=0) if want_coop else None
-    conv = np.concatenate([c[1] for c in chunks], axis=0).mean(axis=0) if want_conv else None
-    rows = []
-    for mode in modes:
-        if mode == "cooperative":
-            rates = coop
-        elif mode == "conventional":
-            rates = conv
-        else:
-            rates = _adaptive_rates(decisions, coop, conv)
-        rows.extend((float(db), mode, float(r)) for db, r in zip(rho_db, rates))
+    means, _, resamples, unassigned = _mode_rates(cfg, modes, db_to_linear(rho_db), workers)
+    rows = [(float(db), mode, float(r)) for mode in modes for db, r in zip(rho_db, means[mode])]
     config = dict(
         m=cfg.m, n=cfg.n, k=cfg.k, bcl=cfg.bcl, trials=cfg.trials, seed=cfg.seed,
         codebook_mode=cfg.codebook_mode, rho_db=[float(d) for d in rho_db], modes=list(modes),
     )
-    return ExperimentResult(
-        experiment="sweep",
-        config=config,
-        columns=["rho_db", "mode", "sum_rate"],
-        rows=rows,
-        aggregates={"unassigned_beams": sum(c[3] for c in chunks)},
-        seed=cfg.seed,
-        trials=cfg.trials,
-        resample_count=sum(c[2] for c in chunks),
-    )
+    aggregates = {"unassigned_beams": unassigned}
+    return ExperimentResult("sweep", config, ["rho_db", "mode", "sum_rate"], rows, aggregates, cfg.seed, resamples)
+
+
+def _run_sweep(params: dict, workers: int) -> ExperimentResult:
+    """Mean sum-rate over an SNR grid for chosen modes."""
+    return run_sweep(_system(params), params["modes"], params["rho_db"], workers)
+
+
+def _run_analyze(params: dict, workers: int) -> ExperimentResult:
+    """Closed-form mode advice without simulation."""
+    rows = []
+    for k_users in params["k_grid"]:
+        for db in params["rho_db"]:
+            d = analysis.mode_switch(k_users, params["m"], params["n"], db_to_linear(db), params["bcl"])
+            rows.append((k_users, db, d.rate_cooperative, d.rate_conventional, d.delta_rate, d.mode))
+    columns = ["k", "rho_db", "rate_coop", "rate_conv", "delta", "decision"]
+    return ExperimentResult("analyze", params, columns, rows, {}, None, 0)
+
+
+_RHO_GRID = [float(d) for d in range(-5, 26)]
+_DRAWS = dict(m=4, trials=10000, seed=0)
+_GLOBAL = dict(_DRAWS, codebook_mode="haar")  # for the runs that draw a global codebook
+
+# Every command: what its runner reads and which flags set it.
+SPECS = {
+    "fig3": Spec(_run_fig3, dict(_DRAWS, n=2, bcl_grid=list(range(2, 11))), {"bcl": "bcl_grid"}),
+    "fig5": Spec(_run_fig5, dict(_GLOBAL, n=2, bcl=8, beam=0)),
+    "fig6": Spec(_run_fig6, dict(_GLOBAL, n=2, bcl=8, beam=0, rho_db=[0.0, 10.0, 20.0])),
+    "fig7": Spec(
+        _run_fig7,
+        dict(_GLOBAL, configs=[(3, 4), (2, 8)], k_grid=[50, 100, 200, 400], rho_db=_RHO_GRID),
+        {("n", "bcl"): "configs"},
+    ),
+    "fig8": Spec(_run_fig8, dict(_GLOBAL, n=3, bcl=6, k=200, rho_db=_RHO_GRID)),
+    "fig9": Spec(_run_fig9, dict(_GLOBAL, n_grid=[2, 3], bcl=8, beam=0), {"n": "n_grid"}),
+    "sweep": Spec(
+        _run_sweep, dict(_GLOBAL, n=2, k=16, bcl=8, rho_db=[10.0], trials=1000, modes=[analysis.COOPERATIVE])
+    ),
+    "analyze": Spec(_run_analyze, dict(m=4, n=2, bcl=8, k_grid=[200], rho_db=_RHO_GRID), {"k": "k_grid"}, writes=False),
+}

@@ -16,10 +16,6 @@ from . import numerics
 from .model import GlobalCodebook
 
 
-def _channel_array(channel) -> np.ndarray:
-    return getattr(channel, "h", channel)
-
-
 @dataclass(frozen=True)
 class CombinedChannel:
     """Result of combining toward one target codeword.
@@ -44,14 +40,13 @@ class CsiReport:
     combiner: np.ndarray
 
 
-def combine_for_codeword(channel, codeword) -> CombinedChannel:
+def combine_for_codeword(h: np.ndarray, codeword) -> CombinedChannel:
     """QBC combiner and effective channel for a single target codeword.
 
     A stack of channels ``(k, n, m)`` takes one codeword per channel
     ``(k, m)`` and gives the combiners ``(k, n)`` and effective channels
     ``(k, m)`` of the stack.
     """
-    h = _channel_array(channel)
     if h.ndim == 2:
         return _combine(h, numerics.orthonormal_basis(h), numerics.gram_matrix(h), codeword)
     gram, basis = _subspace(h)
@@ -109,7 +104,7 @@ def sinr_for_beam(h_eff: np.ndarray, codebook: GlobalCodebook, beam: int, rho: f
     return float(signal / (m / rho + (powers.sum() - signal)))
 
 
-def select_csi(channel, codebook: GlobalCodebook, rho: float, user: int = 0) -> CsiReport:
+def select_csi(h: np.ndarray, codebook: GlobalCodebook, rho: float, user: int = 0) -> CsiReport:
     """Evaluate every beam and report the SINR-maximising one.
 
     Ties break toward the lowest beam index so regression runs are
@@ -117,7 +112,6 @@ def select_csi(channel, codebook: GlobalCodebook, rho: float, user: int = 0) -> 
     subspace cannot be served at all and is skipped; at least one beam
     always has a nonzero projection.
     """
-    h = _channel_array(channel)
     basis = numerics.orthonormal_basis(h)
     gram = numerics.gram_matrix(h)
     best = None

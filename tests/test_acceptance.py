@@ -266,6 +266,12 @@ class TestCriterion8ModeSwitchingCrossing:
         assert ok
 
 
+@pytest.fixture(scope="module")
+def criterion9_fig8():
+    """fig8 at criterion 9's configuration, run once for both of its tests."""
+    return montecarlo.run_experiment("fig8", dict(n=2, bcl=4, k=200, trials=10000, seed=0), workers=WORKERS)
+
+
 class TestCriterion9CooperationBenefit:
     """First clause implemented exactly as stated; known to fail at 0-1 dB.
 
@@ -278,10 +284,8 @@ class TestCriterion9CooperationBenefit:
     itself does return cooperative throughout; see the companion test.
     """
 
-    def test_dominance_as_stated(self):
-        result = montecarlo.run_experiment(
-            "fig8", dict(n=2, bcl=4, k=200, trials=10000, seed=0), workers=WORKERS
-        )
+    def test_dominance_as_stated(self, criterion9_fig8):
+        result = criterion9_fig8
         rows = np.array(result.rows)
         rho_db, conv, coop = rows[:, 0], rows[:, 1], rows[:, 2]
         mask = rho_db >= 0.0
@@ -298,10 +302,8 @@ class TestCriterion9CooperationBenefit:
             "'Known-failing acceptance checks', for the paired evidence"
         )
 
-    def test_companion_claims_that_do_hold(self):
-        result = montecarlo.run_experiment(
-            "fig8", dict(n=2, bcl=4, k=200, trials=10000, seed=0), workers=WORKERS
-        )
+    def test_companion_claims_that_do_hold(self, criterion9_fig8):
+        result = criterion9_fig8
         rows = np.array(result.rows)
         rho_db, conv, coop = rows[:, 0], rows[:, 1], rows[:, 2]
         # The switching rule triggers cooperation over the whole nonnegative

@@ -104,6 +104,17 @@ class TestConfigFile:
         assert summary["seed"] == 3
 
 
+class TestFig6Command:
+    def test_single_trial_records_empty_upper_tail_as_null(self, tmp_path):
+        # One sample lies below the model median at every SNR of fig6.
+        status = cli.run(["fig6", "--trials", "1", "--seed", "0", "--out-dir", str(tmp_path)])
+        assert status == 0
+        aggregates = json.loads((tmp_path / "fig6.json").read_text())["aggregates"]
+        assert set(aggregates["ks_upper_tail"].values()) == {None}
+        assert set(aggregates["ks_upper_tail_small_error"].values()) == {None}
+        assert all(v is not None for v in aggregates["ks_full"].values())
+
+
 class TestSweepAndAnalyze:
     def test_sweep_writes_modes(self, tmp_path):
         status = cli.run(
@@ -175,6 +186,9 @@ class TestRejectedInputs:
             (["fig8", "--bcl", "2,4"], "fig8 takes a single --bcl value"),
             (["sweep", "--workers", "0"], "need workers >= 1"),
             (["fig3", "--bcl", "2", "--workers", "-1"], "need workers >= 1"),
+            (["fig3", "--bcl", ""], "--bcl is empty"),
+            (["fig7", "--k-grid", ""], "--k-grid is empty"),
+            (["fig7", "--n", "2"], "fig7 takes --n and --bcl together"),
         ],
     )
     def test_command_exits_2(self, tmp_path, capsys, args, message):
@@ -190,6 +204,124 @@ class TestRejectedInputs:
         captured = capsys.readouterr()
         assert "analyze takes a single --bcl value" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--k-grid", ""], "--k-grid is empty"),
+            (["--k", "400", "--k-grid", "50"], "set the same parameter"),
+        ],
+    )
+    def test_analyze_exits_2(self, capsys, args, message):
+        status = cli.run(["analyze"] + args)
+        assert status == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and message in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "command, keys",
+        [
+            ("fig7", {"k_grid": [50]}),
+            ("sweep", {"modes": ["conventional"]}),
+            ("fig8", {"workers": 4}),
+            ("fig3", {"codebook_mode": "dft"}),
+            ("fig8", {"bcl": 4, "b_cl": 4}),
+            ("fig8", {"k": {"users": 20}}),
+            ("sweep", {"rho_db": [0, [10]]}),
+        ],
+    )
+    def test_config_file_keys_refused(self, tmp_path, capsys, command, keys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(keys))
+        out = tmp_path / "out"
+        status = cli.run([command, "--config", str(config), "--trials", "2", "--out-dir", str(out)])
+        assert status == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+
+class TestEveryFlagActsOrIsRefused:
+    """Every flag the parser ever offered, on every command, either changes
+    what the run is given or exits 2 and writes nothing."""
+
+    # A value for each flag that differs from every command's default.
+    VALUES = {
+        "--m": "5", "--n": "1", "--k": "20", "--k-grid": "30", "--bcl": "3", "--rho-db": "7",
+        "--trials": "3", "--seed": "5", "--codebook": "dft", "--mode": "conventional",
+        "--workers": "2", "--out-dir": None, "--config": None,
+    }
+    # The flags each command takes; fig7 takes --n and --bcl only together.
+    ACCEPTED = {
+        "fig3": "--m --n --bcl --trials --seed",
+        "fig5": "--m --n --bcl --trials --seed --codebook",
+        "fig6": "--m --n --bcl --rho-db --trials --seed --codebook",
+        "fig7": "--m --k-grid --rho-db --trials --seed --codebook",
+        "fig8": "--m --n --k --bcl --rho-db --trials --seed --codebook",
+        "fig9": "--m --n --bcl --trials --seed --codebook",
+        "sweep": "--m --n --k --bcl --rho-db --trials --seed --codebook --mode",
+        "analyze": "--m --n --k --k-grid --bcl --rho-db",
+    }
+    WRITERS = "--workers --out-dir --config"
+
+    class Captured(Exception):
+        """What the command line handed to the run, which is not started."""
+
+        def __init__(self, *args, **kwargs):
+            self.given = (args, kwargs)
+
+    @pytest.fixture
+    def invoke(self, tmp_path, capsys, monkeypatch):
+        from coopfb import montecarlo
+
+        def captured(*args, **kwargs):
+            raise self.Captured(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "run_experiment", captured)
+        monkeypatch.setattr(montecarlo, "run_sweep", captured)
+        config = tmp_path / "seed.json"
+        config.write_text(json.dumps({"seed": 5}))
+
+        def invoke(command, *args):
+            """The run's arguments, or the exit status and stderr."""
+            args = [str(config) if a == "--config-file" else a for a in args]
+            if command != "analyze":
+                args += ["--out-dir", str(tmp_path / "out")]
+            try:
+                status = cli.run([command, *args])
+            except SystemExit as exc:
+                status = exc.code
+            except self.Captured as run:
+                return run.given
+            return status, capsys.readouterr().err
+
+        return invoke
+
+    @pytest.mark.parametrize("command", list(ACCEPTED))
+    def test_flag_acts_or_exits_2(self, tmp_path, command, invoke):
+        accepted = self.ACCEPTED[command].split()
+        if command != "analyze":
+            accepted += self.WRITERS.split()
+        baseline = invoke(command)
+        wrong = []
+        for flag, value in self.VALUES.items():
+            args = [flag] if value is None else [flag, value]
+            if flag == "--config":
+                args.append("--config-file")
+            if flag == "--out-dir" and command != "analyze":
+                continue  # every writing run above is given one
+            got = invoke(command, *args)
+            if flag in accepted:
+                if not isinstance(got[0], tuple) or got == baseline:
+                    wrong.append(f"{flag} does not act: {got}")
+            elif got[0] != 2 or "error:" not in got[1]:
+                wrong.append(f"{flag} is not refused: {got}")
+        assert not wrong
+        assert not any(p.is_file() for p in tmp_path.rglob("*") if p.name != "seed.json")
+
+    def test_fig7_pair_pins_one_configuration(self, invoke):
+        (_, params), _ = invoke("fig7", "--n", "2", "--bcl", "4")
+        assert params["configs"] == [(2, 4)]
 
 
 class TestAdaptiveDecidedFirst:

@@ -8,7 +8,6 @@ from coopfb.model import (
     derive_trial_rng,
     dft_matrix,
     gen_all_channels,
-    gen_channel,
     gen_global_codebook,
     gen_local_codebook,
 )
@@ -77,17 +76,17 @@ class TestRandomStream:
 class TestChannelGeneration:
     def test_deterministic_per_seed_trial_user(self):
         cfg = small_cfg()
-        rng = derive_trial_rng(cfg.seed, 3)
-        h1 = gen_channel(cfg, 2, rng).h
-        h2 = gen_channel(cfg, 2, derive_trial_rng(cfg.seed, 3)).h
+        h1 = gen_all_channels(cfg, derive_trial_rng(cfg.seed, 3))
+        h2 = gen_all_channels(cfg, derive_trial_rng(cfg.seed, 3))
         np.testing.assert_array_equal(h1, h2)
+        assert not np.allclose(h1, gen_all_channels(cfg, derive_trial_rng(cfg.seed, 4)))
 
     def test_single_user_matches_block_draw(self):
-        cfg = small_cfg()
-        rng = derive_trial_rng(cfg.seed, 0)
-        block = gen_all_channels(cfg, rng)
-        for user in range(cfg.k):
-            np.testing.assert_array_equal(gen_channel(cfg, user, rng).h, block[user])
+        # A user's draw does not depend on how many users are drawn.
+        rng = derive_trial_rng(7, 0)
+        small = gen_all_channels(small_cfg(k=8), rng)
+        large = gen_all_channels(small_cfg(k=20), rng)
+        np.testing.assert_array_equal(large[:8], small)
 
     def test_entry_moments(self):
         cfg = small_cfg(k=8, n=2, m=4)
@@ -108,11 +107,6 @@ class TestChannelGeneration:
         ]
         expected = cfg.n * cfg.m
         assert abs(np.mean(norms) - expected) / expected < 0.01
-
-    def test_user_index_validated(self):
-        cfg = small_cfg()
-        with pytest.raises(ConfigError):
-            gen_channel(cfg, cfg.k, derive_trial_rng(0, 0))
 
 
 class TestCodebooks:

@@ -22,6 +22,7 @@ from coopfb.montecarlo import (
     run_experiment,
     run_trial,
 )
+from test_link import sum_rate_numerical
 from test_samplers import zero_channels_at
 
 
@@ -83,6 +84,10 @@ class TestKsDistance:
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             ks_distance([], lambda x: x)
+
+    def test_region_without_samples_is_none(self):
+        cdf = lambda x: 1.0 - np.exp(-np.asarray(x, dtype=float))
+        assert ks_distance([0.1, 0.2], cdf, region=0.5) is None
 
 
 class TestRunTrial:
@@ -180,7 +185,7 @@ class TestEngineAgainstModules:
                     r.user: link.downlink_effective_channel(globs[r.user], r.combiner)
                     for r in mu_reports
                 }
-                rate = link.sum_rate_numerical(sched, downlink, codebook, rho)
+                rate = sum_rate_numerical(sched, downlink, codebook, rho)
                 assert abs(rate - ev.sum_rate[0]) <= 1e-10 * max(1.0, rate)
 
     def test_conventional_pipeline_agreement(self):
@@ -197,7 +202,7 @@ class TestEngineAgainstModules:
                 assert tuple(int(u) if u >= 0 else None for u in ev.users[0]) == sched.assignment
 
                 downlink = {r.user: h[r.user].conj().T @ r.combiner for r in reports}
-                rate = link.sum_rate_numerical(sched, downlink, codebook, rho)
+                rate = sum_rate_numerical(sched, downlink, codebook, rho)
                 assert abs(rate - ev.sum_rate[0]) <= 1e-10 * max(1.0, rate)
 
 
@@ -426,4 +431,4 @@ class TestResampling:
         assert ws.resamples == 0
 
     def test_default_trial_count(self):
-        assert montecarlo._experiment_defaults("fig8")["trials"] == 10000
+        assert montecarlo.SPECS["fig8"].params["trials"] == 10000
