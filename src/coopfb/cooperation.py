@@ -5,7 +5,8 @@ Users pair up as (0, 1), (2, 3), ...; inside a pair each user quantizes a
 combined "virtual" channel against the cooperation-link RVQ codebook, hands
 the quantized vector to its partner, and both then run quantization-based
 combining on the (n+1)-row stacked matrix as if they owned the extra
-antenna.
+antenna. Local acquisition takes one channel or a stack, through the same
+batched stage.
 """
 
 from __future__ import annotations
@@ -85,26 +86,13 @@ def acquire_local_csi(h: np.ndarray, codebook: LocalCodebook) -> LocalCsi:
     (``vectors`` of shape ``(qcl, m)``) or one per channel ``(k, qcl, m)``,
     and gives a :class:`LocalCsi` whose fields are stacked along axis 0.
     """
-    if h.ndim == 3:
-        gram, basis = qbc._subspace(h)
-        v = _local_choice(codebook.vectors, basis)
-        tau, z, h_virt, _, sin2 = _local_stage(h, gram, basis, v)
-        return LocalCsi(cdi=v, cqi=tau, combiner=z, h_virt=h_virt, sin2_error=sin2)
-    basis = numerics.orthonormal_basis(h)
-    cos2 = np.sum(np.abs(codebook.vectors.conj() @ basis) ** 2, axis=1)
-    chosen = int(np.argmax(cos2))
-    combined = qbc._combine(h, basis, numerics.gram_matrix(h), codebook.vectors[chosen])
-    h_virt = combined.h_eff
-    tau = float(np.abs(np.vdot(codebook.vectors[chosen], h_virt)))
-    norm2 = float(np.vdot(h_virt, h_virt).real)
-    sin2 = min(max(1.0 - tau * tau / norm2, 0.0), 1.0)
-    return LocalCsi(
-        cdi=codebook.vectors[chosen].copy(),
-        cqi=tau,
-        combiner=combined.combiner,
-        h_virt=h_virt,
-        sin2_error=sin2,
-    )
+    one = h.ndim == 2
+    h, gram, basis = qbc._stack_of_one(h) if one else (h, *qbc._subspace(h))
+    v = _local_choice(codebook.vectors, basis)
+    tau, z, h_virt, _, sin2 = _local_stage(h, gram, basis, v)
+    if one:
+        return LocalCsi(cdi=v[0], cqi=float(tau[0]), combiner=z[0], h_virt=h_virt[0], sin2_error=float(sin2[0]))
+    return LocalCsi(cdi=v, cqi=tau, combiner=z, h_virt=h_virt, sin2_error=sin2)
 
 
 def _local_choice(vectors: np.ndarray, basis: np.ndarray) -> np.ndarray:

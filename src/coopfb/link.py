@@ -1,9 +1,9 @@
-"""Downlink symbol path, received-signal decomposition, and numerical SINR.
+"""Downlink symbol path and received-signal decomposition.
 
 The symbol path exists to verify exact signal identities (the stacked
 observation equals the direct evaluation through the downlink matrix, and
 the four-term decomposition recombines to the received scalar). SINRs are
-computed from the formula, not from decoded symbols.
+computed from the formula (``qbc.sinr_for_beam``), not from decoded symbols.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qbc
 from .cooperation import GlobalChannel, LocalCsi
 from .model import GlobalCodebook, RandomStream, complex_gaussian
 
@@ -142,7 +141,3 @@ def decompose_received(
         recombined=recombined,
     )
 
-
-def numerical_sinr(h_eff: np.ndarray, codebook: GlobalCodebook, beam: int, rho: float) -> float:
-    """SINR evaluated on a downlink effective channel (same formula as CQI)."""
-    return qbc.sinr_for_beam(h_eff, codebook, beam, rho)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,9 +113,6 @@ class SystemConfig:
     def qcl(self) -> int:
         """Number of local codewords, 2**bcl."""
         return 2**self.bcl
-
-    def with_rho(self, rho: float) -> "SystemConfig":
-        return replace(self, rho=float(rho))
 
 
 @dataclass(frozen=True)

@@ -131,16 +131,6 @@ class TrialWorkspace:
     coop: Optional[_CoopArrays]
 
 
-def _beam_correlations(heff_cols: np.ndarray, cb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Signal and interference powers for effective channels stacked as
-    columns ``(k, m_dim, beams)`` against codebook columns ``cb``."""
-    corr = np.matmul(heff_cols.conj().transpose(0, 2, 1), cb)  # (k, beams, m)
-    powers = corr.real**2 + corr.imag**2
-    beams = np.arange(cb.shape[-1])
-    sig = powers[:, beams, beams]
-    return sig, powers.sum(axis=-1) - sig
-
-
 def build_workspace(
     cfg: SystemConfig, trial: int, *, coop: bool = True, conv: bool = False
 ) -> TrialWorkspace:
@@ -200,7 +190,7 @@ def _workspaces(
     conv_arrays = None
     if conv:
         cos2, eff_norm2, _, heff = qbc._qbc_stage(h, gram, basis, cb)
-        sig, intf = _beam_correlations(heff, cb)
+        sig, intf = qbc._beam_correlations(heff, cb)
         conv_arrays = _ConvArrays(
             sig=sig,
             intf=intf,
@@ -229,9 +219,9 @@ def _workspaces(
         h_dl = np.concatenate([h, downlink_row], axis=1)
         gram_g, basis_g = qbc._subspace(h_qu)
         cos2_g, eff_norm2, combiners, heff_qu = qbc._qbc_stage(h_qu, gram_g, basis_g, cb)
-        sig_qu, intf_qu = _beam_correlations(heff_qu, cb)
+        sig_qu, intf_qu = qbc._beam_correlations(heff_qu, cb)
         heff_dl = np.matmul(h_dl.conj().transpose(0, 2, 1), combiners)  # (b*k, m, beams)
-        sig_dl, intf_dl = _beam_correlations(heff_dl, cb)
+        sig_dl, intf_dl = qbc._beam_correlations(heff_dl, cb)
         last_row_power = combiners[:, n, :].real ** 2 + combiners[:, n, :].imag ** 2
         coop_arrays = _CoopArrays(
             sig_qu=sig_qu,
@@ -764,27 +754,30 @@ def _run_fig7(params: dict, workers: int) -> ExperimentResult:
     rows = []
     aggregates = {"mean_rel_gap": {}, "max_rel_gap": {}}
     resamples = unassigned = 0
-    for n_rx, bcl in params["configs"]:
-        for k_users in params["k_grid"]:
-            cfg = _system(params, n=int(n_rx), bcl=int(bcl), k=int(k_users))
-            means, _, point_resamples, point_unassigned = _mode_rates(cfg, [analysis.COOPERATIVE], rho_lin, workers)
-            rates = means[analysis.COOPERATIVE]
-            resamples += point_resamples
-            unassigned += point_unassigned
-            estimates = np.array(
-                [
-                    analysis.estimate_sum_rate(cfg.k, cfg.m, cfg.n, rho, cfg.bcl, analysis.COOPERATIVE)
-                    for rho in rho_lin
-                ]
-            )
-            rel_gap = np.abs(rates - estimates) / rates
-            key = f"n{n_rx}_bcl{bcl}_k{k_users}"
-            aggregates["mean_rel_gap"][key] = float(rel_gap.mean())
-            aggregates["max_rel_gap"][key] = float(rel_gap.max())
-            rows.extend(
-                (int(n_rx), int(bcl), int(k_users), float(db), float(mc), float(est))
-                for db, mc, est in zip(rho_db, rates, estimates)
-            )
+    cfgs = [
+        _system(params, n=int(n_rx), bcl=int(bcl), k=int(k_users))
+        for n_rx, bcl in params["configs"]
+        for k_users in params["k_grid"]
+    ]
+    # Every point's closed form before any trial runs, so an out-of-regime
+    # point fails without simulating.
+    estimates = [
+        np.array([analysis.estimate_sum_rate(c.k, c.m, c.n, rho, c.bcl, analysis.COOPERATIVE) for rho in rho_lin])
+        for c in cfgs
+    ]
+    for cfg, estimate in zip(cfgs, estimates):
+        means, _, point_resamples, point_unassigned = _mode_rates(cfg, [analysis.COOPERATIVE], rho_lin, workers)
+        rates = means[analysis.COOPERATIVE]
+        resamples += point_resamples
+        unassigned += point_unassigned
+        rel_gap = np.abs(rates - estimate) / rates
+        key = f"n{cfg.n}_bcl{cfg.bcl}_k{cfg.k}"
+        aggregates["mean_rel_gap"][key] = float(rel_gap.mean())
+        aggregates["max_rel_gap"][key] = float(rel_gap.max())
+        rows.extend(
+            (cfg.n, cfg.bcl, cfg.k, float(db), float(mc), float(est))
+            for db, mc, est in zip(rho_db, rates, estimate)
+        )
     aggregates["unassigned_beams"] = unassigned
     columns = ["n", "bcl", "k", "rho_db", "rate_num", "rate_estimate"]
     return ExperimentResult("fig7", params, columns, rows, aggregates, params["seed"], resamples)

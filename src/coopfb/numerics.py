@@ -2,9 +2,9 @@
 
 Matrices and vectors are plain numpy arrays (complex128). Everything here
 operates on tiny dimensions (a handful of antennas), so the routines favour
-numerical transparency over asymptotic speed. Orthonormalisation routines
-accept stacked inputs ``(..., m, n)`` so batched callers can reuse the exact
-same arithmetic.
+numerical transparency over asymptotic speed. Orthonormalisation and the
+rank check accept stacked inputs ``(..., m, n)``; ``orthonormal_basis``
+checks one channel where the per-user API takes it in.
 """
 
 from __future__ import annotations
@@ -52,12 +52,6 @@ def _as_vector(v) -> np.ndarray:
     return v
 
 
-def _holds(mask) -> bool:
-    """``mask.all()``, skipping its cost on the scalar of an unstacked input;
-    the per-user path runs these checks once per beam."""
-    return bool(mask.all() if mask.shape else mask)
-
-
 def mgs_columns(a: np.ndarray) -> np.ndarray:
     """Orthonormalise the columns of ``a`` (modified Gram-Schmidt).
 
@@ -79,7 +73,7 @@ def mgs_columns(a: np.ndarray) -> np.ndarray:
                 col -= coeff[..., None] * prev
             norm = np.sqrt(np.sum(col.real**2 + col.imag**2, axis=-1))
             # Negated strict test, so a zero or NaN column fails too.
-            if sweep == 0 and not _holds(norm > floor[..., j]):
+            if sweep == 0 and not (norm > floor[..., j]).all():
                 raise RankDeficient("column collapsed during orthonormalisation")
             col /= norm[..., None]
     return q
@@ -98,7 +92,7 @@ def check_full_rank(gram: np.ndarray) -> None:
     """
     ratio_ok = abs(np.linalg.det(gram)) > RANK_TOL * gram.diagonal(0, -2, -1).real.prod(-1)
     # Negated strict test, so a zero row (0 > 0) and NaN fail too.
-    if not _holds(ratio_ok):
+    if not ratio_ok.all():
         raise RankDeficient("Gram matrix numerically singular")
 
 
@@ -117,34 +111,13 @@ def orthonormal_basis(h) -> np.ndarray:
     return mgs_columns(h.conj().T)
 
 
-def subspace_project_unit(c, q: np.ndarray) -> np.ndarray:
-    """Unit-norm projection of ``c`` onto the column span of orthonormal ``q``.
-
-    Among unit vectors inside the subspace, the result maximises the
-    cross-correlation magnitude with ``c``. Raises
-    :class:`DegenerateProjection` when ``c`` is (numerically) orthogonal to
-    the subspace.
-    """
-    c = _as_vector(c)
-    proj = q @ (q.conj().T @ c)
-    norm = np.linalg.norm(proj)
-    if norm <= PROJECTION_TOL:
-        raise DegenerateProjection("codeword orthogonal to the subspace")
-    return proj / norm
-
-
-def gram_solve(h, v, gram: np.ndarray | None = None) -> np.ndarray:
-    """Solve ``(H H^H) u = H v`` for the unnormalised combiner ``u``.
-
-    ``gram`` may carry ``gram_matrix(h)`` when one channel is solved for many
-    right-hand sides; the rank check runs on it either way.
-    """
+def gram_solve(h, v) -> np.ndarray:
+    """Solve ``(H H^H) u = H v`` for the unnormalised combiner ``u`` of one
+    channel, after the rank check."""
     h = _as_matrix(h)
-    v = _as_vector(v)
-    if gram is None:
-        gram = gram_matrix(h)
+    gram = gram_matrix(h)
     check_full_rank(gram)
-    return np.linalg.solve(gram, h @ v)
+    return np.linalg.solve(gram, h @ _as_vector(v))
 
 
 def ln_gamma(x: float) -> float:

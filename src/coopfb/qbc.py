@@ -4,6 +4,9 @@ Given a channel matrix and a target codeword, the receive combiner is chosen
 so that the effective channel ``H^H z`` aligns as well as possible with the
 codeword: project the codeword onto the channel's row subspace, then invert
 the Gram system to find the combiner that reproduces the projection.
+
+The stages work on stacks of channels ``(k, n, m)``; the per-user functions
+run one channel through them as a stack of one.
 """
 
 from __future__ import annotations
@@ -20,14 +23,12 @@ from .model import GlobalCodebook
 class CombinedChannel:
     """Result of combining toward one target codeword.
 
-    ``combiner`` is unit norm, ``h_eff = H^H combiner`` points along the
-    projected codeword, and ``beam`` records the target index when the
-    caller selected the codeword out of a codebook.
+    ``combiner`` is unit norm and ``h_eff = H^H combiner`` points along the
+    projected codeword.
     """
 
     combiner: np.ndarray
     h_eff: np.ndarray
-    beam: int | None = None
 
 
 @dataclass(frozen=True)
@@ -48,19 +49,26 @@ def combine_for_codeword(h: np.ndarray, codeword) -> CombinedChannel:
     ``(k, m)`` of the stack.
     """
     if h.ndim == 2:
-        return _combine(h, numerics.orthonormal_basis(h), numerics.gram_matrix(h), codeword)
+        return _combine_one(*_stack_of_one(h), codeword)
     gram, basis = _subspace(h)
     _, _, combiners, heff_cols = _qbc_stage(h, gram, basis, np.asarray(codeword)[:, :, None])
     return CombinedChannel(combiner=combiners[:, :, 0], h_eff=heff_cols[:, :, 0])
 
 
-def _combine(h: np.ndarray, basis: np.ndarray, gram: np.ndarray, codeword) -> CombinedChannel:
-    """QBC toward one codeword, reusing the channel's row-space basis and
-    Gram matrix so callers that scan many codewords compute them once."""
-    projected = numerics.subspace_project_unit(codeword, basis)
-    u = numerics.gram_solve(h, projected, gram)
-    z = u / np.linalg.norm(u)
-    return CombinedChannel(combiner=z, h_eff=h.conj().T @ z)
+def _stack_of_one(h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One channel ``(n, m)`` as a stack of one, with its Gram matrix and
+    row-space basis; :func:`numerics.orthonormal_basis` checks the input."""
+    basis = numerics.orthonormal_basis(h)
+    h = np.asarray(h, dtype=np.complex128)[None]
+    return h, numerics.gram_matrix(h), basis[None]
+
+
+def _combine_one(h: np.ndarray, gram: np.ndarray, basis: np.ndarray, codeword) -> CombinedChannel:
+    """The one-column stage on a stack of one channel; ``h_eff`` is exactly
+    ``H^H combiner``."""
+    _, _, combiners, _ = _qbc_stage(h, gram, basis, np.asarray(codeword)[None, :, None])
+    z = combiners[0, :, 0]
+    return CombinedChannel(combiner=z, h_eff=h[0].conj().T @ z)
 
 
 def _subspace(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -91,6 +99,17 @@ def _qbc_stage(h: np.ndarray, gram: np.ndarray, basis: np.ndarray, cb: np.ndarra
     return cos2, 1.0 / u_norm2, combiners, heff_cols
 
 
+def _beam_correlations(heff_cols: np.ndarray, cb: np.ndarray, served=None) -> tuple[np.ndarray, np.ndarray]:
+    """Signal and interference powers for effective channels stacked as
+    columns ``(k, m_dim, cols)`` against codebook columns ``cb``; column j
+    is served by beam ``served[j]``, by default beam j."""
+    corr = np.matmul(heff_cols.conj().transpose(0, 2, 1), cb)  # (k, cols, m)
+    powers = corr.real**2 + corr.imag**2
+    cols = np.arange(heff_cols.shape[-1])
+    sig = powers[:, cols, cols if served is None else served]
+    return sig, powers.sum(axis=-1) - sig
+
+
 def sinr_for_beam(h_eff: np.ndarray, codebook: GlobalCodebook, beam: int, rho: float) -> float:
     """SINR of an effective channel served by beam ``beam``.
 
@@ -110,20 +129,18 @@ def select_csi(h: np.ndarray, codebook: GlobalCodebook, rho: float, user: int = 
     Ties break toward the lowest beam index so regression runs are
     deterministic. A beam whose codeword is orthogonal to the channel
     subspace cannot be served at all and is skipped; at least one beam
-    always has a nonzero projection.
+    always has a nonzero projection. The reported CQI and combiner are
+    those of :func:`combine_for_codeword` toward the chosen beam.
     """
-    basis = numerics.orthonormal_basis(h)
-    gram = numerics.gram_matrix(h)
-    best = None
-    for beam in range(codebook.num_beams):
-        try:
-            combined = _combine(h, basis, gram, codebook.codeword(beam))
-        except numerics.DegenerateProjection:
-            continue
-        gamma = sinr_for_beam(combined.h_eff, codebook, beam, rho)
-        if best is None or gamma > best[0]:
-            best = (gamma, beam, combined.combiner)
-    if best is None:
+    h1, gram, basis = _stack_of_one(h)
+    cb = codebook.matrix
+    corr = basis[0].conj().T @ cb
+    served = np.flatnonzero(np.sqrt(np.sum(corr.real**2 + corr.imag**2, axis=0)) > numerics.PROJECTION_TOL)
+    if served.size == 0:
         raise numerics.DegenerateProjection("no codeword projects onto the channel subspace")
-    gamma, beam, combiner = best
-    return CsiReport(user=user, beam=beam, cqi=gamma, combiner=combiner)
+    _, _, _, heff = _qbc_stage(h1, gram, basis, cb[:, served])
+    sig, intf = _beam_correlations(heff, cb, served)
+    beam = int(served[np.argmax(sig[0] / (codebook.num_beams / rho + intf[0]))])
+    combined = _combine_one(h1, gram, basis, codebook.codeword(beam))
+    cqi = sinr_for_beam(combined.h_eff, codebook, beam, rho)
+    return CsiReport(user=user, beam=beam, cqi=cqi, combiner=combined.combiner)

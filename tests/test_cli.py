@@ -326,7 +326,8 @@ class TestEveryFlagActsOrIsRefused:
 
 class TestAdaptiveDecidedFirst:
     """Where both closed-form estimates are out of regime, adaptive runs stop
-    with InvalidRegime before any trial is simulated."""
+    with InvalidRegime before any trial is simulated; so does fig7 where its
+    cooperative estimate is."""
 
     @pytest.fixture
     def rate_chunks(self, monkeypatch):
@@ -355,6 +356,19 @@ class TestAdaptiveDecidedFirst:
         assert status == 2
         assert "out of regime" in capsys.readouterr().err
         assert rate_chunks == []
+
+    def test_fig7_estimates_every_point_before_simulating(self, tmp_path, capsys, monkeypatch):
+        # k=50 is in regime and k=20 is not: no point may be simulated.
+        from coopfb import montecarlo
+
+        def refuse(*args):
+            raise AssertionError("fig7 simulated before estimating every point")
+
+        monkeypatch.setattr(montecarlo, "_parallel_chunks", refuse)
+        status = cli.run(["fig7", "--trials", "1", "--k-grid", "50,20", "--out-dir", str(tmp_path)])
+        assert status == 2
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_sweep_records_unassigned_beams(self, tmp_path, rate_chunks):
         import numpy as np

@@ -29,7 +29,7 @@ def sum_rate_numerical(schedule: ScheduleResult, downlink_channels, codebook, rh
     total = 0.0
     for beam, user in enumerate(schedule.assignment):
         if user is not None:
-            total += math.log2(1.0 + link.numerical_sinr(downlink_channels[user], codebook, beam, rho))
+            total += math.log2(1.0 + qbc.sinr_for_beam(downlink_channels[user], codebook, beam, rho))
     return total
 
 
@@ -226,12 +226,12 @@ class TestNumericalSinr:
         for user in range(cfg.k):
             report = qbc.select_csi(h[user], codebook, cfg.rho, user=user)
             combined = qbc.combine_for_codeword(h[user], codebook.codeword(report.beam))
-            gamma = link.numerical_sinr(combined.h_eff, codebook, report.beam, cfg.rho)
+            gamma = qbc.sinr_for_beam(combined.h_eff, codebook, report.beam, cfg.rho)
             assert gamma == report.cqi
 
     def test_served_codeword_unit_sinr(self):
         _, codebook, *_ = draw_pair(2)
-        gamma = link.numerical_sinr(codebook.codeword(1), codebook, 1, rho=4.0)
+        gamma = qbc.sinr_for_beam(codebook.codeword(1), codebook, 1, rho=4.0)
         assert abs(gamma - 1.0) < 1e-10
 
 
@@ -253,5 +253,5 @@ class TestSumRate:
         channels = {0: link.downlink_effective_channel(glob, z_bar)}
         schedule = ScheduleResult(assignment=(None, None, None, None)[: report.beam] + (0,) + (None,) * (3 - report.beam))
         rate = sum_rate_numerical(schedule, channels, codebook, CFG.rho)
-        expected = math.log2(1.0 + link.numerical_sinr(channels[0], codebook, report.beam, CFG.rho))
+        expected = math.log2(1.0 + qbc.sinr_for_beam(channels[0], codebook, report.beam, CFG.rho))
         assert abs(rate - expected) < 1e-12

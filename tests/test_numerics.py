@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from coopfb import numerics
 from coopfb.numerics import (
-    DegenerateProjection,
     DomainError,
     RankDeficient,
     beta_function,
@@ -17,7 +16,6 @@ from coopfb.numerics import (
     haar_unitary,
     ln_gamma,
     orthonormal_basis,
-    subspace_project_unit,
 )
 
 RNG = np.random.default_rng(1234)
@@ -67,36 +65,6 @@ class TestOrthonormalBasis:
         h[0, 0] = np.nan
         with pytest.raises(ValueError):
             orthonormal_basis(h)
-
-
-class TestSubspaceProjectUnit:
-    def test_vector_already_in_span(self):
-        h = random_channel(2, 4)
-        q = orthonormal_basis(h)
-        c = q @ np.array([0.6, 0.8j])
-        out = subspace_project_unit(c, q)
-        np.testing.assert_allclose(out, c / np.linalg.norm(c), atol=1e-12)
-
-    def test_orthogonal_vector_raises(self):
-        q = np.zeros((4, 2), dtype=complex)
-        q[0, 0] = 1.0
-        q[1, 1] = 1.0
-        c = np.array([0, 0, 1.0, 0], dtype=complex)
-        with pytest.raises(DegenerateProjection):
-            subspace_project_unit(c, q)
-
-    def test_alignment_matches_least_squares_residual(self):
-        # |out^H c|^2 = ||c||^2 - ||residual||^2 with residual from brute lstsq.
-        for _ in range(20):
-            h = random_channel(2, 4)
-            q = orthonormal_basis(h)
-            c = random_channel(1, 4)[0]
-            c /= np.linalg.norm(c)
-            out = subspace_project_unit(c, q)
-            coeff, *_ = np.linalg.lstsq(q, c, rcond=None)
-            residual = c - q @ coeff
-            expected = 1.0 - np.linalg.norm(residual) ** 2
-            assert abs(np.abs(np.vdot(out, c)) ** 2 - expected) < 1e-10
 
 
 class TestScaleRelativeRank:

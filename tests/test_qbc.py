@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from coopfb import numerics, qbc
 from coopfb.model import GlobalCodebook, SystemConfig, derive_trial_rng, gen_global_codebook
 from coopfb.qbc import combine_for_codeword, select_csi, sinr_for_beam
@@ -49,8 +50,7 @@ class TestCombineForCodeword:
             assert abs(np.linalg.norm(combined.combiner) - 1.0) < 1e-12
             np.testing.assert_array_equal(combined.h_eff, h.conj().T @ combined.combiner)
             # Effective direction is parallel to the projected codeword.
-            basis = numerics.orthonormal_basis(h)
-            proj = numerics.subspace_project_unit(c, basis)
+            proj = reference.project_unit(c, reference.row_space_basis(h))
             direction = combined.h_eff / np.linalg.norm(combined.h_eff)
             assert np.linalg.norm(direction - proj) < 1e-9
 
@@ -65,6 +65,39 @@ class TestCombineForCodeword:
         h_effs = w @ h.conj()  # row i is H^H w_i
         gains = np.abs(h_effs.conj() @ c) ** 2 / np.sum(np.abs(h_effs) ** 2, axis=1)
         assert best >= gains.max() - 1e-12
+
+
+class TestCombineProjection:
+    """The effective direction of QBC is the unit projection of the codeword
+    onto the channel's row space."""
+
+    def test_vector_already_in_span(self):
+        h = random_channel(2, 4)
+        c = h.conj().T @ np.array([0.6, 0.8j])
+        combined = combine_for_codeword(h, c)
+        direction = combined.h_eff / np.linalg.norm(combined.h_eff)
+        np.testing.assert_allclose(direction, c / np.linalg.norm(c), atol=1e-12)
+
+    def test_orthogonal_vector_raises(self):
+        h = np.zeros((2, 4), dtype=complex)
+        h[0, 0] = 1.0
+        h[1, 1] = 1.0
+        c = np.array([0, 0, 1.0, 0], dtype=complex)
+        with pytest.raises(numerics.DegenerateProjection):
+            combine_for_codeword(h, c)
+
+    def test_alignment_matches_least_squares_residual(self):
+        # |out^H c|^2 = ||c||^2 - ||residual||^2 with residual from brute lstsq
+        # against the conjugated rows.
+        for _ in range(20):
+            h = random_channel(2, 4)
+            c = random_channel(1, 4)[0]
+            c /= np.linalg.norm(c)
+            combined = combine_for_codeword(h, c)
+            coeff, *_ = np.linalg.lstsq(h.conj().T, c, rcond=None)
+            residual = c - h.conj().T @ coeff
+            expected = 1.0 - np.linalg.norm(residual) ** 2
+            assert abs(alignment(combined.h_eff, c) - expected) < 1e-10
 
 
 class TestStackedCombine:

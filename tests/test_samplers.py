@@ -1,16 +1,16 @@
 """The blocked distribution samplers against an independent per-user oracle.
 
 The oracle below draws each trial from the same ``(seed, trial, purpose)``
-streams and runs it one trial at a time through the single-channel path of
-``cooperation`` and ``qbc`` (orthonormal basis, projection, Gram solve per
-channel). The samplers take the stacked path of the same functions, which
-shares none of that arithmetic.
+streams and runs it one trial at a time through ``reference`` (Householder
+basis, projection, Gram solve per channel). The samplers take the stacked
+stages of ``qbc`` and ``cooperation``, which share none of that arithmetic.
 """
 
 import numpy as np
 import pytest
 
-from coopfb import cooperation, montecarlo, numerics, qbc
+import reference
+from coopfb import montecarlo
 from coopfb.model import (
     RandomStream,
     SystemConfig,
@@ -19,8 +19,6 @@ from coopfb.model import (
     gen_global_codebook,
     gen_local_codebook,
 )
-
-DEGENERATE = (numerics.RankDeficient, numerics.DegenerateProjection)
 
 # sin^2 values are formed as 1 - cos^2, so their absolute rounding is ~1e-16
 # whatever their size; at n = m - 1 the global error is exactly zero.
@@ -37,20 +35,15 @@ def oracle_pair(cfg, trial, beam=0):
             pair = complex_gaussian(rng.child("channels").generator(), (2, cfg.n, cfg.m))
             codebook = gen_global_codebook(cfg, rng)
             local_cb = gen_local_codebook(cfg, rng)
-            local = cooperation.acquire_local_csi(pair[1], local_cb)
-            glob = cooperation.build_global_matrix(pair[0], local)
-            combined = qbc.combine_for_codeword(glob.h_qu, codebook.codeword(beam))
-            h_eff = combined.h_eff
+            q, tau, _, h_virt, sin2_local = reference.local(pair[1], local_cb.vectors)
+            h_qu = np.vstack([pair[0], (tau * local_cb.vectors[q]).conj()])
+            z, h_eff = reference.combine(h_qu, codebook.codeword(beam))
             norm2 = float(np.vdot(h_eff, h_eff).real)
             cos2 = float(np.abs(np.vdot(h_eff, codebook.codeword(beam))) ** 2 / norm2)
-            local_intf = float(
-                np.abs(combined.combiner[cfg.n]) ** 2
-                * np.vdot(local.h_virt, local.h_virt).real
-                * local.sin2_error
-            )
-            row = (local.sin2_error, min(max(1.0 - cos2, 0.0), 1.0), norm2, local_intf)
+            local_intf = float(np.abs(z[cfg.n]) ** 2 * np.vdot(h_virt, h_virt).real * sin2_local)
+            row = (sin2_local, min(max(1.0 - cos2, 0.0), 1.0), norm2, local_intf)
             return np.array(row), attempt
-        except DEGENERATE:
+        except reference.Degenerate:
             continue
     raise AssertionError(f"oracle trial {trial} never drew a full-rank pair")
 
@@ -62,8 +55,8 @@ def oracle_local_error(cfg, trial):
         rng = base if attempt == 0 else base.child("resample", attempt)
         try:
             h = complex_gaussian(rng.child("channels").generator(), (cfg.n, cfg.m))
-            return cooperation.acquire_local_csi(h, gen_local_codebook(cfg, rng)).sin2_error, attempt
-        except DEGENERATE:
+            return reference.local(h, gen_local_codebook(cfg, rng).vectors)[4], attempt
+        except reference.Degenerate:
             continue
     raise AssertionError(f"oracle trial {trial} never drew a full-rank channel")
 
