@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import analysis, montecarlo
@@ -25,7 +25,7 @@ from .model import CODEBOOK_MODES, MODES, ConfigError
 OUT_DIR_ENV = "COOPFB_OUT_DIR"
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunManifest:
     """What produced a set of output files; re-running an identical manifest
     reproduces them byte for byte (the timestamp is bookkeeping only)."""
@@ -70,26 +70,21 @@ def _jsonable(value):
 def write_summary(path: Path, result: montecarlo.ExperimentResult) -> None:
     payload = {
         "experiment": result.experiment,
-        "config": _jsonable(result.config),
-        "aggregates": _jsonable(result.aggregates),
+        "config": result.config,
+        "aggregates": result.aggregates,
         "seed": result.seed,
         "resample_count": result.resample_count,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, payload)
 
 
 def write_manifest(path: Path, manifest: RunManifest) -> None:
-    payload = {
-        "experiment": manifest.experiment,
-        "config": _jsonable(manifest.config),
-        "output_paths": manifest.output_paths,
-        "config_hash": manifest.config_hash,
-        "timestamp": manifest.timestamp,
-    }
+    _write_json(path, dataclasses.asdict(manifest))
+
+
+def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -98,29 +93,35 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(canonical).hexdigest()
 
 
-def parse_grid(text: str) -> list:
-    """Grid syntax: a scalar, a comma list, or ``start..stop[..step]``."""
+def parse_grid(text: str, name: str = "a grid") -> list:
+    """Grid syntax: a scalar, a comma list, or ``start..stop[..step]``, of
+    finite numbers; ``name`` says whose grid it is in the error."""
     text = text.strip()
-    if ".." in text:
-        parts = text.split("..")
-        if len(parts) not in (2, 3):
-            raise ConfigError(f"bad grid {text!r}; use start..stop[..step]")
-        start, stop = float(parts[0]), float(parts[1])
-        step = float(parts[2]) if len(parts) == 3 else 1.0
-        if step <= 0:
-            raise ConfigError("grid step must be positive")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return [start + i * step for i in range(count)]
-    return [float(v) for v in text.split(",") if v.strip()]
+    ranged = ".." in text
+    parts = text.split("..") if ranged else [v for v in text.split(",") if v.strip()]
+    if ranged and len(parts) not in (2, 3):
+        raise ConfigError(f"bad grid {text!r}; use start..stop[..step]")
+    values = _finite([float(v) for v in parts], name, text)
+    if not ranged:
+        return values
+    start, stop, step = values + [1.0] * (3 - len(values))
+    if step <= 0:
+        raise ConfigError("grid step must be positive")
+    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    return [start + i * step for i in range(count)]
+
+
+def _finite(values: list, name: str, given) -> list:
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{name} takes finite numbers, got {given!r}")
+    return values
 
 
 def _int_grid(values) -> list:
-    out = []
-    for v in values:
-        if abs(v - round(v)) > 1e-9:
-            raise ConfigError(f"expected integers in grid, got {v}")
-        out.append(int(round(v)))
-    return out
+    fractional = [v for v in values if abs(v - round(v)) > 1e-9]
+    if fractional:
+        raise ConfigError(f"expected integers in grid, got {fractional[0]}")
+    return [int(round(v)) for v in values]
 
 
 # Every flag a command may take, by argparse dest: the parameter it sets
@@ -195,12 +196,13 @@ def _load_config_file(path: str, routes: dict) -> dict:
     return flags
 
 
-def _numbers(item) -> list:
-    """The numbers of one flag text (a grid) or one config-file value."""
+def _numbers(dest: str, item) -> list:
+    """The numbers of one flag text (a grid) or one config-file value; NaN
+    and infinities are refused."""
     if isinstance(item, str):
-        return parse_grid(item)
+        return parse_grid(item, _flag(dest))
     if isinstance(item, (int, float)) and not isinstance(item, bool):
-        return [item]
+        return _finite([item], _flag(dest), item)
     raise ConfigError(f"expected a number or a grid, got {item!r}")
 
 
@@ -211,7 +213,7 @@ def _value(command: str, dest: str, value, default):
     kind = type(default[0] if grid else default)
     items = value if isinstance(value, list) else [value]
     if kind is not str:
-        items = [v for item in items for v in _numbers(item)]
+        items = [v for item in items for v in _numbers(dest, item)]
         items = _int_grid(items) if kind is int else [float(v) for v in items]
     if not items:
         raise ConfigError("the SNR grid is empty" if dest == "rho_db" else f"{_flag(dest)} is empty")

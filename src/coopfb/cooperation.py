@@ -5,8 +5,9 @@ Users pair up as (0, 1), (2, 3), ...; inside a pair each user quantizes a
 combined "virtual" channel against the cooperation-link RVQ codebook, hands
 the quantized vector to its partner, and both then run quantization-based
 combining on the (n+1)-row stacked matrix as if they owned the extra
-antenna. Local acquisition takes one channel or a stack, through the same
-batched stage.
+antenna. Both quantizations are the one QBC stage of :mod:`qbc`: local
+acquisition is its one-column case toward the chosen RVQ codeword, for one
+channel or a stack.
 """
 
 from __future__ import annotations
@@ -87,9 +88,9 @@ def acquire_local_csi(h: np.ndarray, codebook: LocalCodebook) -> LocalCsi:
     and gives a :class:`LocalCsi` whose fields are stacked along axis 0.
     """
     one = h.ndim == 2
-    h, gram, basis = qbc._stack_of_one(h) if one else (h, *qbc._subspace(h))
+    basis, r = qbc._subspace(numerics.as_channel(h)[None] if one else h)
     v = _local_choice(codebook.vectors, basis)
-    tau, z, h_virt, _, sin2 = _local_stage(h, gram, basis, v)
+    tau, z, h_virt, _, sin2 = _local_stage(basis, r, v)
     if one:
         return LocalCsi(cdi=v[0], cqi=float(tau[0]), combiner=z[0], h_virt=h_virt[0], sin2_error=float(sin2[0]))
     return LocalCsi(cdi=v, cqi=tau, combiner=z, h_virt=h_virt, sin2_error=sin2)
@@ -112,26 +113,17 @@ def _local_choice(vectors: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return vectors[np.arange(chosen.size), chosen]
 
 
-def _local_stage(h: np.ndarray, gram: np.ndarray, basis: np.ndarray, v: np.ndarray):
-    """Batched local acquisition of stacked channels toward their chosen
-    codewords ``v`` ``(k, m)``.
+def _local_stage(basis: np.ndarray, r: np.ndarray, v: np.ndarray):
+    """Batched local acquisition of stacked channels, given as their bases
+    and R factors, toward their chosen codewords ``v`` ``(k, m)``: the
+    one-column QBC stage, whose effective channel is the virtual channel.
 
-    Returns per user: the CQI tau, the unit combiner, the virtual channel,
-    its squared norm and the direction quantization error sin^2.
+    Returns per user: the CQI tau = ||h_virt|| cos(phi), the unit combiner,
+    the virtual channel, its squared norm and the direction quantization
+    error sin^2.
     """
-    w = np.matmul(basis.conj().transpose(0, 2, 1), v[:, :, None])
-    proj = np.matmul(basis, w)[:, :, 0]
-    pnorm = np.linalg.norm(proj, axis=1)
-    if np.any(pnorm <= numerics.PROJECTION_TOL):
-        raise numerics.DegenerateProjection("local codeword orthogonal to a channel")
-    proj /= pnorm[:, None]
-    u = np.linalg.solve(gram, np.matmul(h, proj[:, :, None]))  # (k, n, 1)
-    z_local = (u / np.linalg.norm(u, axis=1, keepdims=True))[:, :, 0]
-    h_virt = np.matmul(h.conj().transpose(0, 2, 1), z_local[:, :, None])[:, :, 0]
-    tau = np.abs(np.sum(v.conj() * h_virt, axis=1))
-    hv_norm2 = np.sum(h_virt.real**2 + h_virt.imag**2, axis=1)
-    sin2_local = np.clip(1.0 - tau * tau / hv_norm2, 0.0, 1.0)
-    return tau, z_local, h_virt, hv_norm2, sin2_local
+    cos2, hv_norm2, z_local, h_virt = (a[..., 0] for a in qbc._qbc_stage(basis, r, v[:, :, None]))
+    return np.sqrt(cos2 * hv_norm2), z_local, h_virt, hv_norm2, np.clip(1.0 - cos2, 0.0, 1.0)
 
 
 def build_global_matrix(h: np.ndarray, partner: LocalCsi) -> GlobalChannel:

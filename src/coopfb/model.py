@@ -18,6 +18,8 @@ from . import numerics
 
 CODEBOOK_MODES = ("haar", "dft")
 MODES = ("conventional", "cooperative", "adaptive")
+MAX_BCL = 62  # the local codebook's 2**bcl rows fit numpy's int64 dimensions
+UNITARY_TOL = 1e-10  # QBC's beam powers rest on a unitary global codebook
 
 
 class ConfigError(ValueError):
@@ -97,8 +99,8 @@ class SystemConfig:
             raise ConfigError(f"need k >= 2*m so every beam can find a user, got k={self.k}, m={self.m}")
         if not (self.rho > 0.0 and math.isfinite(self.rho)):
             raise ConfigError(f"need a positive finite linear SNR, got rho={self.rho}")
-        if self.bcl < 0:
-            raise ConfigError(f"need bcl >= 0, got bcl={self.bcl}")
+        if not 0 <= self.bcl <= MAX_BCL:
+            raise ConfigError(f"need 0 <= bcl <= {MAX_BCL} (2**bcl local codewords), got bcl={self.bcl}")
         if self.trials < 1:
             raise ConfigError(f"need trials >= 1, got trials={self.trials}")
         if self.codebook_mode not in CODEBOOK_MODES:
@@ -117,9 +119,16 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class GlobalCodebook:
-    """Unitary beamforming codebook; codewords are the columns of ``matrix``."""
+    """Unitary beamforming codebook; codewords are the columns of ``matrix``,
+    whose ``max |M^H M - I|`` may not exceed ``UNITARY_TOL``."""
 
     matrix: np.ndarray
+
+    def __post_init__(self):
+        m = self.matrix
+        square = m.ndim == 2 and m.shape[0] == m.shape[1]
+        if not (square and np.abs(m.conj().T @ m - np.eye(len(m))).max() <= UNITARY_TOL):
+            raise ValueError(f"need a square unitary global codebook, max |M^H M - I| <= {UNITARY_TOL}")
 
     @property
     def num_beams(self) -> int:

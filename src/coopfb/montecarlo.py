@@ -2,9 +2,10 @@
 spec of each command (:data:`SPECS`).
 
 The pipeline is vectorised across the users of a block of trials, in the
-rate engine and in the distribution samplers, through the stacked stages of
-``qbc`` and ``cooperation`` (stacked small-matrix linear algebra; the same
-modified Gram-Schmidt / Gram-solve sequence as their single-channel path).
+rate engine and in the distribution samplers, through the one stacked QBC
+stage of ``qbc`` (modified Gram-Schmidt, then a solve on the R factor; the
+same sequence as the single-channel path), which ``cooperation`` also runs
+for local acquisition.
 Every random quantity is keyed by (seed, trial, purpose), so results are
 bit-identical for any worker count, and trials resample their draws when a
 channel comes out numerically rank deficient (counted, never silently).
@@ -185,18 +186,13 @@ def _workspaces(
     codebooks = [gen_global_codebook(cfg, rng) for rng in rngs]
     cb = np.repeat(np.stack([c.matrix for c in codebooks]), k, axis=0)  # each trial's, per user
 
-    gram, basis = qbc._subspace(h)
+    basis, r = qbc._subspace(h)
 
     conv_arrays = None
     if conv:
-        cos2, eff_norm2, _, heff = qbc._qbc_stage(h, gram, basis, cb)
-        sig, intf = qbc._beam_correlations(heff, cb)
-        conv_arrays = _ConvArrays(
-            sig=sig,
-            intf=intf,
-            sin2_global=np.clip(1.0 - cos2, 0.0, 1.0),
-            eff_norm2=eff_norm2,
-        )
+        cos2, eff_norm2, _, _ = qbc._qbc_stage(basis, r, cb)
+        sig, intf, sin2 = qbc._beam_powers(cos2, eff_norm2)
+        conv_arrays = _ConvArrays(sig=sig, intf=intf, sin2_global=sin2, eff_norm2=eff_norm2)
 
     coop_arrays = None
     if coop:
@@ -208,27 +204,28 @@ def _workspaces(
                 for i, rng in enumerate(rngs)
             ]
         )  # (b*k, m)
-        tau, _, h_virt, hv_norm2, sin2_local = cooperation._local_stage(h, gram, basis, v)
+        tau, _, h_virt, hv_norm2, sin2_local = cooperation._local_stage(basis, r, v)
 
         # Global acquisition over the partner-stacked (n+1)-row matrices;
         # k is even, so u ^ 1 stays inside u's trial.
         partner = np.arange(len(h)) ^ 1
-        quant_row = (tau[:, None] * v).conj()[partner][:, None, :]
-        downlink_row = h_virt.conj()[partner][:, None, :]
-        h_qu = np.concatenate([h, quant_row], axis=1)  # (b*k, n+1, m)
-        h_dl = np.concatenate([h, downlink_row], axis=1)
-        gram_g, basis_g = qbc._subspace(h_qu)
-        cos2_g, eff_norm2, combiners, heff_qu = qbc._qbc_stage(h_qu, gram_g, basis_g, cb)
-        sig_qu, intf_qu = qbc._beam_correlations(heff_qu, cb)
+        h_qu = np.concatenate([h, (tau[:, None] * v).conj()[partner][:, None, :]], axis=1)  # (b*k, n+1, m)
+        h_dl = np.concatenate([h, h_virt.conj()[partner][:, None, :]], axis=1)
+        cos2_g, eff_norm2, combiners, _ = qbc._qbc_stage(*qbc._subspace(h_qu), cb)
+        sig_qu, intf_qu, sin2_g = qbc._beam_powers(cos2_g, eff_norm2)
+        # Not combined toward the codebook: correlate the served beam; the
+        # unitary codebook's other beams carry the rest of the norm.
         heff_dl = np.matmul(h_dl.conj().transpose(0, 2, 1), combiners)  # (b*k, m, beams)
-        sig_dl, intf_dl = qbc._beam_correlations(heff_dl, cb)
+        corr_dl = np.sum(cb.conj() * heff_dl, axis=1)
+        sig_dl = corr_dl.real**2 + corr_dl.imag**2
+        intf_dl = np.maximum(np.sum(heff_dl.real**2 + heff_dl.imag**2, axis=1) - sig_dl, 0.0)
         last_row_power = combiners[:, n, :].real ** 2 + combiners[:, n, :].imag ** 2
         coop_arrays = _CoopArrays(
             sig_qu=sig_qu,
             intf_qu=intf_qu,
             sig_dl=sig_dl,
             intf_dl=intf_dl,
-            sin2_global=np.clip(1.0 - cos2_g, 0.0, 1.0),
+            sin2_global=sin2_g,
             eff_norm2=eff_norm2,
             sin2_local=sin2_local,
             hvirt_norm2=hv_norm2,
@@ -377,9 +374,7 @@ def run_trial(cfg: SystemConfig, mode: str, trial: int) -> TrialRecord:
             local_err.append(None)
             local_int.append(None)
         global_err.append(float(arrays.sin2_global[user, target]))
-        global_int.append(
-            float(arrays.eff_norm2[user, target] * arrays.sin2_global[user, target])
-        )
+        global_int.append(float(arrays.eff_norm2[user, target] * arrays.sin2_global[user, target]))
         eff_n2.append(float(arrays.eff_norm2[user, target]))
 
     return TrialRecord(

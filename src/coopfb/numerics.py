@@ -2,9 +2,10 @@
 
 Matrices and vectors are plain numpy arrays (complex128). Everything here
 operates on tiny dimensions (a handful of antennas), so the routines favour
-numerical transparency over asymptotic speed. Orthonormalisation and the
-rank check accept stacked inputs ``(..., m, n)``; ``orthonormal_basis``
-checks one channel where the per-user API takes it in.
+numerical transparency over asymptotic speed. Orthonormalisation accepts
+stacked inputs ``(..., m, n)`` and applies the one rank rule,
+:func:`check_full_rank`, to the R factor it builds; ``as_channel`` checks
+one channel where the per-user API takes it in.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ import math
 
 import numpy as np
 
-# Relative rank tolerance: on det(G) / prod(G_ii) for a Gram matrix G, and
-# on how much of a column's norm survives orthogonalisation. Both ratios are
-# unchanged when the channel is scaled. Gaussian channels are almost surely
-# full rank; hitting this triggers resampling upstream.
+# Relative rank tolerance on prod |R_ii|^2 / prod ||h_i||^2 for H^H = QR,
+# which is det(G) / prod(G_ii) for the Gram matrix G = H H^H and unchanged
+# when the channel is scaled. Gaussian channels are almost surely full rank;
+# hitting this triggers resampling upstream.
 RANK_TOL = 1e-12
 # Minimum norm of a subspace projection before it counts as degenerate.
 PROJECTION_TOL = 1e-12
@@ -34,12 +35,15 @@ class DomainError(ValueError):
     """A special-function argument lies outside the supported domain."""
 
 
-def _as_matrix(h) -> np.ndarray:
+def as_channel(h) -> np.ndarray:
+    """One finite channel matrix ``(n, m)``, n <= m, as complex128."""
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={h.ndim}")
     if not np.all(np.isfinite(h)):
         raise ValueError("matrix entries must be finite")
+    if h.shape[0] > h.shape[1]:
+        raise ValueError(f"need row count <= column count, got {h.shape[0]}x{h.shape[1]}")
     return h
 
 
@@ -57,13 +61,14 @@ def mgs_columns(a: np.ndarray) -> np.ndarray:
 
     Runs a second full sweep as a reorthogonalisation pass. Accepts a stack
     ``(..., m, n)`` with n <= m; the output columns span the same space as
-    the input columns, slice by slice.
+    the input columns, slice by slice. The first sweep's column norms are
+    the diagonal of the R factor of ``a = QR``; :func:`check_full_rank`
+    refuses a stack that fails the rank rule on them.
     """
     q = np.array(a, dtype=np.complex128)
     ncols = q.shape[-1]
-    # A column collapses when the first sweep leaves less than RANK_TOL of
-    # its input norm; the second sweep starts from unit columns that passed.
-    floor = RANK_TOL * np.sqrt(np.sum(q.real**2 + q.imag**2, axis=-2))
+    col_norm2 = np.sum(q.real**2 + q.imag**2, axis=-2)
+    diag2 = np.empty_like(col_norm2)
     for sweep in range(2):
         for j in range(ncols):
             col = q[..., :, j]
@@ -71,11 +76,13 @@ def mgs_columns(a: np.ndarray) -> np.ndarray:
                 prev = q[..., :, i]
                 coeff = np.sum(prev.conj() * col, axis=-1)
                 col -= coeff[..., None] * prev
-            norm = np.sqrt(np.sum(col.real**2 + col.imag**2, axis=-1))
-            # Negated strict test, so a zero or NaN column fails too.
-            if sweep == 0 and not (norm > floor[..., j]).all():
-                raise RankDeficient("column collapsed during orthonormalisation")
-            col /= norm[..., None]
+            norm2 = np.sum(col.real**2 + col.imag**2, axis=-1)
+            # Checked before a collapsed column is divided by its norm; the
+            # second sweep starts from unit columns that passed.
+            if sweep == 0:
+                diag2[..., j] = norm2
+                check_full_rank(diag2[..., : j + 1], col_norm2[..., : j + 1])
+            col /= np.sqrt(norm2)[..., None]
     return q
 
 
@@ -84,16 +91,18 @@ def gram_matrix(h: np.ndarray) -> np.ndarray:
     return h @ np.conj(np.swapaxes(h, -1, -2))
 
 
-def check_full_rank(gram: np.ndarray) -> None:
-    """Raise :class:`RankDeficient` unless every Gram matrix of the stack
-    ``(..., n, n)`` has ``|det(G)| / prod(G_ii)`` above ``RANK_TOL``.
+def check_full_rank(r_diag2: np.ndarray, row_norm2: np.ndarray) -> None:
+    """Raise :class:`RankDeficient` unless every slice of the stacks
+    ``(..., n)`` of squared R diagonals of ``H^H = QR`` and squared row
+    norms of ``H`` has ``prod |R_ii|^2 / prod ||h_i||^2`` above ``RANK_TOL``.
 
-    The ratio lies in [0, 1] and does not depend on the scale of the rows.
+    The ratio is ``det(G) / prod(G_ii)`` for ``G = H H^H``: in [0, 1] and
+    independent of the scale of the rows.
     """
-    ratio_ok = abs(np.linalg.det(gram)) > RANK_TOL * gram.diagonal(0, -2, -1).real.prod(-1)
+    ratio_ok = np.prod(r_diag2, axis=-1) > RANK_TOL * np.prod(row_norm2, axis=-1)
     # Negated strict test, so a zero row (0 > 0) and NaN fail too.
     if not ratio_ok.all():
-        raise RankDeficient("Gram matrix numerically singular")
+        raise RankDeficient("channel rows numerically dependent")
 
 
 def orthonormal_basis(h) -> np.ndarray:
@@ -101,23 +110,17 @@ def orthonormal_basis(h) -> np.ndarray:
 
     Returns an ``m x n`` matrix with orthonormal columns whose span equals the
     column span of ``h^H`` (the receive subspace a combiner can steer within).
-    Raises :class:`RankDeficient` when ``H H^H`` fails :func:`check_full_rank`.
+    Raises :class:`RankDeficient` when the rows fail :func:`check_full_rank`.
     """
-    h = _as_matrix(h)
-    n, m = h.shape
-    if n > m:
-        raise ValueError(f"need row count <= column count, got {n}x{m}")
-    check_full_rank(gram_matrix(h))
-    return mgs_columns(h.conj().T)
+    return mgs_columns(as_channel(h).conj().T)
 
 
 def gram_solve(h, v) -> np.ndarray:
     """Solve ``(H H^H) u = H v`` for the unnormalised combiner ``u`` of one
-    channel, after the rank check."""
-    h = _as_matrix(h)
-    gram = gram_matrix(h)
-    check_full_rank(gram)
-    return np.linalg.solve(gram, h @ _as_vector(v))
+    channel, after the rank rule."""
+    h = as_channel(h)
+    mgs_columns(h.conj().T)
+    return np.linalg.solve(gram_matrix(h), h @ _as_vector(v))
 
 
 def ln_gamma(x: float) -> float:

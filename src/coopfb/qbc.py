@@ -2,11 +2,14 @@
 
 Given a channel matrix and a target codeword, the receive combiner is chosen
 so that the effective channel ``H^H z`` aligns as well as possible with the
-codeword: project the codeword onto the channel's row subspace, then invert
-the Gram system to find the combiner that reproduces the projection.
+codeword: project the codeword onto the channel's row subspace, then find
+the combiner that reproduces the projection, by solving on the R factor of
+``H^H = QR`` for the row-space basis ``Q``.
 
-The stages work on stacks of channels ``(k, n, m)``; the per-user functions
-run one channel through them as a stack of one.
+One stage does this for stacks of channels ``(k, n, m)``; the per-user
+functions run one channel through it as a stack of one. For a unitary
+codebook the served beam carries cos^2 of ``||h_eff||^2`` and the other
+beams the rest (Jindal, IEEE T-WC 2008).
 """
 
 from __future__ import annotations
@@ -50,38 +53,38 @@ def combine_for_codeword(h: np.ndarray, codeword) -> CombinedChannel:
     """
     if h.ndim == 2:
         return _combine_one(*_stack_of_one(h), codeword)
-    gram, basis = _subspace(h)
-    _, _, combiners, heff_cols = _qbc_stage(h, gram, basis, np.asarray(codeword)[:, :, None])
+    _, _, combiners, heff_cols = _qbc_stage(*_subspace(h), np.asarray(codeword)[:, :, None])
     return CombinedChannel(combiner=combiners[:, :, 0], h_eff=heff_cols[:, :, 0])
 
 
 def _stack_of_one(h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One channel ``(n, m)`` as a stack of one, with its Gram matrix and
-    row-space basis; :func:`numerics.orthonormal_basis` checks the input."""
-    basis = numerics.orthonormal_basis(h)
-    h = np.asarray(h, dtype=np.complex128)[None]
-    return h, numerics.gram_matrix(h), basis[None]
+    """One channel ``(n, m)`` as a stack of one, with its row-space basis
+    and R factor; :func:`numerics.as_channel` checks the input."""
+    h = numerics.as_channel(h)[None]
+    return (h, *_subspace(h))
 
 
-def _combine_one(h: np.ndarray, gram: np.ndarray, basis: np.ndarray, codeword) -> CombinedChannel:
+def _combine_one(h: np.ndarray, basis: np.ndarray, r: np.ndarray, codeword) -> CombinedChannel:
     """The one-column stage on a stack of one channel; ``h_eff`` is exactly
     ``H^H combiner``."""
-    _, _, combiners, _ = _qbc_stage(h, gram, basis, np.asarray(codeword)[None, :, None])
+    _, _, combiners, _ = _qbc_stage(basis, r, np.asarray(codeword)[None, :, None])
     z = combiners[0, :, 0]
     return CombinedChannel(combiner=z, h_eff=h[0].conj().T @ z)
 
 
 def _subspace(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrices and orthonormal row-space bases ``(k, m, rank)`` of
-    stacked channels ``(k, rank, m)``, after the rank check."""
-    gram = numerics.gram_matrix(h)
-    numerics.check_full_rank(gram)
-    return gram, numerics.mgs_columns(h.conj().transpose(0, 2, 1))
+    """Orthonormal row-space bases ``Q`` ``(k, m, rank)`` of stacked channels
+    ``(k, rank, m)`` and the R factors ``Q^H H^H`` ``(k, rank, rank)``;
+    :func:`numerics.mgs_columns` applies the rank rule."""
+    ht = h.conj().transpose(0, 2, 1)
+    basis = numerics.mgs_columns(ht)
+    return basis, np.matmul(basis.conj().transpose(0, 2, 1), ht)
 
 
-def _qbc_stage(h: np.ndarray, gram: np.ndarray, basis: np.ndarray, cb: np.ndarray):
-    """Batched QBC of stacked channels against every column of ``cb``: one
-    codebook ``(m, beams)`` for all channels, or one per channel ``(k, m, beams)``.
+def _qbc_stage(basis: np.ndarray, r: np.ndarray, cb: np.ndarray):
+    """Batched QBC of stacked channels, given as their bases and R factors
+    (:func:`_subspace`), against every column of ``cb``: one codebook
+    ``(m, beams)`` for all channels, or one per channel ``(k, m, beams)``.
 
     Returns per-(user, beam): cos^2 of the projection, squared effective
     norm, unit combiners as columns, and effective channels as columns.
@@ -91,23 +94,19 @@ def _qbc_stage(h: np.ndarray, gram: np.ndarray, basis: np.ndarray, cb: np.ndarra
     norms = np.sqrt(cos2)
     if np.any(norms <= numerics.PROJECTION_TOL):
         raise numerics.DegenerateProjection("codeword orthogonal to a channel subspace")
-    projected = np.matmul(basis, corr) / norms[:, None, :]  # unit columns
-    u = np.linalg.solve(gram, np.matmul(h, projected))  # (k, rank, beams)
+    w = corr / norms[:, None, :]  # unit projections, in the basis' coordinates
+    u = np.linalg.solve(r, w)  # H^H u = Q w
     u_norm2 = np.sum(u.real**2 + u.imag**2, axis=1)
     combiners = u / np.sqrt(u_norm2)[:, None, :]
-    heff_cols = projected / np.sqrt(u_norm2)[:, None, :]
+    heff_cols = np.matmul(basis, w) / np.sqrt(u_norm2)[:, None, :]
     return cos2, 1.0 / u_norm2, combiners, heff_cols
 
 
-def _beam_correlations(heff_cols: np.ndarray, cb: np.ndarray, served=None) -> tuple[np.ndarray, np.ndarray]:
-    """Signal and interference powers for effective channels stacked as
-    columns ``(k, m_dim, cols)`` against codebook columns ``cb``; column j
-    is served by beam ``served[j]``, by default beam j."""
-    corr = np.matmul(heff_cols.conj().transpose(0, 2, 1), cb)  # (k, cols, m)
-    powers = corr.real**2 + corr.imag**2
-    cols = np.arange(heff_cols.shape[-1])
-    sig = powers[:, cols, cols if served is None else served]
-    return sig, powers.sum(axis=-1) - sig
+def _beam_powers(cos2: np.ndarray, eff_norm2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Signal and interference powers of effective channels served by the
+    unitary codebook's beam they were combined toward, and its sin^2 error."""
+    sin2 = np.clip(1.0 - cos2, 0.0, 1.0)
+    return cos2 * eff_norm2, sin2 * eff_norm2, sin2
 
 
 def sinr_for_beam(h_eff: np.ndarray, codebook: GlobalCodebook, beam: int, rho: float) -> float:
@@ -132,15 +131,14 @@ def select_csi(h: np.ndarray, codebook: GlobalCodebook, rho: float, user: int = 
     always has a nonzero projection. The reported CQI and combiner are
     those of :func:`combine_for_codeword` toward the chosen beam.
     """
-    h1, gram, basis = _stack_of_one(h)
+    h1, basis, r = _stack_of_one(h)
     cb = codebook.matrix
     corr = basis[0].conj().T @ cb
     served = np.flatnonzero(np.sqrt(np.sum(corr.real**2 + corr.imag**2, axis=0)) > numerics.PROJECTION_TOL)
     if served.size == 0:
         raise numerics.DegenerateProjection("no codeword projects onto the channel subspace")
-    _, _, _, heff = _qbc_stage(h1, gram, basis, cb[:, served])
-    sig, intf = _beam_correlations(heff, cb, served)
+    sig, intf, _ = _beam_powers(*_qbc_stage(basis, r, cb[:, served])[:2])
     beam = int(served[np.argmax(sig[0] / (codebook.num_beams / rho + intf[0]))])
-    combined = _combine_one(h1, gram, basis, codebook.codeword(beam))
+    combined = _combine_one(h1, basis, r, codebook.codeword(beam))
     cqi = sinr_for_beam(combined.h_eff, codebook, beam, rho)
     return CsiReport(user=user, beam=beam, cqi=cqi, combiner=combined.combiner)

@@ -189,6 +189,11 @@ class TestRejectedInputs:
             (["fig3", "--bcl", ""], "--bcl is empty"),
             (["fig7", "--k-grid", ""], "--k-grid is empty"),
             (["fig7", "--n", "2"], "fig7 takes --n and --bcl together"),
+            (["sweep", "--rho-db", "nan"], "--rho-db takes finite numbers"),
+            (["sweep", "--rho-db", "inf", "--mode", "adaptive"], "--rho-db takes finite numbers"),
+            (["sweep", "--rho-db", "0..inf..5"], "--rho-db takes finite numbers"),
+            (["fig3", "--bcl", "inf"], "--bcl takes finite numbers"),
+            (["fig7", "--k-grid", "50,inf"], "--k-grid takes finite numbers"),
         ],
     )
     def test_command_exits_2(self, tmp_path, capsys, args, message):
@@ -238,6 +243,20 @@ class TestRejectedInputs:
         status = cli.run([command, "--config", str(config), "--trials", "2", "--out-dir", str(out)])
         assert status == 2
         assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "key, value", [("rho_db", float("nan")), ("rho_db", [0, float("inf")]), ("m", float("-inf"))]
+    )
+    def test_config_file_non_finite_refused(self, tmp_path, capsys, key, value):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: value}))
+        out = tmp_path / "out"
+        status = cli.run(["sweep", "--config", str(config), "--trials", "2", "--out-dir", str(out)])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"--{key.replace('_', '-')} takes finite numbers" in err
         assert not out.exists()
 
 

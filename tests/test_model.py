@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from coopfb import model
+from coopfb import model, numerics
 from coopfb.model import (
     ConfigError,
+    GlobalCodebook,
     SystemConfig,
     derive_trial_rng,
     dft_matrix,
@@ -37,6 +38,7 @@ class TestSystemConfig:
             dict(bcl=-1),
             dict(trials=0),
             dict(codebook_mode="fourier"),
+            dict(bcl=63),  # 2**63 local codewords overflow int64 dimensions
         ],
     )
     def test_rejects_bad_configs(self, kw):
@@ -46,6 +48,28 @@ class TestSystemConfig:
     def test_error_names_constraint(self):
         with pytest.raises(ConfigError, match="n\\+1 <= m"):
             small_cfg(n=4, m=4)
+
+    def test_largest_bcl_accepted(self):
+        assert small_cfg(bcl=62).qcl == 2**62
+
+
+class TestGlobalCodebook:
+    def test_accepts_haar_and_dft(self):
+        GlobalCodebook(dft_matrix(4))
+        GlobalCodebook(numerics.haar_unitary(4, np.random.default_rng(0)))
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            dft_matrix(4)[:, :3],  # not square
+            2.0 * dft_matrix(4),  # orthogonal columns, not unit norm
+            dft_matrix(4) + 1e-6,  # unit-norm-ish columns, not orthogonal
+            np.ones((4, 4), dtype=complex) / 2.0,  # unit columns, all equal
+        ],
+    )
+    def test_refuses_non_unitary(self, matrix):
+        with pytest.raises(ValueError):
+            GlobalCodebook(matrix)
 
 
 class TestRandomStream:
