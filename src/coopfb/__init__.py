@@ -9,7 +9,7 @@ from .model import (
     SystemConfig,
     derive_trial_rng,
 )
-from .montecarlo import ExperimentResult, TrialRecord, run_experiment, run_sweep, run_trial
+from .montecarlo import ExperimentResult, run_experiment, run_sweep
 
 __version__ = "0.1.0"
 
@@ -20,10 +20,8 @@ __all__ = [
     "LocalCodebook",
     "RandomStream",
     "SystemConfig",
-    "TrialRecord",
     "derive_trial_rng",
     "run_experiment",
     "run_sweep",
-    "run_trial",
     "__version__",
 ]

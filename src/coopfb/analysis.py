@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DomainError, binomial, expn, gammainc, gammaincc, ln_gamma
+from .numerics import DomainError, binomial, expn, gammainc, gammaincc, ln_beta
 
 COOPERATIVE = "cooperative"
 CONVENTIONAL = "conventional"
@@ -39,15 +39,14 @@ def expected_local_error(m: int, n: int, qcl: int) -> float:
     """Expected direction quantization error of the selected local codeword.
 
     ``qcl * binom(m-1, n-1)^(-1/(m-n)) * B(qcl, (m-n+1)/(m-n))``, evaluated
-    in the log domain so large codebooks stay finite.
+    in the log domain so large codebooks stay finite and accurate.
     """
     _check_dims(m, n)
     if qcl < 1:
         raise DomainError(f"need qcl >= 1, got {qcl}")
     ratio = (m - n + 1.0) / (m - n)
     log_delta = -math.log(binomial(m - 1, n - 1)) / (m - n)
-    log_beta = ln_gamma(float(qcl)) + ln_gamma(ratio) - ln_gamma(qcl + ratio)
-    return math.exp(math.log(qcl) + log_delta + log_beta)
+    return math.exp(math.log(qcl) + log_delta + ln_beta(float(qcl), ratio))
 
 
 def reference_local_error(m: int, n: int, qcl: int) -> float:

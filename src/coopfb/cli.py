@@ -112,7 +112,9 @@ def parse_grid(text: str, name: str = "a grid") -> list:
 
 
 def _finite(values: list, name: str, given) -> list:
-    if not all(math.isfinite(v) for v in values):
+    # Compares ints exactly, so NaN, infinities and ints beyond the float
+    # range all fail.
+    if not all(abs(v) <= sys.float_info.max for v in values):
         raise ConfigError(f"{name} takes finite numbers, got {given!r}")
     return values
 

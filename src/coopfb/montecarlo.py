@@ -101,28 +101,32 @@ def ks_distances(samples: Sequence[float], cdf: Callable, regions: Sequence[Opti
 
 @dataclass
 class _ConvArrays:
+    """Per-(user, beam) signal and interference powers ``(k, m)`` of the
+    conventional pipeline, at unit SNR."""
+
     sig: np.ndarray
     intf: np.ndarray
-    sin2_global: np.ndarray
-    eff_norm2: np.ndarray
 
 
 @dataclass
 class _CoopArrays:
+    """Per-(user, beam) powers ``(k, m)`` of the cooperative pipeline: what
+    the quantized stacked channel reports (``*_qu``) and what the downlink
+    delivers (``*_dl``); and per user, the local sin^2 error and squared
+    virtual-channel norm."""
+
     sig_qu: np.ndarray
     intf_qu: np.ndarray
     sig_dl: np.ndarray
     intf_dl: np.ndarray
-    sin2_global: np.ndarray
-    eff_norm2: np.ndarray
     sin2_local: np.ndarray
     hvirt_norm2: np.ndarray
-    local_intf: np.ndarray
 
 
 @dataclass
 class TrialWorkspace:
-    """SNR-independent per-trial quantities for every user."""
+    """One trial's SNR-independent beam powers for every user, which
+    :func:`evaluate_mode` turns into schedules and rates at each SNR."""
 
     cfg: SystemConfig
     trial: int
@@ -190,9 +194,7 @@ def _workspaces(
 
     conv_arrays = None
     if conv:
-        cos2, eff_norm2, _, _ = qbc._qbc_stage(basis, r, cb)
-        sig, intf, sin2 = qbc._beam_powers(cos2, eff_norm2)
-        conv_arrays = _ConvArrays(sig=sig, intf=intf, sin2_global=sin2, eff_norm2=eff_norm2)
+        conv_arrays = _ConvArrays(*qbc._beam_powers(*qbc._qbc_stage(basis, r, cb)[:2]))
 
     coop_arrays = None
     if coop:
@@ -212,25 +214,14 @@ def _workspaces(
         h_qu = np.concatenate([h, (tau[:, None] * v).conj()[partner][:, None, :]], axis=1)  # (b*k, n+1, m)
         h_dl = np.concatenate([h, h_virt.conj()[partner][:, None, :]], axis=1)
         cos2_g, eff_norm2, combiners, _ = qbc._qbc_stage(*qbc._subspace(h_qu), cb)
-        sig_qu, intf_qu, sin2_g = qbc._beam_powers(cos2_g, eff_norm2)
+        sig_qu, intf_qu = qbc._beam_powers(cos2_g, eff_norm2)
         # Not combined toward the codebook: correlate the served beam; the
         # unitary codebook's other beams carry the rest of the norm.
         heff_dl = np.matmul(h_dl.conj().transpose(0, 2, 1), combiners)  # (b*k, m, beams)
         corr_dl = np.sum(cb.conj() * heff_dl, axis=1)
         sig_dl = corr_dl.real**2 + corr_dl.imag**2
         intf_dl = np.maximum(np.sum(heff_dl.real**2 + heff_dl.imag**2, axis=1) - sig_dl, 0.0)
-        last_row_power = combiners[:, n, :].real ** 2 + combiners[:, n, :].imag ** 2
-        coop_arrays = _CoopArrays(
-            sig_qu=sig_qu,
-            intf_qu=intf_qu,
-            sig_dl=sig_dl,
-            intf_dl=intf_dl,
-            sin2_global=sin2_g,
-            eff_norm2=eff_norm2,
-            sin2_local=sin2_local,
-            hvirt_norm2=hv_norm2,
-            local_intf=last_row_power * (hv_norm2 * sin2_local)[partner][:, None],
-        )
+        coop_arrays = _CoopArrays(sig_qu, intf_qu, sig_dl, intf_dl, sin2_local, hv_norm2)
 
     b = len(rngs)
     return [
@@ -308,90 +299,6 @@ def evaluate_mode(ws: TrialWorkspace, mode: str, rho_lin: np.ndarray) -> _ModeEv
         gamma_num=gamma_num,
         sum_rate=np.log2(1.0 + gamma_num).sum(axis=1),
         unassigned=(users < 0).sum(axis=1),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Trial records
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """Everything observable from one trial at one SNR."""
-
-    trial: int
-    requested_mode: str
-    mode: str  # pipeline actually executed (adaptive resolves to one of the two)
-    rho: float
-    scheduled: tuple[Optional[int], ...]
-    reported_cqi: tuple[Optional[float], ...]
-    numerical_sinr: tuple[Optional[float], ...]
-    sum_rate: float
-    local_error: tuple[Optional[float], ...]
-    global_error: tuple[Optional[float], ...]
-    global_interference: tuple[Optional[float], ...]
-    local_interference: tuple[Optional[float], ...]
-    effective_norm2: tuple[Optional[float], ...]
-    resamples: int
-
-
-def run_trial(cfg: SystemConfig, mode: str, trial: int) -> TrialRecord:
-    """One full trial: draws, acquisition, scheduling, and numerical rates.
-
-    ``adaptive`` consults the closed-form switching rule first and then runs
-    the chosen pipeline.
-    """
-    requested = mode
-    if mode == "adaptive":
-        mode = analysis.mode_switch(cfg.k, cfg.m, cfg.n, cfg.rho, cfg.bcl).mode
-    if mode not in (analysis.COOPERATIVE, analysis.CONVENTIONAL):
-        raise ValueError(f"unknown mode {requested!r}")
-
-    is_coop = mode == analysis.COOPERATIVE
-    ws = build_workspace(cfg, trial, coop=is_coop, conv=not is_coop)
-    ev = evaluate_mode(ws, mode, np.array([cfg.rho]))
-
-    scheduled, rep, gnum = [], [], []
-    local_err, global_err, global_int, local_int, eff_n2 = [], [], [], [], []
-    for target in range(cfg.m):
-        user = int(ev.users[0, target])
-        if user < 0:
-            scheduled.append(None)
-            for acc in (rep, gnum, local_err, global_err, global_int, local_int, eff_n2):
-                acc.append(None)
-            continue
-        scheduled.append(user)
-        rep.append(float(ev.reported[0, target]))
-        gnum.append(float(ev.gamma_num[0, target]))
-        if is_coop:
-            arrays = ws.coop
-            partner = user ^ 1
-            local_err.append(float(arrays.sin2_local[partner]))
-            local_int.append(float(arrays.local_intf[user, target]))
-        else:
-            arrays = ws.conv
-            local_err.append(None)
-            local_int.append(None)
-        global_err.append(float(arrays.sin2_global[user, target]))
-        global_int.append(float(arrays.eff_norm2[user, target] * arrays.sin2_global[user, target]))
-        eff_n2.append(float(arrays.eff_norm2[user, target]))
-
-    return TrialRecord(
-        trial=trial,
-        requested_mode=requested,
-        mode=mode,
-        rho=cfg.rho,
-        scheduled=tuple(scheduled),
-        reported_cqi=tuple(rep),
-        numerical_sinr=tuple(gnum),
-        sum_rate=float(ev.sum_rate[0]),
-        local_error=tuple(local_err),
-        global_error=tuple(global_err),
-        global_interference=tuple(global_int),
-        local_interference=tuple(local_int),
-        effective_norm2=tuple(eff_n2),
-        resamples=ws.resamples,
     )
 
 
@@ -872,10 +779,10 @@ def _run_sweep(params: dict, workers: int) -> ExperimentResult:
 def _run_analyze(params: dict, workers: int) -> ExperimentResult:
     """Closed-form mode advice without simulation."""
     rows = []
-    for k_users in params["k_grid"]:
+    for cfg in [_system(params, k=k_users) for k_users in params["k_grid"]]:
         for db in params["rho_db"]:
-            d = analysis.mode_switch(k_users, params["m"], params["n"], db_to_linear(db), params["bcl"])
-            rows.append((k_users, db, d.rate_cooperative, d.rate_conventional, d.delta_rate, d.mode))
+            d = analysis.mode_switch(cfg.k, cfg.m, cfg.n, db_to_linear(db), cfg.bcl)
+            rows.append((cfg.k, db, d.rate_cooperative, d.rate_conventional, d.delta_rate, d.mode))
     columns = ["k", "rho_db", "rate_coop", "rate_conv", "delta", "decision"]
     return ExperimentResult("analyze", params, columns, rows, {}, None, 0)
 

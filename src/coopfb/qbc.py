@@ -102,11 +102,10 @@ def _qbc_stage(basis: np.ndarray, r: np.ndarray, cb: np.ndarray):
     return cos2, 1.0 / u_norm2, combiners, heff_cols
 
 
-def _beam_powers(cos2: np.ndarray, eff_norm2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _beam_powers(cos2: np.ndarray, eff_norm2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Signal and interference powers of effective channels served by the
-    unitary codebook's beam they were combined toward, and its sin^2 error."""
-    sin2 = np.clip(1.0 - cos2, 0.0, 1.0)
-    return cos2 * eff_norm2, sin2 * eff_norm2, sin2
+    unitary codebook's beam they were combined toward."""
+    return cos2 * eff_norm2, np.clip(1.0 - cos2, 0.0, 1.0) * eff_norm2
 
 
 def sinr_for_beam(h_eff: np.ndarray, codebook: GlobalCodebook, beam: int, rho: float) -> float:
@@ -137,7 +136,7 @@ def select_csi(h: np.ndarray, codebook: GlobalCodebook, rho: float, user: int = 
     served = np.flatnonzero(np.sqrt(np.sum(corr.real**2 + corr.imag**2, axis=0)) > numerics.PROJECTION_TOL)
     if served.size == 0:
         raise numerics.DegenerateProjection("no codeword projects onto the channel subspace")
-    sig, intf, _ = _beam_powers(*_qbc_stage(basis, r, cb[:, served])[:2])
+    sig, intf = _beam_powers(*_qbc_stage(basis, r, cb[:, served])[:2])
     beam = int(served[np.argmax(sig[0] / (codebook.num_beams / rho + intf[0]))])
     combined = _combine_one(h1, basis, r, codebook.codeword(beam))
     cqi = sinr_for_beam(combined.h_eff, codebook, beam, rho)

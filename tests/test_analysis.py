@@ -59,6 +59,20 @@ class TestExpectedLocalError:
         with pytest.raises(DomainError):
             expected_local_error(4, 2, 0)
 
+    def test_against_mpmath_for_every_codebook_size(self):
+        # Up to qcl = 1024, ln B is a difference of lgamma values up to about
+        # 6,000, which carries up to 1.3e-12 (at m - n = 4); beyond, it is
+        # Stirling's series, good to about 1e-14.
+        with mpmath.workdps(50):
+            for m in range(2, 9):
+                for n in range(1, m):
+                    delta = mpmath.binomial(m - 1, n - 1) ** (-mpmath.mpf(1) / (m - n))
+                    for bcl in range(63):
+                        qcl = 2**bcl
+                        exact = qcl * delta * mpmath.beta(qcl, mpmath.mpf(m - n + 1) / (m - n))
+                        rtol = 1.5e-12 if qcl <= 1024 else 1e-12
+                        assert abs(expected_local_error(m, n, qcl) - exact) <= rtol * exact, (m, n, bcl)
+
     def test_matches_direct_beta_expression_moderate_sizes(self):
         # Log-domain evaluation equals the naive product where it is finite.
         from scipy import special

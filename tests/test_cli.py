@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from coopfb import cli
+from coopfb import analysis, cli
 
 
 def run_cli(args, tmp_path, env_dir=None, monkeypatch=None):
@@ -225,6 +225,25 @@ class TestRejectedInputs:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--bcl", "1e30"], "need 0 <= bcl <= 62"),
+            (["--k", "201"], "k must be even"),
+            (["--k-grid", "200,6"], "need k >= 2*m"),
+        ],
+    )
+    def test_analyze_validates_before_advising(self, capsys, monkeypatch, args, message):
+        def refuse(*_):
+            raise AssertionError("analyze consulted the switching rule on an invalid config")
+
+        monkeypatch.setattr(analysis, "mode_switch", refuse)
+        status = cli.run(["analyze", "--rho-db", "0"] + args)
+        assert status == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and message in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
         "command, keys",
         [
             ("fig7", {"k_grid": [50]}),
@@ -247,7 +266,14 @@ class TestRejectedInputs:
 
 
     @pytest.mark.parametrize(
-        "key, value", [("rho_db", float("nan")), ("rho_db", [0, float("inf")]), ("m", float("-inf"))]
+        "key, value",
+        [
+            ("rho_db", float("nan")),
+            ("rho_db", [0, float("inf")]),
+            ("m", float("-inf")),
+            pytest.param("rho_db", 10**400, id="rho_db-int-beyond-float"),
+            pytest.param("trials", 10**400, id="trials-int-beyond-float"),
+        ],
     )
     def test_config_file_non_finite_refused(self, tmp_path, capsys, key, value):
         config = tmp_path / "run.json"

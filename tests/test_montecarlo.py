@@ -20,7 +20,6 @@ from coopfb.montecarlo import (
     evaluate_mode,
     ks_distance,
     run_experiment,
-    run_trial,
 )
 from test_link import sum_rate_numerical
 from test_samplers import zero_channels_at
@@ -88,56 +87,6 @@ class TestKsDistance:
     def test_region_without_samples_is_none(self):
         cdf = lambda x: 1.0 - np.exp(-np.asarray(x, dtype=float))
         assert ks_distance([0.1, 0.2], cdf, region=0.5) is None
-
-
-class TestRunTrial:
-    def test_deterministic(self):
-        cfg = small_cfg()
-        r1 = run_trial(cfg, "conventional", 2)
-        r2 = run_trial(cfg, "conventional", 2)
-        assert r1 == r2
-
-    def test_conventional_reported_equals_numerical(self):
-        cfg = small_cfg(k=16)
-        for t in range(5):
-            rec = run_trial(cfg, "conventional", t)
-            for rep, num in zip(rec.reported_cqi, rec.numerical_sinr):
-                assert rep == num
-
-    def test_sum_rate_identity(self):
-        cfg = small_cfg(k=16)
-        for mode in ("conventional", "cooperative"):
-            rec = run_trial(cfg, mode, 1)
-            expected = sum(math.log2(1 + g) for g in rec.numerical_sinr if g is not None)
-            assert abs(rec.sum_rate - expected) < 1e-12
-
-    def test_cooperative_schedules_only_main_users(self):
-        cfg = small_cfg(k=16)
-        for t in range(5):
-            rec = run_trial(cfg, "cooperative", t)
-            users = [u for u in rec.scheduled if u is not None]
-            assert len(set(users)) == len(users)
-            pairs = {u // 2 for u in users}
-            assert len(pairs) == len(users)  # one main user per pair
-
-    def test_cooperative_diagnostics_present(self):
-        rec = run_trial(small_cfg(k=16), "cooperative", 0)
-        for beam, user in enumerate(rec.scheduled):
-            if user is None:
-                assert rec.local_error[beam] is None
-                continue
-            assert 0.0 <= rec.local_error[beam] <= 1.0
-            assert 0.0 <= rec.global_error[beam] <= 1.0
-            assert rec.effective_norm2[beam] > 0.0
-
-    def test_adaptive_resolves_mode(self):
-        cfg = small_cfg(k=16, rho=100.0, bcl=4)
-        rec = run_trial(cfg, "adaptive", 0)
-        assert rec.requested_mode == "adaptive"
-        expected = analysis.mode_switch(cfg.k, cfg.m, cfg.n, cfg.rho, cfg.bcl).mode
-        assert rec.mode == expected
-        ref = run_trial(cfg, expected, 0)
-        assert rec.sum_rate == ref.sum_rate
 
 
 class TestEngineAgainstModules:
@@ -298,6 +247,31 @@ class TestWorkspaceEvaluate:
             np.testing.assert_array_equal(batch.users[i], single.users[0])
             np.testing.assert_array_equal(batch.gamma_num[i], single.gamma_num[0])
             assert batch.sum_rate[i] == single.sum_rate[0]
+
+    def test_cooperative_schedules_only_main_users(self):
+        cfg = small_cfg(k=16)
+        for t in range(5):
+            ev = evaluate_mode(build_workspace(cfg, t), "cooperative", np.array([cfg.rho, 1.0]))
+            for row in ev.users:
+                users = [int(u) for u in row if u >= 0]
+                assert len(set(users)) == len(users)
+                assert len({u // 2 for u in users}) == len(users)
+
+    def test_conventional_reported_equals_numerical(self):
+        cfg = small_cfg(k=16)
+        for t in range(5):
+            ev = evaluate_mode(build_workspace(cfg, t, coop=False, conv=True), "conventional", np.array([cfg.rho]))
+            served = ev.users >= 0
+            assert served.any()
+            np.testing.assert_array_equal(ev.reported[served], ev.gamma_num[served])
+
+    def test_sum_rate_identity(self):
+        cfg = small_cfg(k=16)
+        ws = build_workspace(cfg, 1, conv=True)
+        for mode in ("conventional", "cooperative"):
+            ev = evaluate_mode(ws, mode, np.array([0.5, cfg.rho, 50.0]))
+            for gammas, rate in zip(ev.gamma_num, ev.sum_rate):
+                assert abs(rate - sum(math.log2(1 + g) for g in gammas)) < 1e-12
 
     def test_selection_depends_on_snr(self):
         # The reported beam choice trades alignment against effective norm,

@@ -160,6 +160,14 @@ class TestSpecialFunctions:
         value = beta_function(2.0**16, 1.5)
         assert math.isfinite(value) and value > 0
 
+    @pytest.mark.parametrize("b", [0.5, 1.0, 1.5, 2.0, 3.0, 7.25])
+    def test_beta_against_mpmath_up_to_lopsided(self, b):
+        # B(2**62, 1.5) is 8.9e-29; lgamma(a) - lgamma(a + b) cancels there.
+        with mpmath.workdps(50):
+            for e in range(63):
+                expected = mpmath.beta(2**e, b)
+                assert abs(beta_function(2.0**e, b) - expected) <= 1e-12 * expected, e
+
     def test_beta_domain(self):
         with pytest.raises(DomainError):
             beta_function(0.0, 1.0)

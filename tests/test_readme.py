@@ -1,0 +1,14 @@
+"""README's library example runs as written, so a renamed or removed name
+cannot leave it stale."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_python_blocks_run():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
