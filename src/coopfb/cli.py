@@ -299,8 +299,8 @@ def run(argv=None) -> int:
             return 0
         paths = _emit(_out_dir(args), result)
         print(f"{result.experiment}: wrote {', '.join(str(p) for p in paths)}")
-    except (ConfigError, analysis.InvalidRegime, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, analysis.InvalidRegime, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -1,14 +1,17 @@
 """Trial orchestration, empirical statistics, and the experiments with the
 spec of each command (:data:`SPECS`).
 
-The pipeline is vectorised across the users of a block of trials, in the
-rate engine and in the distribution samplers, through the one stacked QBC
-stage of ``qbc`` (modified Gram-Schmidt, then a solve on the R factor; the
-same sequence as the single-channel path), which ``cooperation`` also runs
-for local acquisition.
-Every random quantity is keyed by (seed, trial, purpose), so results are
-bit-identical for any worker count, and trials resample their draws when a
-channel comes out numerically rank deficient (counted, never silently).
+Every experiment runs its trials through one Monte Carlo map,
+:func:`_simulate`. A block kernel takes one stream per trial and returns
+one row per trial: fig3's local error, the fig5/fig6/fig9 pair draws,
+fig9's surrogate norm, or the sum-rates of fig7, fig8 and sweep. The map
+runs it over the trial range in blocks on the worker processes, and redoes
+a block with a degenerate draw trial by trial on resample streams (counted,
+never silently). The kernels are vectorised across the users of a block
+through the one stacked QBC stage of ``qbc`` (modified Gram-Schmidt, then a
+solve on the R factor), which ``cooperation`` also runs for local
+acquisition. Every random quantity is keyed by (seed, trial, purpose), so
+results are bit-identical for any worker count and block boundary.
 """
 
 from __future__ import annotations
@@ -303,10 +306,10 @@ def evaluate_mode(ws: TrialWorkspace, mode: str, rho_lin: np.ndarray) -> _ModeEv
 
 
 # ---------------------------------------------------------------------------
-# Blocks of trials: the rate engine and the distribution samplers
+# The Monte Carlo map: block kernels over the trial range
 # ---------------------------------------------------------------------------
 
-# Trials stacked into one pass of the batched kernel. The samplers bound a
+# Trials stacked into one pass of a block kernel. The samplers bound a
 # block by its local-codebook rows (trials x codewords): 64 trials up to
 # 1,024-word codebooks, fewer beyond. The rate engine bounds it by users
 # (trials x k): 16 trials at k = 16, one trial from k = 129 on.
@@ -323,30 +326,62 @@ def _rate_block_trials(cfg: SystemConfig) -> int:
     return max(1, min(_BLOCK, _BLOCK_USERS // cfg.k))
 
 
-def _blocked(kernel: Callable, seed: int, lo: int, hi: int, size: int):
-    """Yield ``(kernel(rngs), resamples)`` over the trials ``[lo, hi)`` in
-    blocks of ``size`` trials, one stream per trial.
+def _worker_count(workers: int, n_trials: int, cpus: Optional[int]) -> int:
+    """Processes to run: the requested count, capped at the CPU count and
+    at the trial count (which caps the chunk count)."""
+    if workers < 1:
+        raise ConfigError(f"need workers >= 1, got workers={workers}")
+    return min(workers, cpus or 1, n_trials)
+
+
+def _parallel_chunks(fn, n_trials: int, workers: int) -> list:
+    """Run ``fn(lo, hi)`` over a partition of the trial range.
+
+    Results come back in chunk order; per-trial outputs depend only on the
+    trial index, so the assembled output is identical for any worker count.
+    """
+    workers = _worker_count(workers, n_trials, os.cpu_count())
+    if workers == 1:
+        return [fn(0, n_trials)]
+    chunks = min(workers * 4, n_trials)
+    bounds = np.linspace(0, n_trials, chunks + 1).astype(int)
+    spans = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    try:
+        ctx = multiprocessing.get_context("fork")
+    except ValueError:
+        ctx = multiprocessing.get_context()
+    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+        futures = [pool.submit(fn, lo, hi) for lo, hi in spans]
+        return [f.result() for f in futures]
+
+
+def _sampled(kernel: Callable, seed: int, size: int, lo: int, hi: int):
+    """Rows of ``kernel(rngs)`` (one per stream) stacked over the trials
+    ``[lo, hi)`` in blocks of ``size`` trials, and the resample count.
 
     A block that hits a degenerate draw is redone trial by trial on each
-    trial's resample streams, one yield per trial, so no trial's output or
-    resample count depends on where the block boundaries fall.
+    trial's resample streams, so no trial's row or resample count depends
+    on where the block boundaries fall.
     """
+    parts, resamples = [], 0
     for start in range(lo, hi, size):
         trials = range(start, min(start + size, hi))
         try:
-            out = kernel([derive_trial_rng(seed, t) for t in trials])
+            parts.append(kernel([derive_trial_rng(seed, t) for t in trials]))
         except _DEGENERATE:
             for trial in trials:
-                yield _resampled(lambda rng: kernel([rng]), seed, trial)
-        else:
-            yield out, 0
+                rows, attempt = _resampled(lambda rng: kernel([rng]), seed, trial)
+                parts.append(rows)
+                resamples += attempt
+    return np.concatenate(parts), resamples
 
 
-def _sampled(kernel: Callable, cfg: SystemConfig, lo: int, hi: int):
-    """Rows of ``kernel`` (one per stream) stacked over the trials
-    ``[lo, hi)`` in blocks of :func:`_block_trials`, and the resample count."""
-    parts = list(_blocked(kernel, cfg.seed, lo, hi, _block_trials(cfg)))
-    return np.concatenate([rows for rows, _ in parts]), sum(attempts for _, attempts in parts)
+def _simulate(kernel: Callable, cfg: SystemConfig, size: int, workers: int):
+    """Rows of ``kernel`` over every trial of ``cfg`` in trial order, run in
+    blocks of ``size`` trials on ``workers`` processes, and the resample
+    count. Every experiment's trials go through here."""
+    chunks = _parallel_chunks(partial(_sampled, kernel, cfg.seed, size), cfg.trials, workers)
+    return np.concatenate([rows for rows, _ in chunks]), sum(attempts for _, attempts in chunks)
 
 
 def _local_codebooks(cfg: SystemConfig, rngs: Sequence[RandomStream]) -> LocalCodebook:
@@ -383,83 +418,31 @@ def _local_error_block(cfg: SystemConfig, rngs: Sequence[RandomStream]) -> np.nd
     return cooperation.acquire_local_csi(h, _local_codebooks(cfg, rngs)).sin2_error
 
 
-def _surrogate_norm_sample(cfg: SystemConfig, trial: int, omega: float) -> float:
-    """Stacked-norm surrogate: covariance-modelled channel plus a
-    unit-modulus combining direction (quadratic-form sampling)."""
-    gen = derive_trial_rng(cfg.seed, trial, "surrogate").generator()
+def _surrogate_block(cfg: SystemConfig, omega: float, rngs: Sequence[RandomStream]) -> np.ndarray:
+    """Stacked-norm surrogate, one sample per stream's ``"surrogate"``
+    child: a covariance-modelled channel plus a unit-modulus combining
+    direction (quadratic-form sampling)."""
     n, m = cfg.n, cfg.m
-    hw = complex_gaussian(gen, (n + 1, m))
-    hw[n] *= math.sqrt((1.0 - omega) * (m - n + 1.0) / m)
-    psi = gen.uniform(0.0, 2.0 * np.pi, n + 1)
-    w = np.exp(1j * psi) / math.sqrt(n + 1.0)
-    solved = np.linalg.solve(hw @ hw.conj().T, w)
-    return float(1.0 / np.vdot(w, solved).real)
+    hw, w = [], []
+    for rng in rngs:
+        gen = rng.child("surrogate").generator()
+        hw.append(complex_gaussian(gen, (n + 1, m)))
+        w.append(np.exp(1j * gen.uniform(0.0, 2.0 * np.pi, n + 1)) / math.sqrt(n + 1.0))
+    hw, w = np.stack(hw), np.stack(w)[:, :, None]
+    hw[:, n] *= math.sqrt((1.0 - omega) * (m - n + 1.0) / m)
+    solved = np.linalg.solve(hw @ hw.conj().transpose(0, 2, 1), w)
+    return 1.0 / (w.conj().transpose(0, 2, 1) @ solved)[:, 0, 0].real
 
 
-# ---------------------------------------------------------------------------
-# Parallel map over trial chunks
-# ---------------------------------------------------------------------------
-
-
-def _worker_count(workers: int, n_trials: int, cpus: Optional[int]) -> int:
-    """Processes to run: the requested count, capped at the CPU count and
-    at the trial count (which caps the chunk count)."""
-    if workers < 1:
-        raise ConfigError(f"need workers >= 1, got workers={workers}")
-    return min(workers, cpus or 1, n_trials)
-
-
-def _parallel_chunks(fn, n_trials: int, workers: int) -> list:
-    """Run ``fn(lo, hi)`` over a partition of the trial range.
-
-    Results come back in chunk order; per-trial outputs depend only on the
-    trial index, so the assembled output is identical for any worker count.
-    """
-    workers = _worker_count(workers, n_trials, os.cpu_count())
-    if workers == 1:
-        return [fn(0, n_trials)]
-    chunks = min(workers * 4, n_trials)
-    bounds = np.linspace(0, n_trials, chunks + 1).astype(int)
-    spans = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        ctx = multiprocessing.get_context()
-    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-        futures = [pool.submit(fn, lo, hi) for lo, hi in spans]
-        return [f.result() for f in futures]
-
-
-def _pair_chunk(cfg: SystemConfig, beam: int, lo: int, hi: int):
-    """Pair samples of trials ``[lo, hi)`` as rows ``(hi - lo, 4)`` (see
-    :func:`_pair_block`) plus the resample count."""
-    return _sampled(partial(_pair_block, cfg, beam), cfg, lo, hi)
-
-
-def _local_error_chunk(cfg: SystemConfig, lo: int, hi: int):
-    return _sampled(partial(_local_error_block, cfg), cfg, lo, hi)
-
-
-def _surrogate_chunk(cfg: SystemConfig, omega: float, lo: int, hi: int):
-    return np.array([_surrogate_norm_sample(cfg, t, omega) for t in range(lo, hi)])
-
-
-def _rate_chunk(cfg: SystemConfig, rho_lin: np.ndarray, want_coop: bool, want_conv: bool, lo: int, hi: int):
-    """Per-trial sum-rates ``(hi - lo, r)`` of the cooperative and the
-    conventional mode (None when not wanted), the resample count and the
-    unassigned-beam count over the trials ``[lo, hi)``."""
-    wanted = {analysis.COOPERATIVE: want_coop, analysis.CONVENTIONAL: want_conv}
-    rates = {mode: np.empty((hi - lo, rho_lin.size)) for mode, want in wanted.items() if want}
-    resamples = unassigned = 0
-    kernel = partial(_workspaces, cfg, coop=want_coop, conv=want_conv)
-    for workspaces, attempts in _blocked(kernel, cfg.seed, lo, hi, _rate_block_trials(cfg)):
-        resamples += attempts
-        for ws in workspaces:
-            for mode, trial_rates in rates.items():
-                ev = evaluate_mode(ws, mode, rho_lin)
-                trial_rates[ws.trial - lo] = ev.sum_rate
-                unassigned += int(ev.unassigned.sum())
-    return rates.get(analysis.COOPERATIVE), rates.get(analysis.CONVENTIONAL), resamples, unassigned
+def _rate_block(cfg: SystemConfig, rho_lin: np.ndarray, pipelines: Sequence[str], rngs: Sequence[RandomStream]):
+    """One row per stream: the sum-rate at every SNR of each of
+    ``pipelines`` in turn, then the trial's unassigned beams over them."""
+    coop, conv = (mode in pipelines for mode in (analysis.COOPERATIVE, analysis.CONVENTIONAL))
+    rows = []
+    for ws in _workspaces(cfg, rngs, coop, conv):
+        evals = [evaluate_mode(ws, mode, rho_lin) for mode in pipelines]
+        rows.append(np.concatenate([ev.sum_rate for ev in evals] + [[sum(ev.unassigned.sum() for ev in evals)]]))
+    return np.array(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -523,10 +506,9 @@ def _run_fig3(params: dict, workers: int) -> ExperimentResult:
     resamples = 0
     for bcl in params["bcl_grid"]:
         cfg = _system(params, bcl=int(bcl))
-        chunks = _parallel_chunks(partial(_local_error_chunk, cfg), cfg.trials, workers)
-        samples = np.concatenate([c[0] for c in chunks])
-        resamples += sum(c[1] for c in chunks)
-        mc_mean = float(samples.mean())
+        errors, attempts = _simulate(partial(_local_error_block, cfg), cfg, _block_trials(cfg), workers)
+        resamples += attempts
+        mc_mean = float(errors.mean())
         closed = analysis.expected_local_error(cfg.m, cfg.n, cfg.qcl)
         reference = analysis.reference_local_error(cfg.m, cfg.n, cfg.qcl)
         rows.append((int(bcl), mc_mean, closed, reference))
@@ -536,16 +518,10 @@ def _run_fig3(params: dict, workers: int) -> ExperimentResult:
     return ExperimentResult("fig3", params, columns, rows, aggregates, params["seed"], resamples)
 
 
-def _collect_pair_samples(params: dict, workers: int) -> tuple[SystemConfig, np.ndarray, int]:
-    cfg = _system(params)
-    chunks = _parallel_chunks(partial(_pair_chunk, cfg, params["beam"]), cfg.trials, workers)
-    data = np.concatenate([c[0] for c in chunks], axis=0)  # columns: sin2_local, sin2_global, u2, li
-    return cfg, data, sum(c[1] for c in chunks)
-
-
 def _run_fig5(params: dict, workers: int) -> ExperimentResult:
     """Cdfs of local/global quantization errors and interference powers."""
-    cfg, data, resamples = _collect_pair_samples(params, workers)
+    cfg = _system(params)
+    data, resamples = _simulate(partial(_pair_block, cfg, params["beam"]), cfg, _block_trials(cfg), workers)
     sin2_local, sin2_global, norm2, local_intf = data.T
     global_intf = norm2 * sin2_global
     rows = []
@@ -579,7 +555,9 @@ def _run_fig6(params: dict, workers: int) -> ExperimentResult:
     ``*_small_error`` keys. An upper-tail key is None at an SNR where no
     sample reaches model cdf 0.5.
     """
-    cfg, data, resamples = _collect_pair_samples(params, workers)
+    cfg = _system(params)
+    rhos = [db_to_linear(rho_db) for rho_db in params["rho_db"]]
+    data, resamples = _simulate(partial(_pair_block, cfg, params["beam"]), cfg, _block_trials(cfg), workers)
     sin2_local, sin2_global, norm2, local_intf = data.T
     cos2_global = 1.0 - sin2_global
     rows = []
@@ -589,8 +567,7 @@ def _run_fig6(params: dict, workers: int) -> ExperimentResult:
         "ks_full_small_error": {},
         "ks_upper_tail_small_error": {},
     }
-    for rho_db in params["rho_db"]:
-        rho = db_to_linear(rho_db)
+    for rho_db, rho in zip(params["rho_db"], rhos):
         pars = analysis.derive_params(cfg.m, cfg.n, cfg.qcl, rho)
         c_exact = rho / cfg.m
         c_approx = rho / (cfg.m * pars.alpha)
@@ -635,18 +612,15 @@ def _mode_rates(cfg: SystemConfig, modes: Sequence[str], rho_lin: np.ndarray, wo
             raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     adaptive = "adaptive" in modes
     decisions = [analysis.mode_switch(cfg.k, cfg.m, cfg.n, rho, cfg.bcl) for rho in rho_lin] if adaptive else None
-    pipelines = (analysis.COOPERATIVE, analysis.CONVENTIONAL)  # in _rate_chunk's order
-    wanted = [adaptive or mode in modes for mode in pipelines]
-    chunks = _parallel_chunks(partial(_rate_chunk, cfg, rho_lin, *wanted), cfg.trials, workers)
-    means = {
-        mode: np.concatenate([c[i] for c in chunks], axis=0).mean(axis=0)
-        for i, mode in enumerate(pipelines)
-        if wanted[i]
-    }
+    pipelines = [mode for mode in (analysis.COOPERATIVE, analysis.CONVENTIONAL) if adaptive or mode in modes]
+    kernel = partial(_rate_block, cfg, rho_lin, pipelines)
+    rows, resamples = _simulate(kernel, cfg, _rate_block_trials(cfg), workers)
+    r = rho_lin.size
+    means = {mode: rows[:, i * r : (i + 1) * r].mean(axis=0) for i, mode in enumerate(pipelines)}
     if adaptive:
         picks_coop = [d.mode == analysis.COOPERATIVE for d in decisions]
         means["adaptive"] = np.where(picks_coop, means[analysis.COOPERATIVE], means[analysis.CONVENTIONAL])
-    return means, decisions, sum(c[2] for c in chunks), sum(c[3] for c in chunks)
+    return means, decisions, resamples, int(rows[:, -1].sum())
 
 
 def _run_fig7(params: dict, workers: int) -> ExperimentResult:
@@ -726,15 +700,13 @@ def _run_fig9(params: dict, workers: int) -> ExperimentResult:
     resamples = 0
     for n_rx in params["n_grid"]:
         cfg = _system(params, n=int(n_rx))
-        chunks = _parallel_chunks(partial(_pair_chunk, cfg, params["beam"]), cfg.trials, workers)
-        direct = np.concatenate([c[0] for c in chunks], axis=0)[:, 2]
-        resamples += sum(c[1] for c in chunks)
+        size = _block_trials(cfg)
+        pairs, attempts = _simulate(partial(_pair_block, cfg, params["beam"]), cfg, size, workers)
+        direct = pairs[:, 2]
+        resamples += attempts
         omega = analysis.expected_local_error(cfg.m, cfg.n, cfg.qcl)
         varrho_sq = analysis.effective_norm_params(cfg.m, cfg.n, omega)
-        surrogate_chunks = _parallel_chunks(
-            partial(_surrogate_chunk, cfg, omega), cfg.trials, workers
-        )
-        surrogate = np.concatenate(surrogate_chunks)
+        surrogate, _ = _simulate(partial(_surrogate_block, cfg, omega), cfg, size, workers)
         model = lambda u, _v=varrho_sq, _n=int(n_rx): analysis.effective_norm_cdf(
             u, cfg.m, _n, _v
         )

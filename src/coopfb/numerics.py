@@ -123,13 +123,6 @@ def gram_solve(h, v) -> np.ndarray:
     return np.linalg.solve(gram_matrix(h), h @ _as_vector(v))
 
 
-def ln_gamma(x: float) -> float:
-    """Natural log of the gamma function for ``x > 0``."""
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"ln_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
 def ln_beta(a: float, b: float) -> float:
     """ln B(a, b), symmetric in its arguments as computed.
 

@@ -83,3 +83,15 @@ def local(h, vectors):
     tau = float(np.abs(np.vdot(vectors[q], h_virt)))
     sin2 = min(max(1.0 - tau * tau / np.vdot(h_virt, h_virt).real, 0.0), 1.0)
     return q, tau, z, h_virt, sin2
+
+
+def surrogate_norm(hw, psi, omega):
+    """Stacked-norm surrogate of one draw: the last of the ``n + 1`` rows of
+    ``hw`` ``(n + 1, m)`` scaled to the power the shared local CSI keeps,
+    ``(1 - omega)(m - n + 1)/m``, and the unit-modulus direction with
+    phases ``psi``; returns ``1 / (w^H (H H^H)^-1 w)``."""
+    n, m = hw.shape[0] - 1, hw.shape[1]
+    hw = hw.copy()
+    hw[n] *= np.sqrt((1.0 - omega) * (m - n + 1.0) / m)
+    w = np.exp(1j * psi) / np.sqrt(n + 1.0)
+    return 1.0 / np.vdot(w, np.linalg.solve(hw @ hw.conj().T, w)).real

@@ -209,10 +209,9 @@ class TestCriterion6SinrCdfUpperTail:
         from functools import partial
 
         cfg = SystemConfig(m=4, n=2, k=8, bcl=8, trials=10000, seed=0)
-        chunks = montecarlo._parallel_chunks(
-            partial(montecarlo._pair_chunk, cfg, 0), cfg.trials, WORKERS
+        data, _ = montecarlo._simulate(
+            partial(montecarlo._pair_block, cfg, 0), cfg, montecarlo._block_trials(cfg), WORKERS
         )
-        data = np.concatenate([c[0] for c in chunks], axis=0)
         sin2, norm2, local = data[:, 1], data[:, 2], data[:, 3]
         for rho in (1.0, 10.0, 100.0):
             pars = analysis.derive_params(cfg.m, cfg.n, cfg.qcl, rho)

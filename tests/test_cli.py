@@ -285,6 +285,39 @@ class TestRejectedInputs:
         assert err.startswith("error:") and f"--{key.replace('_', '-')} takes finite numbers" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rho_db", ["4000", "-4000"])
+    @pytest.mark.parametrize("command", ["analyze", "fig6", "fig7", "fig8", "sweep"])
+    def test_snr_of_zero_or_infinite_linear_value_refused(self, tmp_path, capsys, monkeypatch, command, rho_db):
+        from coopfb import montecarlo
+
+        def refuse(*_):
+            raise AssertionError(f"{command} simulated at an SNR of {rho_db} dB")
+
+        monkeypatch.setattr(montecarlo, "_parallel_chunks", refuse)
+        args = [command, f"--rho-db={rho_db}"]
+        if command != "analyze":
+            args += ["--trials", "20", "--out-dir", str(tmp_path)]
+        if command == "fig7":
+            args += ["--k-grid", "50"]
+        status = cli.run(args)
+        assert status == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "0 or infinite on the linear scale" in captured.err
+        assert captured.out == ""
+        assert not list(tmp_path.iterdir())
+
+    def test_codebook_too_large_to_allocate_exits_2(self, tmp_path, capsys, monkeypatch):
+        from coopfb import montecarlo
+
+        def unable(*_):  # what numpy raises for fig5 --bcl 40, without allocating
+            raise MemoryError("Unable to allocate 64.0 TiB for an array with shape (1099511627776, 4)")
+
+        monkeypatch.setattr(montecarlo, "gen_local_codebook", unable)
+        status = cli.run(["fig5", "--bcl", "40", "--trials", "1", "--out-dir", str(tmp_path)])
+        assert status == 2
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
+        assert not list(tmp_path.iterdir())
+
 
 class TestEveryFlagActsOrIsRefused:
     """Every flag the parser ever offered, on every command, either changes
@@ -375,32 +408,32 @@ class TestAdaptiveDecidedFirst:
     cooperative estimate is."""
 
     @pytest.fixture
-    def rate_chunks(self, monkeypatch):
+    def rate_blocks(self, monkeypatch):
         from coopfb import montecarlo
 
         calls = []
-        original = montecarlo._rate_chunk
+        original = montecarlo._rate_block
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(montecarlo, "_rate_chunk", counted)
+        monkeypatch.setattr(montecarlo, "_rate_block", counted)
         return calls
 
-    def test_sweep_adaptive_fails_before_simulating(self, tmp_path, capsys, rate_chunks):
+    def test_sweep_adaptive_fails_before_simulating(self, tmp_path, capsys, rate_blocks):
         status = cli.run(
             ["sweep", "--mode", "adaptive", "--k", "16", "--rho-db", "0..20..5", "--out-dir", str(tmp_path)]
         )
         assert status == 2
         assert "out of regime" in capsys.readouterr().err
-        assert rate_chunks == []
+        assert rate_blocks == []
 
-    def test_fig8_fails_before_simulating(self, tmp_path, capsys, rate_chunks):
+    def test_fig8_fails_before_simulating(self, tmp_path, capsys, rate_blocks):
         status = cli.run(["fig8", "--k", "16", "--n", "2", "--bcl", "8", "--out-dir", str(tmp_path)])
         assert status == 2
         assert "out of regime" in capsys.readouterr().err
-        assert rate_chunks == []
+        assert rate_blocks == []
 
     def test_fig7_estimates_every_point_before_simulating(self, tmp_path, capsys, monkeypatch):
         # k=50 is in regime and k=20 is not: no point may be simulated.
@@ -415,7 +448,7 @@ class TestAdaptiveDecidedFirst:
         assert "error:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    def test_sweep_records_unassigned_beams(self, tmp_path, rate_chunks):
+    def test_sweep_records_unassigned_beams(self, tmp_path, rate_blocks):
         import numpy as np
 
         from coopfb import montecarlo
@@ -428,7 +461,7 @@ class TestAdaptiveDecidedFirst:
             ]
         )
         assert status == 0
-        assert rate_chunks
+        assert rate_blocks
         cfg = SystemConfig(k=8, trials=6)
         rho = db_to_linear(np.array([0.0, 20.0]))
         expected = sum(

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -166,6 +167,16 @@ def assert_same_workspace(got, want):
             assert np.array_equal(getattr(a, name), value), (stage, name)
 
 
+def rate_chunk(cfg, rho_lin, lo, hi):
+    """Per-trial cooperative and conventional sum-rates over the trials
+    ``[lo, hi)``, the resample count and the unassigned-beam count, read
+    off the rate kernel's rows."""
+    kernel = partial(montecarlo._rate_block, cfg, rho_lin, ("cooperative", "conventional"))
+    rows, resamples = montecarlo._sampled(kernel, cfg.seed, montecarlo._rate_block_trials(cfg), lo, hi)
+    r = rho_lin.size
+    return rows[:, :r], rows[:, r : 2 * r], resamples, int(rows[:, -1].sum())
+
+
 class TestBlockedEngine:
     """The rate engine builds the workspaces of a block of trials in one
     pass; each trial must come out exactly as it does built alone."""
@@ -188,9 +199,9 @@ class TestBlockedEngine:
         rho_lin = np.array([0.5, 5.0, 50.0])
         n_trials = 50
         split = montecarlo._rate_block_trials(cfg) + 5
-        whole = montecarlo._rate_chunk(cfg, rho_lin, True, True, 0, n_trials)
-        head = montecarlo._rate_chunk(cfg, rho_lin, True, True, 0, split)
-        tail = montecarlo._rate_chunk(cfg, rho_lin, True, True, split, n_trials)
+        whole = rate_chunk(cfg, rho_lin, 0, n_trials)
+        head = rate_chunk(cfg, rho_lin, 0, split)
+        tail = rate_chunk(cfg, rho_lin, split, n_trials)
         for i in (0, 1):
             np.testing.assert_array_equal(whole[i], np.concatenate([head[i], tail[i]]))
         assert whole[2:] == (head[2] + tail[2], head[3] + tail[3])
@@ -206,10 +217,10 @@ class TestBlockedEngine:
         rho_lin = np.array([1.0, 10.0])
         size = montecarlo._rate_block_trials(cfg)
         n_trials, bad = 2 * size + 4, size + 3
-        clean = montecarlo._rate_chunk(cfg, rho_lin, True, True, 0, n_trials)
+        clean = rate_chunk(cfg, rho_lin, 0, n_trials)
         assert clean[2] == 0
         zero_channels_at(monkeypatch, bad)
-        coop, conv, resamples, _ = montecarlo._rate_chunk(cfg, rho_lin, True, True, 0, n_trials)
+        coop, conv, resamples, _ = rate_chunk(cfg, rho_lin, 0, n_trials)
         assert resamples == 1
         ws = build_workspace(cfg, bad, coop=True, conv=True)
         redraw = derive_trial_rng(cfg.seed, bad).child("resample", 1)
@@ -289,13 +300,15 @@ class TestExperimentDeterminism:
         res2 = run_experiment("fig8", dict(overrides), workers=3)
         assert res1.rows == res2.rows
         assert res1.aggregates == res2.aggregates
-        # The blocked samplers: two workers split the trials into chunks
-        # whose edges are not multiples of the block size.
+        # Every other simulating command: two workers split the trials into
+        # chunks whose edges are not multiples of the block size.
         sampled = {
             "fig3": dict(trials=150, bcl_grid=[2, 6]),
             "fig5": dict(trials=150),
             "fig6": dict(trials=150, rho_db=[10.0]),
+            "fig7": dict(trials=12, k_grid=[50], rho_db=[0.0, 10.0]),
             "fig9": dict(trials=150),
+            "sweep": dict(trials=40, modes=["cooperative", "conventional"], rho_db=[0.0, 10.0]),
         }
         for experiment, params in sampled.items():
             one = run_experiment(experiment, dict(params), workers=1)

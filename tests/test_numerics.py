@@ -14,7 +14,6 @@ from coopfb.numerics import (
     binomial,
     gram_solve,
     haar_unitary,
-    ln_gamma,
     orthonormal_basis,
 )
 
@@ -129,21 +128,6 @@ class TestGramSolve:
 
 
 class TestSpecialFunctions:
-    def test_ln_gamma_known_values(self):
-        assert ln_gamma(1.0) == 0.0
-        assert abs(ln_gamma(5.0) - math.log(24.0)) < 1e-12
-        assert abs(ln_gamma(0.5) - math.log(math.sqrt(math.pi))) < 1e-12
-
-    def test_ln_gamma_against_arbitrary_precision(self):
-        for x in [0.1, 0.5, 1.5, 7.3, 29.99, 30.0]:
-            expected = float(mpmath.loggamma(x))
-            assert abs(ln_gamma(x) - expected) <= 1e-10 * max(1.0, abs(expected))
-
-    def test_ln_gamma_domain(self):
-        for x in (0.0, -1.0, math.nan):
-            with pytest.raises(DomainError):
-                ln_gamma(x)
-
     def test_beta_identity(self):
         assert abs(beta_function(1.0, 1.5) - 1 / 1.5) < 1e-12
 

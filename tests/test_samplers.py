@@ -6,6 +6,8 @@ basis, projection, Gram solve per channel). The samplers take the stacked
 stages of ``qbc`` and ``cooperation``, which share none of that arithmetic.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,25 @@ def oracle_local_error(cfg, trial):
     raise AssertionError(f"oracle trial {trial} never drew a full-rank channel")
 
 
+def pair_chunk(cfg, lo, hi):
+    """The pair sampler's rows at beam 0 over the trials ``[lo, hi)``, and
+    the resample count."""
+    kernel = partial(montecarlo._pair_block, cfg, 0)
+    return montecarlo._sampled(kernel, cfg.seed, montecarlo._block_trials(cfg), lo, hi)
+
+
+def local_error_chunk(cfg, lo, hi):
+    kernel = partial(montecarlo._local_error_block, cfg)
+    return montecarlo._sampled(kernel, cfg.seed, montecarlo._block_trials(cfg), lo, hi)
+
+
+def oracle_surrogate(cfg, trial, omega):
+    """One stacked-norm surrogate sample from the trial's own stream."""
+    gen = derive_trial_rng(cfg.seed, trial, "surrogate").generator()
+    hw = complex_gaussian(gen, (cfg.n + 1, cfg.m))
+    return reference.surrogate_norm(hw, gen.uniform(0.0, 2.0 * np.pi, cfg.n + 1), omega)
+
+
 def cfg_for(n, trials=300, seed=11):
     return SystemConfig(m=4, n=n, k=8, bcl=8, trials=trials, seed=seed)
 
@@ -86,7 +107,7 @@ def zero_channels_at(monkeypatch, trial):
 class TestAgainstOracle:
     def test_pair_chunk(self, n):
         cfg = cfg_for(n)
-        rows, resamples = montecarlo._pair_chunk(cfg, 0, 0, cfg.trials)
+        rows, resamples = pair_chunk(cfg, 0, cfg.trials)
         assert rows.shape == (cfg.trials, 4)
         expected = [oracle_pair(cfg, t) for t in range(cfg.trials)]
         np.testing.assert_allclose(rows, [e[0] for e in expected], rtol=RTOL, atol=ATOL)
@@ -94,7 +115,7 @@ class TestAgainstOracle:
 
     def test_local_error_chunk(self, n):
         cfg = cfg_for(n)
-        errors, resamples = montecarlo._local_error_chunk(cfg, 0, cfg.trials)
+        errors, resamples = local_error_chunk(cfg, 0, cfg.trials)
         expected = [oracle_local_error(cfg, t) for t in range(cfg.trials)]
         np.testing.assert_allclose(errors, [e[0] for e in expected], rtol=RTOL, atol=ATOL)
         assert resamples == sum(e[1] for e in expected)
@@ -107,21 +128,21 @@ class TestBlockBoundaries:
         size = montecarlo._block_trials(cfg)
         assert size == (64 if bcl == 8 else 16)
         split = size + 7
-        whole, _ = montecarlo._pair_chunk(cfg, 0, 0, cfg.trials)
-        head, _ = montecarlo._pair_chunk(cfg, 0, 0, split)
-        tail, _ = montecarlo._pair_chunk(cfg, 0, split, cfg.trials)
+        whole, _ = pair_chunk(cfg, 0, cfg.trials)
+        head, _ = pair_chunk(cfg, 0, split)
+        tail, _ = pair_chunk(cfg, split, cfg.trials)
         np.testing.assert_array_equal(whole, np.concatenate([head, tail]))
-        errors, _ = montecarlo._local_error_chunk(cfg, 0, cfg.trials)
-        parts = [montecarlo._local_error_chunk(cfg, lo, hi)[0] for lo, hi in ((0, split), (split, cfg.trials))]
+        errors, _ = local_error_chunk(cfg, 0, cfg.trials)
+        parts = [local_error_chunk(cfg, lo, hi)[0] for lo, hi in ((0, split), (split, cfg.trials))]
         np.testing.assert_array_equal(errors, np.concatenate(parts))
 
 
 class TestForcedResample:
     def test_pair_trial_resamples_like_the_oracle(self, monkeypatch):
         cfg = cfg_for(2, trials=40)
-        clean, _ = montecarlo._pair_chunk(cfg, 0, 0, cfg.trials)
+        clean, _ = pair_chunk(cfg, 0, cfg.trials)
         zero_channels_at(monkeypatch, 17)
-        rows, resamples = montecarlo._pair_chunk(cfg, 0, 0, cfg.trials)
+        rows, resamples = pair_chunk(cfg, 0, cfg.trials)
         expected, attempt = oracle_pair(cfg, 17)
         assert attempt == 1 and resamples == 1
         np.testing.assert_allclose(rows[17], expected, rtol=RTOL, atol=ATOL)
@@ -130,11 +151,27 @@ class TestForcedResample:
 
     def test_local_error_trial_resamples_like_the_oracle(self, monkeypatch):
         cfg = cfg_for(3, trials=40)
-        clean, _ = montecarlo._local_error_chunk(cfg, 0, cfg.trials)
+        clean, _ = local_error_chunk(cfg, 0, cfg.trials)
         zero_channels_at(monkeypatch, 3)
-        errors, resamples = montecarlo._local_error_chunk(cfg, 0, cfg.trials)
+        errors, resamples = local_error_chunk(cfg, 0, cfg.trials)
         expected, attempt = oracle_local_error(cfg, 3)
         assert attempt == 1 and resamples == 1
         np.testing.assert_allclose(errors[3], expected, rtol=RTOL, atol=ATOL)
         others = np.arange(cfg.trials) != 3
         np.testing.assert_array_equal(errors[others], clean[others])
+
+
+class TestSurrogateBlock:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_split_range_concatenates_and_matches_reference(self, n):
+        cfg = cfg_for(n, trials=150)
+        omega = 0.2
+        kernel = partial(montecarlo._surrogate_block, cfg, omega)
+        size = montecarlo._block_trials(cfg)
+        split = size + 7
+        whole, resamples = montecarlo._sampled(kernel, cfg.seed, size, 0, cfg.trials)
+        parts = [montecarlo._sampled(kernel, cfg.seed, size, lo, hi)[0] for lo, hi in ((0, split), (split, cfg.trials))]
+        np.testing.assert_array_equal(whole, np.concatenate(parts))
+        assert resamples == 0
+        expected = [oracle_surrogate(cfg, t, omega) for t in range(cfg.trials)]
+        np.testing.assert_allclose(whole, expected, rtol=1e-12, atol=0)
