@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics, qbc
+from . import numerics, qbc, scheduler
 from .model import GlobalCodebook, LocalCodebook
 
 
@@ -148,14 +148,14 @@ def acquire_global_csi(
 def assign_roles(
     pair: tuple[int, int], csi_a: qbc.CsiReport, csi_b: qbc.CsiReport
 ) -> RoleAssignment:
-    """Pick the pair member with the larger global CQI as main user.
-
-    Ties go to the lower index. Pairs are (even, even+1) in 0-based user
-    numbering.
-    """
+    """:func:`scheduler.main_users` on the pair's own reports, as a stack of
+    one: the larger global CQI wins, the lower index on a tie. Pairs are
+    (even, even+1) in 0-based user numbering."""
     a, b = pair
     if b != a + 1 or a % 2 != 0:
         raise ValueError(f"users pair as (even, even+1); got ({a}, {b})")
-    if csi_a.cqi >= csi_b.cqi:
-        return RoleAssignment(mu=a, au=b, mu_csi=csi_a)
-    return RoleAssignment(mu=b, au=a, mu_csi=csi_b)
+    cqi = np.array([csi_a.cqi, csi_b.cqi])
+    if (csi_a.user, csi_b.user) != (a, b) or not np.isfinite(cqi).all():
+        raise ValueError(f"pair {pair} needs own finite CQIs; got {csi_a.user}: {csi_a.cqi}, {csi_b.user}: {csi_b.cqi}")
+    mu = int(scheduler.main_users(cqi)[0])
+    return RoleAssignment(mu=pair[mu], au=pair[1 - mu], mu_csi=(csi_a, csi_b)[mu])

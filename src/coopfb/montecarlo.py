@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import analysis, cooperation, numerics, qbc
+from . import analysis, cooperation, numerics, qbc, scheduler
 from .model import (
     MODES,
     ConfigError,
@@ -266,36 +266,17 @@ def evaluate_mode(ws: TrialWorkspace, mode: str, rho_lin: np.ndarray) -> _ModeEv
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    cqi = sel_sig[None, :, :] / (noise[:, None, None] + sel_intf[None, :, :])  # (r, k, m)
-    beam = np.argmax(cqi, axis=2)  # (r, k); ties resolve to the lowest beam
-    cqi_sel = np.take_along_axis(cqi, beam[:, :, None], axis=2)[:, :, 0]
-
+    beam, cqi = qbc.best_beam(sel_sig[None], sel_intf[None], noise[:, None, None])  # (r, k)
+    reporters = np.broadcast_to(np.arange(cfg.k), beam.shape)
     if mode == analysis.COOPERATIVE:
-        evens = np.arange(0, cfg.k, 2)
-        odds = evens + 1
-        # Larger global CQI wins the main-user role; ties to the lower index.
-        reporters = np.where(cqi_sel[:, evens] >= cqi_sel[:, odds], evens, odds)  # (r, k/2)
-        rep_beam = np.take_along_axis(beam, reporters, axis=1)
-        rep_cqi = np.take_along_axis(cqi_sel, reporters, axis=1)
-    else:
-        reporters = np.broadcast_to(np.arange(cfg.k), beam.shape)
-        rep_beam = beam
-        rep_cqi = cqi_sel
-
-    r_axis = np.arange(rho_lin.size)
-    users = np.full((rho_lin.size, m), -1, dtype=np.int64)
-    reported = np.full((rho_lin.size, m), np.nan)
-    gamma_num = np.zeros((rho_lin.size, m))
-    for target in range(m):
-        mask = rep_beam == target
-        has = mask.any(axis=1)
-        masked = np.where(mask, rep_cqi, -np.inf)
-        pick = np.argmax(masked, axis=1)  # first max -> lowest user index
-        chosen = reporters[r_axis, pick]
-        users[:, target] = np.where(has, chosen, -1)
-        reported[:, target] = np.where(has, masked[r_axis, pick], np.nan)
-        gamma = dl_sig[chosen, target] / (noise + dl_intf[chosen, target])
-        gamma_num[:, target] = np.where(has, gamma, 0.0)
+        reporters = scheduler.main_users(cqi)  # (r, k/2)
+        beam, cqi = (np.take_along_axis(a, reporters, axis=1) for a in (beam, cqi))
+    pick = scheduler.per_beam(beam, cqi, m)  # (r, m) reporter index, -1 when unassigned
+    has = pick >= 0
+    users = np.where(has, np.take_along_axis(reporters, pick, axis=1), -1)
+    reported = np.where(has, np.take_along_axis(cqi, pick, axis=1), np.nan)
+    served = np.arange(m)
+    gamma_num = np.where(has, dl_sig[users, served] / (noise[:, None] + dl_intf[users, served]), 0.0)
     return _ModeEval(
         users=users,
         reported=reported,

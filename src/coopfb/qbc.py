@@ -121,14 +121,22 @@ def sinr_for_beam(h_eff: np.ndarray, codebook: GlobalCodebook, beam: int, rho: f
     return float(signal / (m / rho + (powers.sum() - signal)))
 
 
+def best_beam(sig: np.ndarray, intf: np.ndarray, noise) -> tuple[np.ndarray, np.ndarray]:
+    """Each stack row's best beam over the last axis and its CQI
+    ``sig / (noise + intf)``; ties go to the lowest beam."""
+    cqi = sig / (noise + intf)
+    beam = np.argmax(cqi, axis=-1)
+    return beam, np.take_along_axis(cqi, beam[..., None], axis=-1)[..., 0]
+
+
 def select_csi(h: np.ndarray, codebook: GlobalCodebook, rho: float, user: int = 0) -> CsiReport:
     """Evaluate every beam and report the SINR-maximising one.
 
-    Ties break toward the lowest beam index so regression runs are
-    deterministic. A beam whose codeword is orthogonal to the channel
-    subspace cannot be served at all and is skipped; at least one beam
-    always has a nonzero projection. The reported CQI and combiner are
-    those of :func:`combine_for_codeword` toward the chosen beam.
+    :func:`best_beam` picks the beam, so ties go to the lowest index. A
+    beam whose codeword is orthogonal to the channel subspace cannot be
+    served at all and is skipped; at least one beam always has a nonzero
+    projection. The reported CQI and combiner are those of
+    :func:`combine_for_codeword` toward the chosen beam.
     """
     h1, basis, r = _stack_of_one(h)
     cb = codebook.matrix
@@ -137,7 +145,7 @@ def select_csi(h: np.ndarray, codebook: GlobalCodebook, rho: float, user: int = 
     if served.size == 0:
         raise numerics.DegenerateProjection("no codeword projects onto the channel subspace")
     sig, intf = _beam_powers(*_qbc_stage(basis, r, cb[:, served])[:2])
-    beam = int(served[np.argmax(sig[0] / (codebook.num_beams / rho + intf[0]))])
+    beam = int(served[best_beam(sig[0], intf[0], codebook.num_beams / rho)[0]])
     combined = _combine_one(h1, basis, r, codebook.codeword(beam))
     cqi = sinr_for_beam(combined.h_eff, codebook, beam, rho)
     return CsiReport(user=user, beam=beam, cqi=cqi, combiner=combined.combiner)

@@ -1,9 +1,13 @@
-"""Access-point side user selection: one user per beam by reported CQI."""
+"""The selection rules after each user's beam pick (:func:`qbc.best_beam`),
+for stacks: each pair's main user and one reporter per beam by CQI. The
+per-user functions run them on a stack of one."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Optional
+
+import numpy as np
 
 from .qbc import CsiReport
 
@@ -21,17 +25,35 @@ class ScheduleResult:
         return [beam for beam, user in enumerate(self.assignment) if user is not None]
 
 
-def schedule_users(reports: Iterable[CsiReport], num_beams: int, mode: str = "conventional") -> ScheduleResult:
-    """Per-beam argmax of reported CQI; ties go to the lowest user index.
+def main_users(cqi: np.ndarray) -> np.ndarray:
+    """Main user of each pair (even, even+1) over the last axis of ``cqi``;
+    the even user wins on ``>=``."""
+    evens = np.arange(0, cqi.shape[-1], 2)
+    return np.where(cqi[..., 0::2] >= cqi[..., 1::2], evens, evens + 1)
 
-    Each user reports exactly one beam, so no user can win two beams.
-    """
-    best: list[Optional[CsiReport]] = [None] * num_beams
-    for report in sorted(reports, key=lambda r: r.user):
+
+def per_beam(beam: np.ndarray, cqi: np.ndarray, num_beams: int) -> np.ndarray:
+    """Each beam's reporter ``(r, num_beams)`` with the largest CQI among
+    stacked reports ``(r, reporters)``: the lowest index on a tie, -1 on a
+    beam nobody reports."""
+    winners = np.full(beam.shape[:-1] + (num_beams,), -1, dtype=np.int64)
+    for target in range(num_beams if beam.shape[-1] else 0):  # argmax needs a reporter
+        mask = beam == target
+        pick = np.argmax(np.where(mask, cqi, -np.inf), axis=-1)  # first max
+        winners[..., target] = np.where(mask.any(axis=-1), pick, -1)
+    return winners
+
+
+def schedule_users(reports: Iterable[CsiReport], num_beams: int, mode: str = "conventional") -> ScheduleResult:
+    """:func:`per_beam` on the reports sorted by user: ties go to the lowest user. Each
+    user may report once, on one beam, so no user can win two beams."""
+    reports = sorted(reports, key=lambda r: r.user)
+    for i, report in enumerate(reports):
         if not 0 <= report.beam < num_beams:
             raise ValueError(f"report for user {report.user} names beam {report.beam} outside 0..{num_beams - 1}")
-        incumbent = best[report.beam]
-        if incumbent is None or report.cqi > incumbent.cqi:
-            best[report.beam] = report
-    assignment = tuple(r.user if r is not None else None for r in best)
-    return ScheduleResult(assignment=assignment, mode=mode)
+        if i and report.user == reports[i - 1].user:
+            raise ValueError(f"user {report.user} reports more than once")
+        if not np.isfinite(report.cqi):
+            raise ValueError(f"report for user {report.user} has CQI {report.cqi}, not a finite number")
+    winners = per_beam(np.array([[r.beam for r in reports]]), np.array([[r.cqi for r in reports]]), num_beams)[0]
+    return ScheduleResult(tuple(reports[i].user if i >= 0 else None for i in winners), mode)

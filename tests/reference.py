@@ -1,10 +1,14 @@
-"""Per-channel QBC and local acquisition in numpy alone, as an oracle.
+"""Per-channel QBC, local acquisition and the selection rules in numpy
+alone, as an oracle.
 
 One channel ``h`` ``(n, m)`` and one codeword at a time: the row-space
 basis comes from Householder QR (``np.linalg.qr``) and the combiner from a
-plain solve of the Gram system ``(H H^H) u = H p``. It imports nothing from
-coopfb's kernel (``qbc``, ``cooperation``, ``numerics``), so the per-user
-API and the samplers that share that kernel are checked against arithmetic
+plain solve of the Gram system ``(H H^H) u = H p``. The selection rules
+walk plain lists and tuples: the first maximum (:func:`first_max`), the
+pair rule (:func:`main_user`) and the per-beam argmax (:func:`schedule`).
+It imports nothing from coopfb's kernel (``qbc``, ``cooperation``,
+``numerics``, ``scheduler``, ``montecarlo``), so the per-user API, the
+samplers and the engine that share that kernel are checked against code
 they do not share.
 """
 
@@ -51,24 +55,49 @@ def sinr(h_eff, cb, beam, rho):
     return float(powers[beam] / (cb.shape[1] / rho + powers.sum() - powers[beam]))
 
 
+def first_max(values):
+    """Index of the first largest of ``values``; None when there are none."""
+    best = None
+    for i, value in enumerate(values):
+        if best is None or value > values[best]:
+            best = i
+    return best
+
+
 def select(h, cb, rho):
     """``(beam, cqi, combiner)`` of the SINR-maximising column of ``cb``.
 
     A column orthogonal to the row space is skipped; ties go to the lowest
     index.
     """
-    best = None
+    served = []
     for beam in range(cb.shape[1]):
         try:
             z, h_eff = combine(h, cb[:, beam])
         except Degenerate:
             continue
-        gamma = sinr(h_eff, cb, beam, rho)
-        if best is None or gamma > best[1]:
-            best = (beam, gamma, z)
+        served.append((beam, sinr(h_eff, cb, beam, rho), z))
+    best = first_max([gamma for _, gamma, _ in served])
     if best is None:
         raise Degenerate("no codeword projects onto the channel's row space")
-    return best
+    return served[best]
+
+
+def main_user(cqi_a, cqi_b):
+    """0 when the even user of a pair is its main user, 1 when the odd one
+    is: the larger global CQI wins, and the even user wins a tie."""
+    return 0 if cqi_a >= cqi_b else 1
+
+
+def schedule(reports, num_beams):
+    """Per-beam argmax over ``(user, beam, cqi)`` tuples: the user served
+    on each beam, or None when nobody reports it. The larger CQI wins, and
+    the lower user wins a tie."""
+    best = [None] * num_beams
+    for user, beam, cqi in sorted(reports):
+        if best[beam] is None or cqi > best[beam][1]:
+            best[beam] = (user, cqi)
+    return tuple(None if b is None else b[0] for b in best)
 
 
 def local(h, vectors):

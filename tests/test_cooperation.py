@@ -196,6 +196,17 @@ class TestAssignRoles:
         with pytest.raises(ValueError):
             assign_roles((0, 2), self.report(0, 1.0), self.report(2, 1.0))
 
+    def test_rejects_reports_of_other_users(self):
+        # The main user must carry its own CSI, not its partner's.
+        with pytest.raises(ValueError, match="own finite CQIs"):
+            assign_roles((0, 1), self.report(1, 5.0), self.report(0, 1.0))
+
+    def test_rejects_nan_cqi(self):
+        with pytest.raises(ValueError, match="own finite CQIs"):
+            assign_roles((0, 1), self.report(0, float("nan")), self.report(1, 1.0))
+        with pytest.raises(ValueError, match="own finite CQIs"):
+            assign_roles((0, 1), self.report(0, 1.0), self.report(1, float("nan")))
+
     def test_symmetric_draws_split_evenly(self):
         rng = np.random.default_rng(8)
         wins = 0

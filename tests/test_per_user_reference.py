@@ -23,7 +23,7 @@ from coopfb.model import (
 )
 
 TOL = dict(rtol=1e-10, atol=1e-10)
-KERNEL = {"coopfb.qbc", "coopfb.cooperation", "coopfb.numerics"}
+KERNEL = {"coopfb.qbc", "coopfb.cooperation", "coopfb.numerics", "coopfb.scheduler", "coopfb.montecarlo"}
 
 
 @pytest.mark.parametrize("codebook_mode", ["haar", "dft"])

@@ -31,6 +31,14 @@ class TestScheduleUsers:
         with pytest.raises(ValueError):
             schedule_users([report(0, 4, 1.0)], 4)
 
+    def test_rejects_user_reporting_twice(self):
+        with pytest.raises(ValueError, match="more than once"):
+            schedule_users([report(0, 0, 3.0), report(0, 1, 3.0), report(1, 1, 1.0)], 4)
+
+    def test_rejects_nan_cqi(self):
+        with pytest.raises(ValueError, match="not a finite number"):
+            schedule_users([report(0, 0, float("nan")), report(1, 0, 1.0)], 4)
+
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(1000):
