@@ -104,9 +104,11 @@ def _local_choice(vectors: np.ndarray, basis: np.ndarray) -> np.ndarray:
     The best alignment per codeword is the squared norm of its projection
     onto the channel subspace, so the argmax only needs one correlation pass.
     """
-    # The correlations (k, qcl, n) as real pairs: their sum of squares
-    # needs no temporaries as large as the correlations themselves.
-    pairs = np.matmul(vectors.conj(), basis).view(np.float64)
+    # The conjugated correlations (k, qcl, n) as real pairs: conjugating the
+    # small basis instead of the codebook leaves every square unchanged and
+    # copies no codebook, and the sum of squares needs no temporaries as
+    # large as the correlations themselves.
+    pairs = np.matmul(vectors, basis.conj()).view(np.float64)
     chosen = np.argmax(np.einsum("...i,...i->...", pairs, pairs), axis=-1)
     if vectors.ndim == 2:
         return vectors[chosen]

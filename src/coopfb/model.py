@@ -3,7 +3,9 @@
 The randomness contract: every random quantity is drawn from a stream
 addressed by ``(seed, trial, purpose)``. Streams are derived by hashing the
 label, never by sharing generator state, so results are bit-identical no
-matter how trials are ordered or how many workers run them.
+matter how trials are ordered or how many workers run them. The draws also
+take a block of streams, and use each stream exactly as a call with that
+stream alone does.
 """
 
 from __future__ import annotations
@@ -54,14 +56,28 @@ def derive_trial_rng(seed: int, trial: int, purpose: str = "") -> RandomStream:
     return stream.child(str(purpose)) if purpose else stream
 
 
-def complex_gaussian(gen: np.random.Generator, shape) -> np.ndarray:
+def _generators(rngs, purpose: str) -> list:
+    """Each stream's ``purpose`` child generator, for a block draw."""
+    return [rng.child(purpose).generator() for rng in rngs]
+
+
+def complex_gaussian(gen, shape) -> np.ndarray:
     """i.i.d. CN(0, 1) draws: real/imag parts each have variance 1/2.
 
     Real/imag pairs are drawn per element, so a slice along the leading axis
     consumes the same stream positions no matter how large the full draw is.
+    ``gen`` is one generator, or a sequence of them for a block
+    ``(len(gen),) + shape`` whose slice ``i`` is exactly what ``gen[i]``
+    alone gives.
     """
-    parts = gen.standard_normal(tuple(shape) + (2,))
-    return (parts[..., 0] + 1j * parts[..., 1]) / np.sqrt(2.0)
+    block = not hasattr(gen, "standard_normal")
+    gens, pairs = (gen if block else [gen]), tuple(shape) + (2,)
+    parts = np.empty((len(gens),) + pairs)
+    for out, g in zip(parts, gens):
+        out[...] = g.standard_normal(pairs)
+    z = parts.view(np.complex128)[..., 0]
+    z /= np.sqrt(2.0)
+    return z if block else z[0]
 
 
 def db_to_linear(rho_db):
@@ -129,32 +145,43 @@ class SystemConfig:
 @dataclass(frozen=True)
 class GlobalCodebook:
     """Unitary beamforming codebook; codewords are the columns of ``matrix``,
-    whose ``max |M^H M - I|`` may not exceed ``UNITARY_TOL``."""
+    whose ``max |M^H M - I|`` may not exceed ``UNITARY_TOL``. A stack
+    ``(b, m, m)`` holds one codebook per trial and is checked as a whole."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = self.matrix
-        square = m.ndim == 2 and m.shape[0] == m.shape[1]
-        if not (square and np.abs(m.conj().T @ m - np.eye(len(m))).max() <= UNITARY_TOL):
+        square = m.ndim in (2, 3) and m.shape[-2] == m.shape[-1]
+        if not (square and np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])).max() <= UNITARY_TOL):
             raise ValueError(f"need a square unitary global codebook, max |M^H M - I| <= {UNITARY_TOL}")
 
     @property
     def num_beams(self) -> int:
-        return self.matrix.shape[1]
+        return self.matrix.shape[-1]
 
     def codeword(self, beam: int) -> np.ndarray:
-        return self.matrix[:, beam]
+        return self.matrix[..., beam]
+
+    def unstack(self) -> list["GlobalCodebook"]:
+        """The codebooks of a stack, one per trial, without checking each again."""
+        books = []
+        for matrix in self.matrix:
+            book = object.__new__(GlobalCodebook)
+            object.__setattr__(book, "matrix", matrix)
+            books.append(book)
+        return books
 
 
 @dataclass(frozen=True)
 class LocalCodebook:
-    """RVQ codebook for the cooperation link; codewords are rows of ``vectors``."""
+    """RVQ codebook for the cooperation link; codewords are rows of ``vectors``
+    (a stack ``(b, qcl, m)`` holds one codebook per trial)."""
 
     vectors: np.ndarray
 
     def __len__(self) -> int:
-        return self.vectors.shape[0]
+        return self.vectors.shape[-2]
 
 
 def gen_all_channels(cfg: SystemConfig, rng: RandomStream) -> np.ndarray:
@@ -173,17 +200,31 @@ def dft_matrix(m: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(idx, idx) / m) / np.sqrt(m)
 
 
-def gen_global_codebook(cfg: SystemConfig, rng: RandomStream) -> GlobalCodebook:
-    """Unitary global codebook: Haar-random by default, DFT when configured."""
+def gen_global_codebook(cfg: SystemConfig, rng) -> GlobalCodebook:
+    """Unitary global codebook: Haar-random by default, DFT when configured.
+
+    ``rng`` is one stream, or a sequence of them for a stack ``(b, m, m)``
+    drawn with one QR and checked once; slice ``i`` is exactly the
+    codebook of ``rng[i]`` alone.
+    """
+    block = not isinstance(rng, RandomStream)
+    streams = rng if block else [rng]
     if cfg.codebook_mode == "dft":
-        return GlobalCodebook(dft_matrix(cfg.m))
-    gen = rng.child("global_codebook").generator()
-    return GlobalCodebook(numerics.haar_unitary(cfg.m, gen))
+        matrix = np.repeat(dft_matrix(cfg.m)[None], len(streams), axis=0)
+    else:
+        matrix = numerics.haar_unitary(cfg.m, _generators(streams, "global_codebook"))
+    return GlobalCodebook(matrix if block else matrix[0])
 
 
-def gen_local_codebook(cfg: SystemConfig, rng: RandomStream) -> LocalCodebook:
-    """RVQ codebook: ``qcl`` i.i.d. isotropic unit vectors of length ``m``."""
-    gen = rng.child("local_codebook").generator()
-    vecs = complex_gaussian(gen, (cfg.qcl, cfg.m))
-    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    return LocalCodebook(vecs)
+def gen_local_codebook(cfg: SystemConfig, rng) -> LocalCodebook:
+    """RVQ codebook: ``qcl`` i.i.d. isotropic unit vectors of length ``m``.
+
+    ``rng`` is one stream, or a sequence of them for a stack ``(b, qcl, m)``
+    drawn into one buffer; slice ``i`` is exactly the codebook of ``rng[i]``.
+    """
+    block = not isinstance(rng, RandomStream)
+    streams = rng if block else [rng]
+    vecs = complex_gaussian(_generators(streams, "local_codebook"), (cfg.qcl, cfg.m))
+    for book in vecs:  # a block-wide norm would hold two block-sized temporaries
+        book /= np.linalg.norm(book, axis=1, keepdims=True)
+    return LocalCodebook(vecs if block else vecs[0])

@@ -33,9 +33,9 @@ from .model import (
     MODES,
     ConfigError,
     GlobalCodebook,
-    LocalCodebook,
     RandomStream,
     SystemConfig,
+    _generators,
     complex_gaussian,
     db_to_linear,
     derive_trial_rng,
@@ -188,10 +188,10 @@ def _workspaces(
 ) -> list[TrialWorkspace]:
     """One :class:`TrialWorkspace` per stream, with the users of all the
     streams' trials stacked ``(b*k, ...)`` through the batched stages."""
-    k, n, m = cfg.k, cfg.n, cfg.m
-    h = np.concatenate([complex_gaussian(rng.child("channels").generator(), (k, n, m)) for rng in rngs])
-    codebooks = [gen_global_codebook(cfg, rng) for rng in rngs]
-    cb = np.repeat(np.stack([c.matrix for c in codebooks]), k, axis=0)  # each trial's, per user
+    k, n, m, b = cfg.k, cfg.n, cfg.m, len(rngs)
+    h = complex_gaussian(_generators(rngs, "channels"), (k, n, m)).reshape(b * k, n, m)
+    codebooks = gen_global_codebook(cfg, rngs)
+    cb = np.repeat(codebooks.matrix, k, axis=0)  # each trial's, per user
 
     basis, r = qbc._subspace(h)
 
@@ -201,14 +201,17 @@ def _workspaces(
 
     coop_arrays = None
     if coop:
-        # The users of a trial quantize against that trial's local codebook,
-        # one trial at a time: all at once would take b*k*qcl*n correlations.
-        v = np.concatenate(
-            [
-                cooperation._local_choice(gen_local_codebook(cfg, rng).vectors, basis[i * k : (i + 1) * k])
-                for i, rng in enumerate(rngs)
-            ]
-        )  # (b*k, m)
+        # The users of a trial pick their codewords against that trial's
+        # local codebook, one trial at a time, to bound peak memory: picking
+        # for a whole block at once (b*k*qcl*n correlations) took
+        # sweep_small_k's peak RSS from 42.0 to 52.3 MiB. For the same reason
+        # the codebooks are drawn in groups of the samplers' row bound.
+        choices, step = [], _block_trials(cfg)
+        for lo in range(0, b, step):
+            group = gen_local_codebook(cfg, rngs[lo : lo + step]).vectors
+            for i, vectors in enumerate(group, start=lo):
+                choices.append(cooperation._local_choice(vectors, basis[i * k : (i + 1) * k]))
+        v = np.concatenate(choices)  # (b*k, m)
         tau, _, h_virt, hv_norm2, sin2_local = cooperation._local_stage(basis, r, v)
 
         # Global acquisition over the partner-stacked (n+1)-row matrices;
@@ -226,11 +229,10 @@ def _workspaces(
         intf_dl = np.maximum(np.sum(heff_dl.real**2 + heff_dl.imag**2, axis=1) - sig_dl, 0.0)
         coop_arrays = _CoopArrays(sig_qu, intf_qu, sig_dl, intf_dl, sin2_local, hv_norm2)
 
-    b = len(rngs)
     return [
         TrialWorkspace(cfg, *_origin(rng), codebook, conv_part, coop_part)
         for rng, codebook, conv_part, coop_part in zip(
-            rngs, codebooks, _per_trial(conv_arrays, b, k), _per_trial(coop_arrays, b, k)
+            rngs, codebooks.unstack(), _per_trial(conv_arrays, b, k), _per_trial(coop_arrays, b, k)
         )
     ]
 
@@ -365,11 +367,6 @@ def _simulate(kernel: Callable, cfg: SystemConfig, size: int, workers: int):
     return np.concatenate([rows for rows, _ in chunks]), sum(attempts for _, attempts in chunks)
 
 
-def _local_codebooks(cfg: SystemConfig, rngs: Sequence[RandomStream]) -> LocalCodebook:
-    """Each stream's own RVQ codebook, stacked ``(b, qcl, m)``."""
-    return LocalCodebook(np.stack([gen_local_codebook(cfg, rng).vectors for rng in rngs]))
-
-
 def _pair_block(cfg: SystemConfig, beam: int, rngs: Sequence[RandomStream]) -> np.ndarray:
     """Cooperation-pair draws evaluated at a fixed beam, one row per stream:
     sin^2 local error, sin^2 global error, squared effective norm, local
@@ -379,9 +376,9 @@ def _pair_block(cfg: SystemConfig, beam: int, rngs: Sequence[RandomStream]) -> n
     distributions the closed-form chain models (user 0 stacks user 1's
     shared local CSI).
     """
-    pairs = np.stack([complex_gaussian(rng.child("channels").generator(), (2, cfg.n, cfg.m)) for rng in rngs])
-    codewords = np.stack([gen_global_codebook(cfg, rng).codeword(beam) for rng in rngs])
-    local = cooperation.acquire_local_csi(pairs[:, 1], _local_codebooks(cfg, rngs))
+    pairs = complex_gaussian(_generators(rngs, "channels"), (2, cfg.n, cfg.m))
+    codewords = gen_global_codebook(cfg, rngs).codeword(beam)
+    local = cooperation.acquire_local_csi(pairs[:, 1], gen_local_codebook(cfg, rngs))
     h_qu = np.concatenate([pairs[:, 0], local.quantized_virtual.conj()[:, None, :]], axis=1)
     combined = qbc.combine_for_codeword(h_qu, codewords)
     h_eff = combined.h_eff
@@ -395,8 +392,8 @@ def _pair_block(cfg: SystemConfig, beam: int, rngs: Sequence[RandomStream]) -> n
 
 def _local_error_block(cfg: SystemConfig, rngs: Sequence[RandomStream]) -> np.ndarray:
     """Selected local quantization error of a single fresh user per stream."""
-    h = np.stack([complex_gaussian(rng.child("channels").generator(), (cfg.n, cfg.m)) for rng in rngs])
-    return cooperation.acquire_local_csi(h, _local_codebooks(cfg, rngs)).sin2_error
+    h = complex_gaussian(_generators(rngs, "channels"), (cfg.n, cfg.m))
+    return cooperation.acquire_local_csi(h, gen_local_codebook(cfg, rngs)).sin2_error
 
 
 def _surrogate_block(cfg: SystemConfig, omega: float, rngs: Sequence[RandomStream]) -> np.ndarray:
@@ -404,12 +401,10 @@ def _surrogate_block(cfg: SystemConfig, omega: float, rngs: Sequence[RandomStrea
     child: a covariance-modelled channel plus a unit-modulus combining
     direction (quadratic-form sampling)."""
     n, m = cfg.n, cfg.m
-    hw, w = [], []
-    for rng in rngs:
-        gen = rng.child("surrogate").generator()
-        hw.append(complex_gaussian(gen, (n + 1, m)))
-        w.append(np.exp(1j * gen.uniform(0.0, 2.0 * np.pi, n + 1)) / math.sqrt(n + 1.0))
-    hw, w = np.stack(hw), np.stack(w)[:, :, None]
+    gens = _generators(rngs, "surrogate")
+    hw = complex_gaussian(gens, (n + 1, m))  # each generator's normals before its uniforms
+    phases = np.stack([gen.uniform(0.0, 2.0 * np.pi, n + 1) for gen in gens])
+    w = np.exp(1j * phases)[:, :, None] / math.sqrt(n + 1.0)
     hw[:, n] *= math.sqrt((1.0 - omega) * (m - n + 1.0) / m)
     solved = np.linalg.solve(hw @ hw.conj().transpose(0, 2, 1), w)
     return 1.0 / (w.conj().transpose(0, 2, 1) @ solved)[:, 0, 0].real

@@ -36,12 +36,11 @@ def per_beam(beam: np.ndarray, cqi: np.ndarray, num_beams: int) -> np.ndarray:
     """Each beam's reporter ``(r, num_beams)`` with the largest CQI among
     stacked reports ``(r, reporters)``: the lowest index on a tie, -1 on a
     beam nobody reports."""
-    winners = np.full(beam.shape[:-1] + (num_beams,), -1, dtype=np.int64)
-    for target in range(num_beams if beam.shape[-1] else 0):  # argmax needs a reporter
-        mask = beam == target
-        pick = np.argmax(np.where(mask, cqi, -np.inf), axis=-1)  # first max
-        winners[..., target] = np.where(mask.any(axis=-1), pick, -1)
-    return winners
+    if not beam.shape[-1]:  # argmax needs a reporter
+        return np.full(beam.shape[:-1] + (num_beams,), -1, dtype=np.int64)
+    mask = beam[..., None, :] == np.arange(num_beams)[:, None]  # (r, num_beams, reporters)
+    pick = np.argmax(np.where(mask, cqi[..., None, :], -np.inf), axis=-1)  # first max
+    return np.where(mask.any(axis=-1), pick, -1)
 
 
 def schedule_users(reports: Iterable[CsiReport], num_beams: int, mode: str = "conventional") -> ScheduleResult:
