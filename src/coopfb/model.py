@@ -163,15 +163,6 @@ class GlobalCodebook:
     def codeword(self, beam: int) -> np.ndarray:
         return self.matrix[..., beam]
 
-    def unstack(self) -> list["GlobalCodebook"]:
-        """The codebooks of a stack, one per trial, without checking each again."""
-        books = []
-        for matrix in self.matrix:
-            book = object.__new__(GlobalCodebook)
-            object.__setattr__(book, "matrix", matrix)
-            books.append(book)
-        return books
-
 
 @dataclass(frozen=True)
 class LocalCodebook:

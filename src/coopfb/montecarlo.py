@@ -8,7 +8,7 @@ fig9's surrogate norm, or the sum-rates of fig7, fig8 and sweep. The map
 runs it over the trial range in blocks on the worker processes, and redoes
 a block with a degenerate draw trial by trial on resample streams (counted,
 never silently). The kernels are vectorised across the users of a block
-through the one stacked QBC stage of ``qbc`` (modified Gram-Schmidt, then a
+through the one stacked QBC stage of ``qbc`` (Householder QR, then a
 solve on the R factor), which ``cooperation`` also runs for local
 acquisition. Every random quantity is keyed by (seed, trial, purpose), so
 results are bit-identical for any worker count and block boundary.
@@ -32,7 +32,6 @@ from . import analysis, cooperation, numerics, qbc, scheduler
 from .model import (
     MODES,
     ConfigError,
-    GlobalCodebook,
     RandomStream,
     SystemConfig,
     _generators,
@@ -134,7 +133,6 @@ class TrialWorkspace:
     cfg: SystemConfig
     trial: int
     resamples: int
-    codebook: GlobalCodebook
     conv: Optional[_ConvArrays]
     coop: Optional[_CoopArrays]
 
@@ -190,8 +188,7 @@ def _workspaces(
     streams' trials stacked ``(b*k, ...)`` through the batched stages."""
     k, n, m, b = cfg.k, cfg.n, cfg.m, len(rngs)
     h = complex_gaussian(_generators(rngs, "channels"), (k, n, m)).reshape(b * k, n, m)
-    codebooks = gen_global_codebook(cfg, rngs)
-    cb = np.repeat(codebooks.matrix, k, axis=0)  # each trial's, per user
+    cb = np.repeat(gen_global_codebook(cfg, rngs).matrix, k, axis=0)  # each trial's, per user
 
     basis, r = qbc._subspace(h)
 
@@ -230,10 +227,8 @@ def _workspaces(
         coop_arrays = _CoopArrays(sig_qu, intf_qu, sig_dl, intf_dl, sin2_local, hv_norm2)
 
     return [
-        TrialWorkspace(cfg, *_origin(rng), codebook, conv_part, coop_part)
-        for rng, codebook, conv_part, coop_part in zip(
-            rngs, codebooks.unstack(), _per_trial(conv_arrays, b, k), _per_trial(coop_arrays, b, k)
-        )
+        TrialWorkspace(cfg, *_origin(rng), conv_part, coop_part)
+        for rng, conv_part, coop_part in zip(rngs, _per_trial(conv_arrays, b, k), _per_trial(coop_arrays, b, k))
     ]
 
 

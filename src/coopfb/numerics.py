@@ -2,10 +2,10 @@
 
 Matrices and vectors are plain numpy arrays (complex128). Everything here
 operates on tiny dimensions (a handful of antennas), so the routines favour
-numerical transparency over asymptotic speed. Orthonormalisation accepts
-stacked inputs ``(..., m, n)`` and applies the one rank rule,
-:func:`check_full_rank`, to the R factor it builds; ``as_channel`` checks
-one channel where the per-user API takes it in.
+numerical transparency over asymptotic speed. The one QR,
+:func:`mgs_columns`, accepts stacked inputs ``(..., m, n)`` and applies the
+one rank rule, :func:`check_full_rank`, to its Householder R factor;
+``as_channel`` checks one channel where the per-user API takes it in.
 """
 
 from __future__ import annotations
@@ -56,34 +56,24 @@ def _as_vector(v) -> np.ndarray:
     return v
 
 
-def mgs_columns(a: np.ndarray) -> np.ndarray:
-    """Orthonormalise the columns of ``a`` (modified Gram-Schmidt).
+def mgs_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(Q, R)`` with ``a = QR`` for a stack ``(..., m, n)``, n <= m: Q has
+    orthonormal columns spanning those of ``a``, slice by slice, and R is
+    upper triangular.
 
-    Runs a second full sweep as a reorthogonalisation pass. Accepts a stack
-    ``(..., m, n)`` with n <= m; the output columns span the same space as
-    the input columns, slice by slice. The first sweep's column norms are
-    the diagonal of the R factor of ``a = QR``; :func:`check_full_rank`
-    refuses a stack that fails the rank rule on them.
+    R is Householder's, and :func:`check_full_rank` refuses a stack that
+    fails the rank rule on its diagonal before anything is divided by it.
+    Q is solved as ``a R^-1``, one row of ``a`` at a time, so equal rows of
+    ``a`` give bit-equal rows of Q; Householder's own Q does not, and would
+    break exact ties between beams. The name is the one the benchmark's
+    tracer wraps.
     """
-    q = np.array(a, dtype=np.complex128)
-    ncols = q.shape[-1]
-    col_norm2 = np.sum(q.real**2 + q.imag**2, axis=-2)
-    diag2 = np.empty_like(col_norm2)
-    for sweep in range(2):
-        for j in range(ncols):
-            col = q[..., :, j]
-            for i in range(j):
-                prev = q[..., :, i]
-                coeff = np.sum(prev.conj() * col, axis=-1)
-                col -= coeff[..., None] * prev
-            norm2 = np.sum(col.real**2 + col.imag**2, axis=-1)
-            # Checked before a collapsed column is divided by its norm; the
-            # second sweep starts from unit columns that passed.
-            if sweep == 0:
-                diag2[..., j] = norm2
-                check_full_rank(diag2[..., : j + 1], col_norm2[..., : j + 1])
-            col /= np.sqrt(norm2)[..., None]
-    return q
+    a = np.asarray(a, dtype=np.complex128)
+    r = np.linalg.qr(a, mode="r")
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    check_full_rank(diag.real**2 + diag.imag**2, np.sum(a.real**2 + a.imag**2, axis=-2))
+    q = np.linalg.solve(r.swapaxes(-1, -2), a.swapaxes(-1, -2))  # Q^T = R^-T a^T
+    return q.swapaxes(-1, -2), r
 
 
 def gram_matrix(h: np.ndarray) -> np.ndarray:
@@ -112,7 +102,7 @@ def orthonormal_basis(h) -> np.ndarray:
     column span of ``h^H`` (the receive subspace a combiner can steer within).
     Raises :class:`RankDeficient` when the rows fail :func:`check_full_rank`.
     """
-    return mgs_columns(as_channel(h).conj().T)
+    return mgs_columns(as_channel(h).conj().T)[0]
 
 
 def gram_solve(h, v) -> np.ndarray:

@@ -3,8 +3,8 @@
 Given a channel matrix and a target codeword, the receive combiner is chosen
 so that the effective channel ``H^H z`` aligns as well as possible with the
 codeword: project the codeword onto the channel's row subspace, then find
-the combiner that reproduces the projection, by solving on the R factor of
-``H^H = QR`` for the row-space basis ``Q``.
+the combiner that reproduces the projection, by solving on the Householder
+R factor of ``H^H = QR``, with the row-space basis ``Q = H^H R^-1``.
 
 One stage does this for stacks of channels ``(k, n, m)``; the per-user
 functions run one channel through it as a stack of one. For a unitary
@@ -74,11 +74,9 @@ def _combine_one(h: np.ndarray, basis: np.ndarray, r: np.ndarray, codeword) -> C
 
 def _subspace(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal row-space bases ``Q`` ``(k, m, rank)`` of stacked channels
-    ``(k, rank, m)`` and the R factors ``Q^H H^H`` ``(k, rank, rank)``;
-    :func:`numerics.mgs_columns` applies the rank rule."""
-    ht = h.conj().transpose(0, 2, 1)
-    basis = numerics.mgs_columns(ht)
-    return basis, np.matmul(basis.conj().transpose(0, 2, 1), ht)
+    ``(k, rank, m)`` and the R factors ``(k, rank, rank)`` of ``H^H = QR``,
+    from :func:`numerics.mgs_columns`, which applies the rank rule."""
+    return numerics.mgs_columns(h.conj().transpose(0, 2, 1))
 
 
 def _qbc_stage(basis: np.ndarray, r: np.ndarray, cb: np.ndarray):

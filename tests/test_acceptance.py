@@ -139,7 +139,7 @@ class TestCriterion4SecondOrderMoments:
         rng = np.random.default_rng(104)
         h = (rng.standard_normal((draws, n, m, 2)) @ np.array([1, 1j])) / np.sqrt(2)
         ht = h.conj().transpose(0, 2, 1)
-        basis = mgs_columns(ht)
+        basis = mgs_columns(ht)[0]
         c = (rng.standard_normal((draws, m, 2)) @ np.array([1, 1j])) / np.sqrt(2)
         c /= np.linalg.norm(c, axis=1, keepdims=True)
         corr = np.matmul(basis.conj().transpose(0, 2, 1), c[:, :, None])[:, :, 0]

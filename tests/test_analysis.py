@@ -106,7 +106,7 @@ class TestLocalErrorCdf:
         rng = np.random.default_rng(6)
         draws = 200_000
         h = (rng.standard_normal((draws, 4, 2)) + 1j * rng.standard_normal((draws, 4, 2))) / np.sqrt(2)
-        basis = mgs_columns(h)
+        basis = mgs_columns(h)[0]
         c = (rng.standard_normal((draws, 4)) + 1j * rng.standard_normal((draws, 4))) / np.sqrt(2)
         c /= np.linalg.norm(c, axis=1, keepdims=True)
         cos2 = np.sum(

@@ -293,7 +293,49 @@ class TestMgsColumns:
     def test_matches_single_matrix_on_stack(self):
         rng = np.random.default_rng(5)
         stack = (rng.standard_normal((6, 4, 2)) + 1j * rng.standard_normal((6, 4, 2))) / np.sqrt(2)
-        batched = numerics.mgs_columns(stack)
+        batched = numerics.mgs_columns(stack)[0]
         for i in range(stack.shape[0]):
-            single = numerics.mgs_columns(stack[i])
+            single = numerics.mgs_columns(stack[i])[0]
             np.testing.assert_array_equal(batched[i], single)
+
+    @staticmethod
+    def gram_error(q):
+        """Spectral norm of ``Q^H Q - I``, slice by slice."""
+        eye = np.eye(q.shape[-1])
+        return np.linalg.norm(q.conj().swapaxes(-1, -2) @ q - eye, ord=2, axis=(-2, -1))
+
+    def test_equal_rows_give_bit_equal_rows_of_q(self):
+        # Each row of Q = a R^-1 is solved from its own row of a. Householder's
+        # Q gives the two entries here different last bits, which would break
+        # an exact tie between beams.
+        q, _ = numerics.mgs_columns(np.array([[1.0, 1.0, 0.0, 0.0]], dtype=complex).T)
+        assert q[0, 0] == q[1, 0]
+        rng = np.random.default_rng(8)
+        stack = (rng.standard_normal((6, 4, 2)) + 1j * rng.standard_normal((6, 4, 2))) / np.sqrt(2)
+        stack[:, 2] = stack[:, 0]
+        q, _ = numerics.mgs_columns(stack)
+        np.testing.assert_array_equal(q[:, 2], q[:, 0])
+        for one in stack:
+            q, _ = numerics.mgs_columns(one)
+            np.testing.assert_array_equal(q[2], q[0])
+
+    def test_factors_gaussian_stacks(self):
+        rng = np.random.default_rng(9)
+        for n in (1, 2, 3, 4):
+            a = (rng.standard_normal((500, 4, n)) + 1j * rng.standard_normal((500, 4, n))) / np.sqrt(2)
+            q, r = numerics.mgs_columns(a)
+            assert q.shape == a.shape and r.shape == (500, n, n)
+            np.testing.assert_array_equal(np.triu(r), r)
+            np.testing.assert_allclose(q @ r, a, rtol=0, atol=1e-12)
+            assert self.gram_error(q).max() <= 1e-12
+
+    def test_orthonormal_near_the_rank_threshold(self):
+        # Two rows at relative angle 1e-5 (rank ratio 1e-10, above RANK_TOL):
+        # solving Q from R loses orthogonality as the rows close up.
+        rng = np.random.default_rng(10)
+        for _ in range(50):
+            h0, d = (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))) / np.sqrt(2)
+            d -= (h0.conj() @ d) / (h0.conj() @ h0) * h0
+            d *= 1e-5 * np.linalg.norm(h0) / np.linalg.norm(d)
+            q, _ = numerics.mgs_columns(np.vstack([h0, h0 + d]).conj().T)
+            assert self.gram_error(q) <= 1e-9

@@ -190,7 +190,7 @@ class TestDistributionalInvariants:
         m, n, draws = 4, 2, 100_000
         rng = np.random.default_rng(77)
         h = (rng.standard_normal((draws, m, n)) + 1j * rng.standard_normal((draws, m, n))) / np.sqrt(2)
-        basis = numerics.mgs_columns(h)
+        basis = numerics.mgs_columns(h)[0]
         c = (rng.standard_normal((draws, m)) + 1j * rng.standard_normal((draws, m))) / np.sqrt(2)
         c /= np.linalg.norm(c, axis=1, keepdims=True)
         cos2 = np.sum(np.abs(np.matmul(basis.conj().transpose(0, 2, 1), c[:, :, None])[:, :, 0]) ** 2, axis=1)
@@ -204,7 +204,7 @@ class TestDistributionalInvariants:
         rng = np.random.default_rng(78)
         h = (rng.standard_normal((draws, n, m)) + 1j * rng.standard_normal((draws, n, m))) / np.sqrt(2)
         ht = h.conj().transpose(0, 2, 1)
-        basis = numerics.mgs_columns(ht)
+        basis = numerics.mgs_columns(ht)[0]
         c = (rng.standard_normal((draws, m)) + 1j * rng.standard_normal((draws, m))) / np.sqrt(2)
         c /= np.linalg.norm(c, axis=1, keepdims=True)
         w = np.matmul(basis.conj().transpose(0, 2, 1), c[:, :, None])
