@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import hashlib
 import json
 import math
@@ -23,18 +22,6 @@ from . import analysis, montecarlo
 from .model import CODEBOOK_MODES, MODES, ConfigError
 
 OUT_DIR_ENV = "COOPFB_OUT_DIR"
-
-
-@dataclasses.dataclass(frozen=True)
-class RunManifest:
-    """What produced a set of output files; re-running an identical manifest
-    reproduces them byte for byte (the timestamp is bookkeeping only)."""
-
-    experiment: str
-    config: dict
-    output_paths: list
-    config_hash: str
-    timestamp: str
 
 
 def _format_cell(value) -> str:
@@ -78,8 +65,10 @@ def write_summary(path: Path, result: montecarlo.ExperimentResult) -> None:
     _write_json(path, payload)
 
 
-def write_manifest(path: Path, manifest: RunManifest) -> None:
-    _write_json(path, dataclasses.asdict(manifest))
+def write_manifest(path: Path, manifest: dict) -> None:
+    """What produced a set of output files; re-running an identical manifest
+    reproduces them byte for byte (the timestamp is bookkeeping only)."""
+    _write_json(path, manifest)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -267,13 +256,13 @@ def _emit(out_dir: Path, result: montecarlo.ExperimentResult) -> list:
     manifest_path = out_dir / f"{result.experiment}_manifest.json"
     write_csv(csv_path, result.columns, result.rows)
     write_summary(json_path, result)
-    manifest = RunManifest(
-        experiment=result.experiment,
-        config=result.config,
-        output_paths=[str(csv_path), str(json_path)],
-        config_hash=_config_hash(result.config),
-        timestamp=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-    )
+    manifest = {
+        "experiment": result.experiment,
+        "config": result.config,
+        "output_paths": [str(csv_path), str(json_path)],
+        "config_hash": _config_hash(result.config),
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
+    }
     write_manifest(manifest_path, manifest)
     return [csv_path, json_path, manifest_path]
 

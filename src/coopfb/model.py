@@ -112,6 +112,10 @@ class SystemConfig:
     codebook_mode: str = "haar"
 
     def __post_init__(self):
+        for name in ("m", "n", "k", "bcl", "trials", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {name}={value!r}")
         if self.n < 1:
             raise ConfigError(f"need n >= 1, got n={self.n}")
         if self.n + 1 > self.m:

@@ -1,5 +1,7 @@
 """Trial orchestration, empirical statistics, and the experiments with the
-spec of each command (:data:`SPECS`).
+spec of each command (:data:`SPECS`). Every run, from the library or the
+command line, enters through :func:`run_experiment`, which checks its
+parameters against the spec and builds its :class:`ExperimentResult`.
 
 Every experiment runs its trials through one Monte Carlo map,
 :func:`_simulate`. A block kernel takes one stream per trial and returns
@@ -201,14 +203,9 @@ def _workspaces(
         # The users of a trial pick their codewords against that trial's
         # local codebook, one trial at a time, to bound peak memory: picking
         # for a whole block at once (b*k*qcl*n correlations) took
-        # sweep_small_k's peak RSS from 42.0 to 52.3 MiB. For the same reason
-        # the codebooks are drawn in groups of the samplers' row bound.
-        choices, step = [], _block_trials(cfg)
-        for lo in range(0, b, step):
-            group = gen_local_codebook(cfg, rngs[lo : lo + step]).vectors
-            for i, vectors in enumerate(group, start=lo):
-                choices.append(cooperation._local_choice(vectors, basis[i * k : (i + 1) * k]))
-        v = np.concatenate(choices)  # (b*k, m)
+        # sweep_small_k's peak RSS from 42.0 to 52.3 MiB.
+        vectors = gen_local_codebook(cfg, rngs).vectors
+        v = np.concatenate([cooperation._local_choice(vectors[i], basis[i * k : (i + 1) * k]) for i in range(b)])
         tau, _, h_virt, hv_norm2, sin2_local = cooperation._local_stage(basis, r, v)
 
         # Global acquisition over the partner-stacked (n+1)-row matrices;
@@ -287,10 +284,10 @@ def evaluate_mode(ws: TrialWorkspace, mode: str, rho_lin: np.ndarray) -> _ModeEv
 # The Monte Carlo map: block kernels over the trial range
 # ---------------------------------------------------------------------------
 
-# Trials stacked into one pass of a block kernel. The samplers bound a
+# Trials stacked into one pass of a block kernel. Every kernel bounds a
 # block by its local-codebook rows (trials x codewords): 64 trials up to
-# 1,024-word codebooks, fewer beyond. The rate engine bounds it by users
-# (trials x k): 16 trials at k = 16, one trial from k = 129 on.
+# 1,024-word codebooks, fewer beyond. The rate engine also bounds it by
+# users (trials x k): 16 trials at k = 16, one trial from k = 129 on.
 _BLOCK = 64
 _BLOCK_ROWS = 64 * 1024
 _BLOCK_USERS = 256
@@ -301,7 +298,7 @@ def _block_trials(cfg: SystemConfig) -> int:
 
 
 def _rate_block_trials(cfg: SystemConfig) -> int:
-    return max(1, min(_BLOCK, _BLOCK_USERS // cfg.k))
+    return max(1, min(_block_trials(cfg), _BLOCK_USERS // cfg.k))
 
 
 def _worker_count(workers: int, n_trials: int, cpus: Optional[int]) -> int:
@@ -401,8 +398,10 @@ def _surrogate_block(cfg: SystemConfig, omega: float, rngs: Sequence[RandomStrea
     phases = np.stack([gen.uniform(0.0, 2.0 * np.pi, n + 1) for gen in gens])
     w = np.exp(1j * phases)[:, :, None] / math.sqrt(n + 1.0)
     hw[:, n] *= math.sqrt((1.0 - omega) * (m - n + 1.0) / m)
-    solved = np.linalg.solve(hw @ hw.conj().transpose(0, 2, 1), w)
-    return 1.0 / (w.conj().transpose(0, 2, 1) @ solved)[:, 0, 0].real
+    # w^H (H H^H)^-1 w = ||R^-H w||^2, since H H^H = R^H R for H^H = QR.
+    r = qbc._subspace(hw)[1]
+    x = np.linalg.solve(r.conj().transpose(0, 2, 1), w)[:, :, 0]
+    return 1.0 / np.sum(x.real**2 + x.imag**2, axis=1)
 
 
 def _rate_block(cfg: SystemConfig, rho_lin: np.ndarray, pipelines: Sequence[str], rngs: Sequence[RandomStream]):
@@ -423,15 +422,19 @@ def _rate_block(cfg: SystemConfig, rho_lin: np.ndarray, pipelines: Sequence[str]
 
 @dataclass
 class ExperimentResult:
-    """Table plus aggregates for one experiment run; reproducible per seed."""
+    """Table plus aggregates for one experiment run; reproducible per seed.
+    Built by :func:`run_experiment` alone."""
 
     experiment: str
     config: dict
     columns: list
     rows: list
     aggregates: dict
-    seed: Optional[int]
     resample_count: int
+
+    @property
+    def seed(self) -> Optional[int]:
+        return self.config.get("seed")
 
 
 _CDF_PROBS = np.arange(1, 200) / 200.0  # quantile grid for cdf-style figures
@@ -442,7 +445,10 @@ class Spec:
     """One command: its runner, the parameters the runner reads with their
     defaults (a list default marks a grid), and the flags, by argparse dest,
     that set a parameter of another name. A tuple of flags sets one grid
-    point of its parameter together."""
+    point of its parameter together.
+
+    ``runner(params, workers)`` returns the run's columns, rows, aggregates
+    and resample count."""
 
     runner: Callable
     params: dict
@@ -451,7 +457,11 @@ class Spec:
 
 
 def run_experiment(experiment: str, overrides: Optional[dict] = None, workers: int = 1) -> ExperimentResult:
-    """Run one command of :data:`SPECS` with ``overrides`` of its parameters."""
+    """Run one command of :data:`SPECS` with ``overrides`` of its parameters.
+
+    A grid parameter takes a list or tuple and any other parameter one
+    value; :class:`SystemConfig` checks the values themselves.
+    """
     if experiment not in SPECS:
         raise ValueError(f"unknown experiment {experiment!r}; expected one of {tuple(SPECS)}")
     spec = SPECS[experiment]
@@ -459,7 +469,13 @@ def run_experiment(experiment: str, overrides: Optional[dict] = None, workers: i
     unknown = sorted(overrides.keys() - spec.params.keys())
     if unknown:
         raise ValueError(f"{experiment} does not accept override(s) {unknown}")
-    return spec.runner(copy.deepcopy({**spec.params, **overrides}), workers)
+    for key, value in overrides.items():
+        grid = isinstance(spec.params[key], list)
+        if grid != isinstance(value, (list, tuple)):
+            shape = "a list" if grid else "a single value"
+            raise ValueError(f"{experiment} takes {shape} for {key!r}, got {value!r}")
+    params = copy.deepcopy({**spec.params, **overrides})
+    return ExperimentResult(experiment, params, *spec.runner(params, workers))
 
 
 def _system(params: dict, **fields) -> SystemConfig:
@@ -470,26 +486,24 @@ def _system(params: dict, **fields) -> SystemConfig:
     return SystemConfig(**{"k": 2 * params["m"], **known, **fields})
 
 
-def _run_fig3(params: dict, workers: int) -> ExperimentResult:
+def _run_fig3(params: dict, workers: int):
     """Mean selected local quantization error vs cooperation-link bits."""
     rows = []
     aggregates = {"rel_err_closed_form": {}, "rel_err_reference": {}}
     resamples = 0
-    for bcl in params["bcl_grid"]:
-        cfg = _system(params, bcl=int(bcl))
+    for cfg in [_system(params, bcl=bcl) for bcl in params["bcl_grid"]]:
         errors, attempts = _simulate(partial(_local_error_block, cfg), cfg, _block_trials(cfg), workers)
         resamples += attempts
         mc_mean = float(errors.mean())
         closed = analysis.expected_local_error(cfg.m, cfg.n, cfg.qcl)
         reference = analysis.reference_local_error(cfg.m, cfg.n, cfg.qcl)
-        rows.append((int(bcl), mc_mean, closed, reference))
-        aggregates["rel_err_closed_form"][str(bcl)] = abs(mc_mean - closed) / mc_mean
-        aggregates["rel_err_reference"][str(bcl)] = abs(mc_mean - reference) / mc_mean
-    columns = ["bcl", "mc_mean", "closed_form", "reference_formula"]
-    return ExperimentResult("fig3", params, columns, rows, aggregates, params["seed"], resamples)
+        rows.append((cfg.bcl, mc_mean, closed, reference))
+        aggregates["rel_err_closed_form"][str(cfg.bcl)] = abs(mc_mean - closed) / mc_mean
+        aggregates["rel_err_reference"][str(cfg.bcl)] = abs(mc_mean - reference) / mc_mean
+    return ["bcl", "mc_mean", "closed_form", "reference_formula"], rows, aggregates, resamples
 
 
-def _run_fig5(params: dict, workers: int) -> ExperimentResult:
+def _run_fig5(params: dict, workers: int):
     """Cdfs of local/global quantization errors and interference powers."""
     cfg = _system(params)
     data, resamples = _simulate(partial(_pair_block, cfg, params["beam"]), cfg, _block_trials(cfg), workers)
@@ -514,11 +528,10 @@ def _run_fig5(params: dict, workers: int) -> ExperimentResult:
     aggregates["local_interference_dominated"] = bool(
         aggregates["median_local_interference"] < aggregates["median_global_interference"]
     )
-    columns = ["variable", "probability", "quantile"]
-    return ExperimentResult("fig5", params, columns, rows, aggregates, params["seed"], resamples)
+    return ["variable", "probability", "quantile"], rows, aggregates, resamples
 
 
-def _run_fig6(params: dict, workers: int) -> ExperimentResult:
+def _run_fig6(params: dict, workers: int):
     """Empirical SINR cdfs (exact lower bound and approximation) vs the model.
 
     ``cdf_model`` and the ``ks_full``/``ks_upper_tail`` keys score the
@@ -565,7 +578,7 @@ def _run_fig6(params: dict, workers: int) -> ExperimentResult:
             aggregates["ks_full" + suffix][key] = full
             aggregates["ks_upper_tail" + suffix][key] = upper
     columns = ["rho_db", "sinr", "cdf_exact_bound", "cdf_approx", "cdf_model", "cdf_model_small_error"]
-    return ExperimentResult("fig6", params, columns, rows, aggregates, params["seed"], resamples)
+    return columns, rows, aggregates, resamples
 
 
 def _mode_rates(cfg: SystemConfig, modes: Sequence[str], rho_lin: np.ndarray, workers: int):
@@ -594,7 +607,7 @@ def _mode_rates(cfg: SystemConfig, modes: Sequence[str], rho_lin: np.ndarray, wo
     return means, decisions, resamples, int(rows[:, -1].sum())
 
 
-def _run_fig7(params: dict, workers: int) -> ExperimentResult:
+def _run_fig7(params: dict, workers: int):
     """Cooperative sum-rate: Monte Carlo vs closed-form estimate over K and SNR."""
     rho_db = np.asarray(params["rho_db"], dtype=float)
     rho_lin = db_to_linear(rho_db)
@@ -602,7 +615,7 @@ def _run_fig7(params: dict, workers: int) -> ExperimentResult:
     aggregates = {"mean_rel_gap": {}, "max_rel_gap": {}}
     resamples = unassigned = 0
     cfgs = [
-        _system(params, n=int(n_rx), bcl=int(bcl), k=int(k_users))
+        _system(params, n=n_rx, bcl=bcl, k=k_users)
         for n_rx, bcl in params["configs"]
         for k_users in params["k_grid"]
     ]
@@ -626,8 +639,7 @@ def _run_fig7(params: dict, workers: int) -> ExperimentResult:
             for db, mc, est in zip(rho_db, rates, estimate)
         )
     aggregates["unassigned_beams"] = unassigned
-    columns = ["n", "bcl", "k", "rho_db", "rate_num", "rate_estimate"]
-    return ExperimentResult("fig7", params, columns, rows, aggregates, params["seed"], resamples)
+    return ["n", "bcl", "k", "rho_db", "rate_num", "rate_estimate"], rows, aggregates, resamples
 
 
 def _crossing_db(rho_db: np.ndarray, delta: np.ndarray) -> Optional[float]:
@@ -643,7 +655,7 @@ def _crossing_db(rho_db: np.ndarray, delta: np.ndarray) -> Optional[float]:
     return None
 
 
-def _run_fig8(params: dict, workers: int) -> ExperimentResult:
+def _run_fig8(params: dict, workers: int):
     """Sum-rates of conventional, cooperative, and adaptive modes vs SNR."""
     rho_db = np.asarray(params["rho_db"], dtype=float)
     means, decisions, resamples, unassigned = _mode_rates(_system(params), MODES, db_to_linear(rho_db), workers)
@@ -661,16 +673,15 @@ def _run_fig8(params: dict, workers: int) -> ExperimentResult:
         "unassigned_beams": unassigned,
     }
     columns = ["rho_db", "rate_conv", "rate_coop", "rate_adaptive", "rate_analytic_conv", "rate_analytic_coop"]
-    return ExperimentResult("fig8", params, columns, rows, aggregates, params["seed"], resamples)
+    return columns, rows, aggregates, resamples
 
 
-def _run_fig9(params: dict, workers: int) -> ExperimentResult:
+def _run_fig9(params: dict, workers: int):
     """Squared stacked-effective-norm distribution vs surrogate and model."""
     rows = []
     aggregates = {"ks_direct_vs_model": {}, "ks_surrogate_vs_model": {}, "ks_surrogate_vs_direct": {}}
     resamples = 0
-    for n_rx in params["n_grid"]:
-        cfg = _system(params, n=int(n_rx))
+    for cfg in [_system(params, n=n_rx) for n_rx in params["n_grid"]]:
         size = _block_trials(cfg)
         pairs, attempts = _simulate(partial(_pair_block, cfg, params["beam"]), cfg, size, workers)
         direct = pairs[:, 2]
@@ -678,56 +689,49 @@ def _run_fig9(params: dict, workers: int) -> ExperimentResult:
         omega = analysis.expected_local_error(cfg.m, cfg.n, cfg.qcl)
         varrho_sq = analysis.effective_norm_params(cfg.m, cfg.n, omega)
         surrogate, _ = _simulate(partial(_surrogate_block, cfg, omega), cfg, size, workers)
-        model = lambda u, _v=varrho_sq, _n=int(n_rx): analysis.effective_norm_cdf(
-            u, cfg.m, _n, _v
-        )
+        model = lambda u, _c=cfg, _v=varrho_sq: analysis.effective_norm_cdf(u, _c.m, _c.n, _v)
         grid = np.quantile(direct, _CDF_PROBS)
         cdf_direct = empirical_cdf(direct, grid)
         cdf_surrogate = empirical_cdf(surrogate, grid)
         cdf_model = model(grid)
         rows.extend(
-            (int(n_rx), float(x), float(a), float(b), float(c))
+            (cfg.n, float(x), float(a), float(b), float(c))
             for x, a, b, c in zip(grid, cdf_direct, cdf_surrogate, cdf_model)
         )
-        key = str(n_rx)
+        key = str(cfg.n)
         aggregates["ks_direct_vs_model"][key] = ks_distance(direct, model)
         aggregates["ks_surrogate_vs_model"][key] = ks_distance(surrogate, model)
         aggregates["ks_surrogate_vs_direct"][key] = ks_distance(
             surrogate, lambda x, _d=direct: empirical_cdf(_d, x)
         )
-    columns = ["n", "norm_sq", "cdf_direct", "cdf_surrogate", "cdf_model"]
-    return ExperimentResult("fig9", params, columns, rows, aggregates, params["seed"], resamples)
+    return ["n", "norm_sq", "cdf_direct", "cdf_surrogate", "cdf_model"], rows, aggregates, resamples
 
 
 def run_sweep(
     cfg: SystemConfig, modes: Sequence[str], rho_db: Sequence[float], workers: int = 1
 ) -> ExperimentResult:
-    """Mean sum-rate of the requested modes over an SNR grid."""
-    rho_db = np.asarray(rho_db, dtype=float)
-    means, _, resamples, unassigned = _mode_rates(cfg, modes, db_to_linear(rho_db), workers)
-    rows = [(float(db), mode, float(r)) for mode in modes for db, r in zip(rho_db, means[mode])]
-    config = dict(
-        m=cfg.m, n=cfg.n, k=cfg.k, bcl=cfg.bcl, trials=cfg.trials, seed=cfg.seed,
-        codebook_mode=cfg.codebook_mode, rho_db=[float(d) for d in rho_db], modes=list(modes),
-    )
-    aggregates = {"unassigned_beams": unassigned}
-    return ExperimentResult("sweep", config, ["rho_db", "mode", "sum_rate"], rows, aggregates, cfg.seed, resamples)
+    """Mean sum-rate of the requested modes over an SNR grid: the sweep
+    command run on the fields of ``cfg`` that its spec declares."""
+    fields = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg) if f.name in SPECS["sweep"].params}
+    return run_experiment("sweep", {**fields, "modes": modes, "rho_db": rho_db}, workers)
 
 
-def _run_sweep(params: dict, workers: int) -> ExperimentResult:
+def _run_sweep(params: dict, workers: int):
     """Mean sum-rate over an SNR grid for chosen modes."""
-    return run_sweep(_system(params), params["modes"], params["rho_db"], workers)
+    modes, rho_db = params["modes"], np.asarray(params["rho_db"], dtype=float)
+    means, _, resamples, unassigned = _mode_rates(_system(params), modes, db_to_linear(rho_db), workers)
+    rows = [(float(db), mode, float(r)) for mode in modes for db, r in zip(rho_db, means[mode])]
+    return ["rho_db", "mode", "sum_rate"], rows, {"unassigned_beams": unassigned}, resamples
 
 
-def _run_analyze(params: dict, workers: int) -> ExperimentResult:
+def _run_analyze(params: dict, workers: int):
     """Closed-form mode advice without simulation."""
     rows = []
     for cfg in [_system(params, k=k_users) for k_users in params["k_grid"]]:
         for db in params["rho_db"]:
             d = analysis.mode_switch(cfg.k, cfg.m, cfg.n, db_to_linear(db), cfg.bcl)
             rows.append((cfg.k, db, d.rate_cooperative, d.rate_conventional, d.delta_rate, d.mode))
-    columns = ["k", "rho_db", "rate_coop", "rate_conv", "delta", "decision"]
-    return ExperimentResult("analyze", params, columns, rows, {}, None, 0)
+    return ["k", "rho_db", "rate_coop", "rate_conv", "delta", "decision"], rows, {}, 0
 
 
 _RHO_GRID = [float(d) for d in range(-5, 26)]

@@ -45,6 +45,15 @@ class TestSystemConfig:
         with pytest.raises(ConfigError):
             small_cfg(**kw)
 
+    @pytest.mark.parametrize("kw", [dict(seed=2.7), dict(trials=10.5), dict(k=16.0), dict(bcl=True)])
+    def test_refuses_non_integers(self, kw):
+        (name,) = kw
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            small_cfg(**kw)
+
+    def test_numpy_integers_accepted(self):
+        assert small_cfg(bcl=np.int64(8), k=np.int32(8)).qcl == 256
+
     def test_error_names_constraint(self):
         with pytest.raises(ConfigError, match="n\\+1 <= m"):
             small_cfg(n=4, m=4)

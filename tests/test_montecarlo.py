@@ -32,6 +32,15 @@ def small_cfg(**kw):
     return SystemConfig(**base)
 
 
+def refuse_trials(monkeypatch):
+    """Fail the test if any trial is simulated from here on."""
+
+    def refuse(*_):
+        raise AssertionError("simulated a refused run")
+
+    monkeypatch.setattr(montecarlo, "_parallel_chunks", refuse)
+
+
 class TestEmpiricalCdf:
     def test_constant_samples_step(self):
         cdf = empirical_cdf([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
@@ -385,6 +394,34 @@ class TestExperimentShapes:
     def test_unknown_override_rejected(self):
         with pytest.raises(ValueError):
             run_experiment("fig3", dict(bogus=1))
+
+    def test_fractional_grid_value_refused_before_any_trial(self, monkeypatch):
+        refuse_trials(monkeypatch)
+        with pytest.raises(ConfigError, match="bcl must be an integer"):
+            run_experiment("fig3", {"bcl_grid": [2.7]})
+
+    @pytest.mark.parametrize(
+        "overrides, name",
+        [({"rho_db": 10.0}, "rho_db"), ({"modes": "cooperative"}, "modes"), ({"k": [16]}, "k")],
+    )
+    def test_grid_and_scalar_shapes_refused(self, monkeypatch, overrides, name):
+        refuse_trials(monkeypatch)
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            run_experiment("sweep", overrides)
+
+    def test_run_sweep_is_the_sweep_command(self, monkeypatch):
+        fields = dict(m=4, n=2, k=16, bcl=6, trials=12, seed=4, codebook_mode="dft")
+        modes, rho_db = ["cooperative", "conventional"], [0.0, 10.0]
+        swept = montecarlo.run_sweep(SystemConfig(rho=3.0, **fields), modes, rho_db)
+        run = run_experiment("sweep", dict(fields, modes=modes, rho_db=rho_db))
+        for name in ("experiment", "config", "columns", "rows", "aggregates", "resample_count", "seed"):
+            assert getattr(swept, name) == getattr(run, name), name
+        assert swept.config.keys() == montecarlo.SPECS["sweep"].params.keys()
+        # It refuses what the spec refuses, before any trial.
+        refuse_trials(monkeypatch)
+        for given, name in [(("cooperative", rho_db), "modes"), ((modes, 10.0), "rho_db")]:
+            with pytest.raises(ValueError, match=f"'{name}'"):
+                montecarlo.run_sweep(SystemConfig(**fields), *given)
 
 
 class TestScheduledSinrEstimate:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import reference
-from coopfb import montecarlo
+from coopfb import montecarlo, numerics
 from coopfb.model import (
     RandomStream,
     SystemConfig,
@@ -162,6 +162,12 @@ class TestForcedResample:
 
 
 class TestSurrogateBlock:
+    def test_rank_deficient_draw_is_refused_for_a_resample(self):
+        # omega = 1 zeroes the partner row of every stacked channel.
+        cfg = cfg_for(2)
+        with pytest.raises(numerics.RankDeficient):
+            montecarlo._surrogate_block(cfg, 1.0, [derive_trial_rng(cfg.seed, t) for t in range(3)])
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_split_range_concatenates_and_matches_reference(self, n):
         cfg = cfg_for(n, trials=150)
