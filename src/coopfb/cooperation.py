@@ -88,9 +88,10 @@ def acquire_local_csi(h: np.ndarray, codebook: LocalCodebook) -> LocalCsi:
     and gives a :class:`LocalCsi` whose fields are stacked along axis 0.
     """
     one = h.ndim == 2
-    basis, r = qbc._subspace(numerics.as_channel(h)[None] if one else h)
+    h = numerics.as_channel(h)[None] if one else h
+    basis, r = qbc._subspace(h)
     v = _local_choice(codebook.vectors, basis)
-    tau, z, h_virt, _, sin2 = _local_stage(basis, r, v)
+    tau, z, h_virt, _, sin2 = _local_stage(h, basis, r, v)
     if one:
         return LocalCsi(cdi=v[0], cqi=float(tau[0]), combiner=z[0], h_virt=h_virt[0], sin2_error=float(sin2[0]))
     return LocalCsi(cdi=v, cqi=tau, combiner=z, h_virt=h_virt, sin2_error=sin2)
@@ -115,17 +116,20 @@ def _local_choice(vectors: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return vectors[np.arange(chosen.size), chosen]
 
 
-def _local_stage(basis: np.ndarray, r: np.ndarray, v: np.ndarray):
-    """Batched local acquisition of stacked channels, given as their bases
-    and R factors, toward their chosen codewords ``v`` ``(k, m)``: the
-    one-column QBC stage, whose effective channel is the virtual channel.
+def _local_stage(h: np.ndarray, basis: np.ndarray, r: np.ndarray, v: np.ndarray):
+    """Batched local acquisition of stacked channels ``h`` ``(k, n, m)``,
+    also given as their bases and R factors, toward their chosen codewords
+    ``v`` ``(k, m)``: the one-column QBC stage, whose effective channel
+    ``H^H z`` is the virtual channel.
 
     Returns per user: the CQI tau = ||h_virt|| cos(phi), the unit combiner,
     the virtual channel, its squared norm and the direction quantization
     error sin^2.
     """
-    cos2, hv_norm2, z_local, h_virt = (a[..., 0] for a in qbc._qbc_stage(basis, r, v[:, :, None]))
-    return np.sqrt(cos2 * hv_norm2), z_local, h_virt, hv_norm2, np.clip(1.0 - cos2, 0.0, 1.0)
+    cos2, hv_norm2, z_cols = qbc._qbc_stage(basis, r, v[:, :, None], combine=True)
+    h_virt = np.matmul(h.conj().transpose(0, 2, 1), z_cols)[:, :, 0]
+    cos2, hv_norm2 = cos2[:, 0], hv_norm2[:, 0]
+    return np.sqrt(cos2 * hv_norm2), z_cols[:, :, 0], h_virt, hv_norm2, np.clip(1.0 - cos2, 0.0, 1.0)
 
 
 def build_global_matrix(h: np.ndarray, partner: LocalCsi) -> GlobalChannel:

@@ -10,10 +10,11 @@ fig9's surrogate norm, or the sum-rates of fig7, fig8 and sweep. The map
 runs it over the trial range in blocks on the worker processes, and redoes
 a block with a degenerate draw trial by trial on resample streams (counted,
 never silently). The kernels are vectorised across the users of a block
-through the one stacked QBC stage of ``qbc`` (Householder QR, then a
-solve on the R factor), which ``cooperation`` also runs for local
-acquisition. Every random quantity is keyed by (seed, trial, purpose), so
-results are bit-identical for any worker count and block boundary.
+through the one stacked QBC stage of ``qbc`` (Householder QR, then
+substitution on the R factor across the stack), which ``cooperation`` also
+runs for local acquisition. Every random quantity is keyed by (seed,
+trial, purpose), so results are bit-identical for any worker count and
+block boundary.
 """
 
 from __future__ import annotations
@@ -206,14 +207,14 @@ def _workspaces(
         # sweep_small_k's peak RSS from 42.0 to 52.3 MiB.
         vectors = gen_local_codebook(cfg, rngs).vectors
         v = np.concatenate([cooperation._local_choice(vectors[i], basis[i * k : (i + 1) * k]) for i in range(b)])
-        tau, _, h_virt, hv_norm2, sin2_local = cooperation._local_stage(basis, r, v)
+        tau, _, h_virt, hv_norm2, sin2_local = cooperation._local_stage(h, basis, r, v)
 
         # Global acquisition over the partner-stacked (n+1)-row matrices;
         # k is even, so u ^ 1 stays inside u's trial.
         partner = np.arange(len(h)) ^ 1
         h_qu = np.concatenate([h, (tau[:, None] * v).conj()[partner][:, None, :]], axis=1)  # (b*k, n+1, m)
         h_dl = np.concatenate([h, h_virt.conj()[partner][:, None, :]], axis=1)
-        cos2_g, eff_norm2, combiners, _ = qbc._qbc_stage(*qbc._subspace(h_qu), cb)
+        cos2_g, eff_norm2, combiners = qbc._qbc_stage(*qbc._subspace(h_qu), cb, combine=True)
         sig_qu, intf_qu = qbc._beam_powers(cos2_g, eff_norm2)
         # Not combined toward the codebook: correlate the served beam; the
         # unitary codebook's other beams carry the rest of the norm.
@@ -287,10 +288,12 @@ def evaluate_mode(ws: TrialWorkspace, mode: str, rho_lin: np.ndarray) -> _ModeEv
 # Trials stacked into one pass of a block kernel. Every kernel bounds a
 # block by its local-codebook rows (trials x codewords): 64 trials up to
 # 1,024-word codebooks, fewer beyond. The rate engine also bounds it by
-# users (trials x k): 16 trials at k = 16, one trial from k = 129 on.
+# users (trials x k): 32 trials at k = 16, two at k = 200 and one from
+# k = 257 on. Against 256 users, 512 raise the peak RSS of a k = 16 sweep
+# by about 1.0 MiB (2.5%) and 1,024 by 3.3 MiB (8%).
 _BLOCK = 64
 _BLOCK_ROWS = 64 * 1024
-_BLOCK_USERS = 256
+_BLOCK_USERS = 512
 
 
 def _block_trials(cfg: SystemConfig) -> int:
@@ -399,8 +402,8 @@ def _surrogate_block(cfg: SystemConfig, omega: float, rngs: Sequence[RandomStrea
     w = np.exp(1j * phases)[:, :, None] / math.sqrt(n + 1.0)
     hw[:, n] *= math.sqrt((1.0 - omega) * (m - n + 1.0) / m)
     # w^H (H H^H)^-1 w = ||R^-H w||^2, since H H^H = R^H R for H^H = QR.
-    r = qbc._subspace(hw)[1]
-    x = np.linalg.solve(r.conj().transpose(0, 2, 1), w)[:, :, 0]
+    r = numerics.r_factor(hw.conj().transpose(0, 2, 1))
+    x = numerics.solve_triangular(r.conj().transpose(0, 2, 1), w, lower=True)[:, :, 0]
     return 1.0 / np.sum(x.real**2 + x.imag**2, axis=1)
 
 
@@ -591,9 +594,11 @@ def _mode_rates(cfg: SystemConfig, modes: Sequence[str], rho_lin: np.ndarray, wo
     consulted before any trial runs, so an operating point where both
     estimates are out of regime fails with InvalidRegime without simulating.
     """
-    for mode in modes:
+    for i, mode in enumerate(modes):
         if mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+        if mode in modes[:i]:
+            raise ConfigError(f"mode {mode!r} is given more than once")
     adaptive = "adaptive" in modes
     decisions = [analysis.mode_switch(cfg.k, cfg.m, cfg.n, rho, cfg.bcl) for rho in rho_lin] if adaptive else None
     pipelines = [mode for mode in (analysis.COOPERATIVE, analysis.CONVENTIONAL) if adaptive or mode in modes]

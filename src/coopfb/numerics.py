@@ -3,8 +3,10 @@
 Matrices and vectors are plain numpy arrays (complex128). Everything here
 operates on tiny dimensions (a handful of antennas), so the routines favour
 numerical transparency over asymptotic speed. The one QR,
-:func:`mgs_columns`, accepts stacked inputs ``(..., m, n)`` and applies the
+:func:`r_factor`, accepts stacked inputs ``(..., m, n)`` and applies the
 one rank rule, :func:`check_full_rank`, to its Householder R factor;
+:func:`mgs_columns` adds the basis Q, and every solve on R is a
+substitution over the whole stack, :func:`solve_triangular`.
 ``as_channel`` checks one channel where the per-user API takes it in.
 """
 
@@ -56,24 +58,54 @@ def _as_vector(v) -> np.ndarray:
     return v
 
 
+def r_factor(a: np.ndarray) -> np.ndarray:
+    """Householder R of ``a = QR`` for a stack ``(..., m, n)``, n <= m,
+    after :func:`check_full_rank` accepts its diagonal against the column
+    norms of ``a``."""
+    a = np.asarray(a, dtype=np.complex128)
+    r = np.linalg.qr(a, mode="r")
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    check_full_rank(diag.real**2 + diag.imag**2, np.sum(a.real**2 + a.imag**2, axis=-2))
+    return r
+
+
 def mgs_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(Q, R)`` with ``a = QR`` for a stack ``(..., m, n)``, n <= m: Q has
     orthonormal columns spanning those of ``a``, slice by slice, and R is
     upper triangular.
 
-    R is Householder's, and :func:`check_full_rank` refuses a stack that
-    fails the rank rule on its diagonal before anything is divided by it.
-    Q is solved as ``a R^-1``, one row of ``a`` at a time, so equal rows of
+    R is :func:`r_factor`'s, so the rank rule runs before anything is
+    divided by its diagonal. Q is solved as ``a R^-1`` by
+    :func:`solve_triangular`, one row of ``a`` at a time, so equal rows of
     ``a`` give bit-equal rows of Q; Householder's own Q does not, and would
     break exact ties between beams. The name is the one the benchmark's
     tracer wraps.
     """
     a = np.asarray(a, dtype=np.complex128)
-    r = np.linalg.qr(a, mode="r")
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    check_full_rank(diag.real**2 + diag.imag**2, np.sum(a.real**2 + a.imag**2, axis=-2))
-    q = np.linalg.solve(r.swapaxes(-1, -2), a.swapaxes(-1, -2))  # Q^T = R^-T a^T
+    r = r_factor(a)
+    q = solve_triangular(r.swapaxes(-1, -2), a.swapaxes(-1, -2), lower=True)  # Q^T = R^-T a^T
     return q.swapaxes(-1, -2), r
+
+
+def solve_triangular(t: np.ndarray, b: np.ndarray, lower: bool = False) -> np.ndarray:
+    """``T^-1 B`` for a stack of triangular matrices ``t`` ``(..., n, n)``
+    and of right-hand columns ``b`` ``(..., n, p)`` with the same leading axes.
+
+    One update per column of ``T``, elementwise over the stack and the
+    right-hand columns, so each column of each slice is solved on its own:
+    for tiny matrices this beats one LAPACK call per matrix. Only the
+    triangle named by ``lower`` is read; its diagonal must be nonzero.
+    """
+    n = t.shape[-1]
+    x = np.array(b, dtype=np.complex128)
+    for j in range(n) if lower else range(n - 1, -1, -1):
+        xj = x[..., j : j + 1, :]
+        xj /= t[..., j : j + 1, j : j + 1]
+        if lower and j + 1 < n:
+            x[..., j + 1 :, :] -= t[..., j + 1 :, j : j + 1] * xj
+        elif not lower and j:
+            x[..., :j, :] -= t[..., :j, j : j + 1] * xj
+    return x
 
 
 def gram_matrix(h: np.ndarray) -> np.ndarray:
@@ -109,8 +141,9 @@ def gram_solve(h, v) -> np.ndarray:
     """Solve ``(H H^H) u = H v`` for the unnormalised combiner ``u`` of one
     channel, after the rank rule."""
     h = as_channel(h)
-    mgs_columns(h.conj().T)
-    return np.linalg.solve(gram_matrix(h), h @ _as_vector(v))
+    r = r_factor(h.conj().T)  # H H^H = R^H R
+    y = solve_triangular(r.conj().T, (h @ _as_vector(v))[:, None], lower=True)
+    return solve_triangular(r, y)[:, 0]
 
 
 def ln_beta(a: float, b: float) -> float:

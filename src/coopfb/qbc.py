@@ -3,8 +3,10 @@
 Given a channel matrix and a target codeword, the receive combiner is chosen
 so that the effective channel ``H^H z`` aligns as well as possible with the
 codeword: project the codeword onto the channel's row subspace, then find
-the combiner that reproduces the projection, by solving on the Householder
-R factor of ``H^H = QR``, with the row-space basis ``Q = H^H R^-1``.
+the combiner that reproduces the projection, by substitution on the
+Householder R factor of ``H^H = QR`` (:func:`numerics.solve_triangular`),
+with the row-space basis ``Q = H^H R^-1``. A caller that needs the
+effective channel forms it as ``H^H z``.
 
 One stage does this for stacks of channels ``(k, n, m)``; the per-user
 functions run one channel through it as a stack of one. For a unitary
@@ -53,8 +55,8 @@ def combine_for_codeword(h: np.ndarray, codeword) -> CombinedChannel:
     """
     if h.ndim == 2:
         return _combine_one(*_stack_of_one(h), codeword)
-    _, _, combiners, heff_cols = _qbc_stage(*_subspace(h), np.asarray(codeword)[:, :, None])
-    return CombinedChannel(combiner=combiners[:, :, 0], h_eff=heff_cols[:, :, 0])
+    z = _qbc_stage(*_subspace(h), np.asarray(codeword)[:, :, None], combine=True)[2]
+    return CombinedChannel(combiner=z[:, :, 0], h_eff=np.matmul(h.conj().transpose(0, 2, 1), z)[:, :, 0])
 
 
 def _stack_of_one(h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -67,8 +69,7 @@ def _stack_of_one(h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _combine_one(h: np.ndarray, basis: np.ndarray, r: np.ndarray, codeword) -> CombinedChannel:
     """The one-column stage on a stack of one channel; ``h_eff`` is exactly
     ``H^H combiner``."""
-    _, _, combiners, _ = _qbc_stage(basis, r, np.asarray(codeword)[None, :, None])
-    z = combiners[0, :, 0]
+    z = _qbc_stage(basis, r, np.asarray(codeword)[None, :, None], combine=True)[2][0, :, 0]
     return CombinedChannel(combiner=z, h_eff=h[0].conj().T @ z)
 
 
@@ -79,13 +80,13 @@ def _subspace(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return numerics.mgs_columns(h.conj().transpose(0, 2, 1))
 
 
-def _qbc_stage(basis: np.ndarray, r: np.ndarray, cb: np.ndarray):
+def _qbc_stage(basis: np.ndarray, r: np.ndarray, cb: np.ndarray, combine: bool = False):
     """Batched QBC of stacked channels, given as their bases and R factors
     (:func:`_subspace`), against every column of ``cb``: one codebook
     ``(m, beams)`` for all channels, or one per channel ``(k, m, beams)``.
 
     Returns per-(user, beam): cos^2 of the projection, squared effective
-    norm, unit combiners as columns, and effective channels as columns.
+    norm, and with ``combine`` the unit combiners as columns (else None).
     """
     corr = np.matmul(basis.conj().transpose(0, 2, 1), cb)  # (k, rank, beams)
     cos2 = np.sum(corr.real**2 + corr.imag**2, axis=1)  # (k, beams)
@@ -93,11 +94,10 @@ def _qbc_stage(basis: np.ndarray, r: np.ndarray, cb: np.ndarray):
     if np.any(norms <= numerics.PROJECTION_TOL):
         raise numerics.DegenerateProjection("codeword orthogonal to a channel subspace")
     w = corr / norms[:, None, :]  # unit projections, in the basis' coordinates
-    u = np.linalg.solve(r, w)  # H^H u = Q w
+    u = numerics.solve_triangular(r, w)  # H^H u = Q w
     u_norm2 = np.sum(u.real**2 + u.imag**2, axis=1)
-    combiners = u / np.sqrt(u_norm2)[:, None, :]
-    heff_cols = np.matmul(basis, w) / np.sqrt(u_norm2)[:, None, :]
-    return cos2, 1.0 / u_norm2, combiners, heff_cols
+    combiners = u / np.sqrt(u_norm2)[:, None, :] if combine else None
+    return cos2, 1.0 / u_norm2, combiners
 
 
 def _beam_powers(cos2: np.ndarray, eff_norm2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

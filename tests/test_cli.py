@@ -164,6 +164,12 @@ class TestExplicitValues:
         assert status == 2
         assert "SNR grid is empty" in capsys.readouterr().err
 
+    def test_sweep_rejects_a_repeated_mode(self, tmp_path, capsys):
+        argv = ["sweep", "--mode", "cooperative", "--mode", "cooperative", "--trials", "2", "--out-dir", str(tmp_path)]
+        assert cli.run(argv) == 2
+        assert "mode 'cooperative' is given more than once" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_analyze_rejects_zero_users(self, capsys):
         status = cli.run(["analyze", "--m", "4", "--n", "2", "--k", "0", "--bcl", "4", "--rho-db", "0"])
         assert status == 2

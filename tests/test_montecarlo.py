@@ -189,7 +189,7 @@ class TestBlockedEngine:
     """The rate engine builds the workspaces of a block of trials in one
     pass; each trial must come out exactly as it does built alone."""
 
-    @pytest.mark.parametrize("k, size", [(8, 32), (16, 16), (100, 2), (200, 1), (400, 1)])
+    @pytest.mark.parametrize("k, size", [(8, 64), (16, 32), (100, 5), (200, 2), (400, 1)])
     def test_block_size_counts_users(self, k, size):
         assert montecarlo._rate_block_trials(small_cfg(k=k)) == size
 

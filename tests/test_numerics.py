@@ -339,3 +339,61 @@ class TestMgsColumns:
             d *= 1e-5 * np.linalg.norm(h0) / np.linalg.norm(d)
             q, _ = numerics.mgs_columns(np.vstack([h0, h0 + d]).conj().T)
             assert self.gram_error(q) <= 1e-9
+
+    def test_r_factor_is_the_r_of_the_qr(self):
+        rng = np.random.default_rng(11)
+        a = (rng.standard_normal((5, 4, 3)) + 1j * rng.standard_normal((5, 4, 3))) / np.sqrt(2)
+        np.testing.assert_array_equal(numerics.r_factor(a), numerics.mgs_columns(a)[1])
+        a[2, :, 1] = 3 * a[2, :, 0]
+        with pytest.raises(RankDeficient):
+            numerics.r_factor(a)
+
+
+class TestSolveTriangular:
+    """Substitution against ``np.linalg.solve`` as the oracle."""
+
+    @staticmethod
+    def triangular_stack(rng, size, n, lower):
+        t = (rng.standard_normal((size, n, n)) + 1j * rng.standard_normal((size, n, n))) / np.sqrt(2)
+        t = np.tril(t) if lower else np.triu(t)
+        t[:, np.arange(n), np.arange(n)] += 2.0  # well away from singular
+        return t
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("lower", [False, True])
+    @pytest.mark.parametrize("p", [1, 4])
+    def test_matches_linalg_solve(self, n, lower, p):
+        rng = np.random.default_rng(100 * n + 10 * lower + p)
+        t = self.triangular_stack(rng, 50, n, lower)
+        b = (rng.standard_normal((50, n, p)) + 1j * rng.standard_normal((50, n, p))) / np.sqrt(2)
+        x = numerics.solve_triangular(t, b, lower=lower)
+        assert x.shape == b.shape
+        np.testing.assert_allclose(x, np.linalg.solve(t, b), rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("lower", [False, True])
+    def test_reads_only_its_triangle(self, lower):
+        rng = np.random.default_rng(21)
+        t = self.triangular_stack(rng, 8, 4, lower)
+        b = rng.standard_normal((8, 4, 2)) + 0j
+        filled = t + (np.triu(np.ones((4, 4)), 1) if lower else np.tril(np.ones((4, 4)), -1))
+        np.testing.assert_array_equal(
+            numerics.solve_triangular(filled, b, lower=lower), numerics.solve_triangular(t, b, lower=lower)
+        )
+
+    @pytest.mark.parametrize("lower", [False, True])
+    def test_slices_and_columns_solve_alone(self, lower):
+        rng = np.random.default_rng(22)
+        t = self.triangular_stack(rng, 12, 4, lower)
+        b = (rng.standard_normal((12, 4, 3)) + 1j * rng.standard_normal((12, 4, 3))) / np.sqrt(2)
+        b[:, :, 2] = b[:, :, 0]
+        x = numerics.solve_triangular(t, b, lower=lower)
+        np.testing.assert_array_equal(x[:, :, 2], x[:, :, 0])
+        for i in range(len(t)):
+            np.testing.assert_array_equal(x[i], numerics.solve_triangular(t[i], b[i], lower=lower))
+            np.testing.assert_array_equal(x[i, :, 1:2], numerics.solve_triangular(t[i], b[i, :, 1:2], lower=lower))
+
+    def test_leaves_its_input_alone(self):
+        t = np.array([[2.0, 1.0], [0.0, 4.0]], dtype=complex)
+        b = np.array([[1.0], [2.0]], dtype=complex)
+        np.testing.assert_array_equal(numerics.solve_triangular(t, b), [[0.25], [0.5]])
+        np.testing.assert_array_equal(b, [[1.0], [2.0]])

@@ -1,6 +1,8 @@
-"""Run the regression run list against one checkout and print a hash per output.
+"""Run the regression run list against one checkout and print a hash per output,
+or compare every output with another checkout's.
 
     python tools/run_list.py <checkout> [--workers N]
+    python tools/run_list.py <checkout> --against <baseline> [--workers N]
 
 Each run is ``python -m coopfb.cli`` with ``<checkout>/src`` on the path, in
 a fresh output directory. For every run the script prints its exit code,
@@ -9,14 +11,26 @@ and of its stderr, and the sha256 of every file it wrote. A manifest is
 hashed without its ``timestamp`` and ``output_paths`` keys, which change
 from run to run. Two checkouts, or two worker counts, are then compared
 with one ``diff`` of the printed lists.
+
+With ``--against`` each run also runs on ``<baseline>``, and for each
+output (exit code, stdout, stderr and every file) the script prints either
+``identical`` or the largest relative change over its non-integer numbers
+(CSV cells, JSON numbers, words of stdout) with where it is, followed by one
+``differs`` line for every other cell that differs: integers (counts) are
+compared exactly, like text. So a change that only moves last bits shows as
+a small ``max_rel`` and no ``differs`` line.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -61,18 +75,19 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _file_hash(path: Path) -> str:
-    data = path.read_bytes()
-    if path.name.endswith("_manifest.json"):
+def _normalised(name: str, data: bytes) -> bytes:
+    """A manifest without the keys that change from run to run."""
+    if name.endswith("_manifest.json"):
         manifest = json.loads(data)
         for key in ("timestamp", "output_paths"):
             manifest.pop(key, None)
         data = json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8")
-    return _sha(data)
+    return data
 
 
-def run_one(src: Path, argv: tuple, workers: int, out_dir: Path) -> list[tuple[str, str]]:
-    """``(what, value)`` lines for one run: exit code, stdout, stderr, files."""
+def execute(src: Path, argv: tuple, workers: int, out_dir: Path) -> dict[str, bytes]:
+    """Every output of one run by name: ``exit``, ``stdout``, ``stderr`` and
+    each file it wrote, manifests normalised."""
     if argv[0] != "analyze":
         argv = (*argv, "--workers", str(workers), "--out-dir", str(out_dir))
     env = {key: value for key, value in os.environ.items() if key != "COOPFB_OUT_DIR"}
@@ -80,27 +95,106 @@ def run_one(src: Path, argv: tuple, workers: int, out_dir: Path) -> list[tuple[s
     done = subprocess.run(
         [sys.executable, "-m", "coopfb.cli", *argv], capture_output=True, env=env, cwd=out_dir.parent
     )
-    stdout = done.stdout.replace(str(out_dir).encode(), b"<out>")
-    lines = [("exit", str(done.returncode)), ("stdout", _sha(stdout)), ("stderr", _sha(done.stderr))]
+    outputs = {
+        "exit": str(done.returncode).encode(),
+        "stdout": done.stdout.replace(str(out_dir).encode(), b"<out>"),
+        "stderr": done.stderr,
+    }
     if out_dir.is_dir():
-        lines += [(path.name, _file_hash(path)) for path in sorted(out_dir.iterdir())]
-    return lines
+        outputs.update((path.name, _normalised(path.name, path.read_bytes())) for path in sorted(out_dir.iterdir()))
+    return outputs
+
+
+def run_one(src: Path, argv: tuple, workers: int, out_dir: Path) -> list[tuple[str, str]]:
+    """``(what, value)`` lines for one run: exit code, stdout, stderr, files."""
+    outputs = execute(src, argv, workers, out_dir)
+    return [("exit", outputs.pop("exit").decode())] + [(name, _sha(data)) for name, data in outputs.items()]
+
+
+_INTEGER = re.compile(r"[+-]?\d+")
+
+
+def _cells(name: str, data: bytes):
+    """``(where, value)`` for every cell of one output, in order: JSON
+    leaves by key path, CSV cells by row and column, else whitespace words.
+    Numbers come back as int or float, everything else as text."""
+    text = data.decode("utf-8", errors="replace")
+    if name.endswith(".json"):
+        def walk(node, where):
+            if isinstance(node, dict):
+                for key in sorted(node):
+                    yield from walk(node[key], f"{where}.{key}" if where else str(key))
+            elif isinstance(node, list):
+                for i, item in enumerate(node):
+                    yield from walk(item, f"{where}[{i}]")
+            else:
+                yield where, node
+
+        yield from walk(json.loads(text), "")
+        return
+    if name.endswith(".csv"):
+        for i, row in enumerate(csv.reader(io.StringIO(text))):
+            for j, cell in enumerate(row):
+                yield f"row {i} col {j}", _number(cell)
+        return
+    for i, word in enumerate(text.split()):
+        yield f"word {i}", _number(word)
+
+
+def _number(cell: str):
+    if _INTEGER.fullmatch(cell):
+        return int(cell)
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def compare(name: str, old: bytes, new: bytes) -> list[str]:
+    """``identical``, or the largest relative change over the non-integer
+    numbers plus one ``differs`` line per other cell that differs."""
+    if old == new:
+        return ["identical"]
+    old_cells, new_cells = dict(_cells(name, old)), dict(_cells(name, new))
+    worst, worst_at, lines = 0.0, None, []
+    for where in list(old_cells) + [w for w in new_cells if w not in old_cells]:
+        a, b = old_cells.get(where, "<missing>"), new_cells.get(where, "<missing>")
+        if type(a) is float and type(b) is float and math.isfinite(a) and math.isfinite(b):
+            rel = abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0
+            if rel > worst:
+                worst, worst_at = rel, where
+        elif a != b and not (a != a and b != b):  # two NaNs read equal
+            lines.append(f"differs {where}: {a!r} -> {b!r}")
+    return [f"max_rel {worst:.2g} at {worst_at}" if worst_at else "max_rel 0"] + lines
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout", type=Path, help="repository checkout whose src/ is run")
     parser.add_argument("--workers", type=int, default=1, help="--workers of every writing run")
+    parser.add_argument("--against", type=Path, help="baseline checkout to compare every output with")
     args = parser.parse_args(argv)
-    src = (args.checkout / "src").resolve()
-    if not (src / "coopfb").is_dir():
-        parser.error(f"no src/coopfb under {args.checkout}")
+    srcs = [(path / "src").resolve() for path in (args.checkout, args.against) if path is not None]
+    for src in srcs:
+        if not (src / "coopfb").is_dir():
+            parser.error(f"no src/coopfb under {src.parent}")
     with tempfile.TemporaryDirectory(prefix="run_list-") as tmp:
         for label, command in RUNS:
-            run_dir = Path(tmp) / label
-            run_dir.mkdir()
-            for what, value in run_one(src, command, args.workers, run_dir / "out"):
-                print(f"{label} {what} {value}", flush=True)
+            dirs = [Path(tmp) / label / side for side in ("change", "baseline")[: len(srcs)]]
+            for run_dir in dirs:
+                run_dir.mkdir(parents=True)
+            if args.against is None:
+                for what, value in run_one(srcs[0], command, args.workers, dirs[0] / "out"):
+                    print(f"{label} {what} {value}", flush=True)
+                continue
+            new, old = (execute(src, command, args.workers, run_dir / "out") for src, run_dir in zip(srcs, dirs))
+            for name in [*old, *(name for name in new if name not in old)]:
+                if name in old and name in new:
+                    lines = compare(name, old[name], new[name])
+                else:
+                    lines = [f"only in {'baseline' if name in old else 'change'}"]
+                for line in lines:
+                    print(f"{label} {name} {line}", flush=True)
     return 0
 
 
