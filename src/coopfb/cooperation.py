@@ -7,7 +7,8 @@ the quantized vector to its partner, and both then run quantization-based
 combining on the (n+1)-row stacked matrix as if they owned the extra
 antenna. Both quantizations are the one QBC stage of :mod:`qbc`: local
 acquisition is its one-column case toward the chosen RVQ codeword, for one
-channel or a stack.
+channel or a stack. :func:`build_global_matrix` is the one place a
+partner's row is stacked: the per-user pipeline, engine and sampler call it.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ class LocalCsi:
     h_virt: np.ndarray
     sin2_error: float
 
+    def __getitem__(self, users) -> "LocalCsi":
+        """The records of ``users`` out of a stacked record."""
+        return LocalCsi(**{name: value[users] for name, value in vars(self).items()})
+
     @property
     def quantized_virtual(self) -> np.ndarray:
         return np.expand_dims(self.cqi, -1) * self.cdi
@@ -56,7 +61,7 @@ class LocalCsi:
 
 @dataclass(frozen=True)
 class GlobalChannel:
-    """Stacked (n+1) x m channel matrices of one prospective main user.
+    """Stacked (n+1) x m channel matrices of one prospective main user, or of a stack of them.
 
     ``h_qu`` carries the partner's quantized virtual row (what the combiner
     is computed from); ``h_dl`` carries the partner's unquantized virtual
@@ -90,11 +95,10 @@ def acquire_local_csi(h: np.ndarray, codebook: LocalCodebook) -> LocalCsi:
     one = h.ndim == 2
     h = numerics.as_channel(h)[None] if one else h
     basis, r = qbc._subspace(h)
-    v = _local_choice(codebook.vectors, basis)
-    tau, z, h_virt, _, sin2 = _local_stage(h, basis, r, v)
-    if one:
-        return LocalCsi(cdi=v[0], cqi=float(tau[0]), combiner=z[0], h_virt=h_virt[0], sin2_error=float(sin2[0]))
-    return LocalCsi(cdi=v, cqi=tau, combiner=z, h_virt=h_virt, sin2_error=sin2)
+    local = _local_stage(h, basis, r, _local_choice(codebook.vectors, basis))
+    if not one:
+        return local
+    return LocalCsi(local.cdi[0], float(local.cqi[0]), local.combiner[0], local.h_virt[0], float(local.sin2_error[0]))
 
 
 def _local_choice(vectors: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -116,26 +120,24 @@ def _local_choice(vectors: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return vectors[np.arange(chosen.size), chosen]
 
 
-def _local_stage(h: np.ndarray, basis: np.ndarray, r: np.ndarray, v: np.ndarray):
+def _local_stage(h: np.ndarray, basis: np.ndarray, r: np.ndarray, v: np.ndarray) -> LocalCsi:
     """Batched local acquisition of stacked channels ``h`` ``(k, n, m)``,
     also given as their bases and R factors, toward their chosen codewords
     ``v`` ``(k, m)``: the one-column QBC stage, whose effective channel
-    ``H^H z`` is the virtual channel.
-
-    Returns per user: the CQI tau = ||h_virt|| cos(phi), the unit combiner,
-    the virtual channel, its squared norm and the direction quantization
-    error sin^2.
+    ``H^H z`` is the virtual channel. Gives the stacked :class:`LocalCsi`.
     """
     cos2, hv_norm2, z_cols = qbc._qbc_stage(basis, r, v[:, :, None], combine=True)
     h_virt = np.matmul(h.conj().transpose(0, 2, 1), z_cols)[:, :, 0]
-    cos2, hv_norm2 = cos2[:, 0], hv_norm2[:, 0]
-    return np.sqrt(cos2 * hv_norm2), z_cols[:, :, 0], h_virt, hv_norm2, np.clip(1.0 - cos2, 0.0, 1.0)
+    cos2, z = cos2[:, 0], z_cols[:, :, 0]
+    tau = np.sqrt(cos2 * hv_norm2[:, 0])
+    return LocalCsi(cdi=v, cqi=tau, combiner=z, h_virt=h_virt, sin2_error=np.clip(1.0 - cos2, 0.0, 1.0))
 
 
 def build_global_matrix(h: np.ndarray, partner: LocalCsi) -> GlobalChannel:
-    """Stack a user's own rows over the partner's virtual row."""
-    h_qu = np.vstack([h, partner.quantized_virtual.conj()])
-    h_dl = np.vstack([h, partner.h_virt.conj()])
+    """Stack a user's own rows over the partner's virtual row. A stack of
+    users ``(k, n, m)`` takes the stacked records of their partners."""
+    h_qu = np.concatenate([h, partner.quantized_virtual.conj()[..., None, :]], axis=-2)
+    h_dl = np.concatenate([h, partner.h_virt.conj()[..., None, :]], axis=-2)
     return GlobalChannel(h_qu=h_qu, h_dl=h_dl)
 
 

@@ -19,12 +19,8 @@ from .model import GlobalCodebook, RandomStream, complex_gaussian
 
 @dataclass(frozen=True)
 class DownlinkObservation:
-    """Signals seen by one cooperating pair during a downlink slot."""
+    """Noise of one cooperating pair in a downlink slot, as its main user and assistant see it."""
 
-    y_mu: np.ndarray
-    y_au_combined: complex
-    y_stacked: np.ndarray
-    symbols: np.ndarray
     noise_mu: np.ndarray
     noise_au: complex
 
@@ -75,17 +71,8 @@ def simulate_symbol_path(
     y_mu = math.sqrt(rho) * (h_mu @ x) + noise_mu
     noise_au = complex(np.vdot(partner.combiner, noise_au_vec))
     y_au = complex(math.sqrt(rho) * np.vdot(partner.h_virt, x) + noise_au)
-    y_stacked = np.append(y_mu, y_au)
-    combined = complex(np.vdot(z_bar, y_stacked))
-    obs = DownlinkObservation(
-        y_mu=y_mu,
-        y_au_combined=y_au,
-        y_stacked=y_stacked,
-        symbols=np.asarray(symbols, dtype=np.complex128),
-        noise_mu=noise_mu,
-        noise_au=noise_au,
-    )
-    return obs, combined
+    combined = complex(np.vdot(z_bar, np.append(y_mu, y_au)))
+    return DownlinkObservation(noise_mu=noise_mu, noise_au=noise_au), combined
 
 
 def downlink_effective_channel(glob: GlobalChannel, z_bar: np.ndarray) -> np.ndarray:

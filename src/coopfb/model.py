@@ -136,11 +136,6 @@ class SystemConfig:
             raise ConfigError(f"codebook_mode must be one of {CODEBOOK_MODES}, got {self.codebook_mode!r}")
 
     @property
-    def b(self) -> int:
-        """Feedback bits for the global codeword index."""
-        return max(1, math.ceil(math.log2(self.m)))
-
-    @property
     def qcl(self) -> int:
         """Number of local codewords, 2**bcl."""
         return 2**self.bcl

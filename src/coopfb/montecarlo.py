@@ -12,9 +12,10 @@ a block with a degenerate draw trial by trial on resample streams (counted,
 never silently). The kernels are vectorised across the users of a block
 through the one stacked QBC stage of ``qbc`` (Householder QR, then
 substitution on the R factor across the stack), which ``cooperation`` also
-runs for local acquisition. Every random quantity is keyed by (seed,
-trial, purpose), so results are bit-identical for any worker count and
-block boundary.
+runs for local acquisition; partner rows are stacked by
+``cooperation.build_global_matrix``, as in the per-user pipeline. Every
+random quantity is keyed by (seed, trial, purpose), so results are
+bit-identical for any worker count and block boundary.
 """
 
 from __future__ import annotations
@@ -117,15 +118,12 @@ class _ConvArrays:
 class _CoopArrays:
     """Per-(user, beam) powers ``(k, m)`` of the cooperative pipeline: what
     the quantized stacked channel reports (``*_qu``) and what the downlink
-    delivers (``*_dl``); and per user, the local sin^2 error and squared
-    virtual-channel norm."""
+    delivers (``*_dl``)."""
 
     sig_qu: np.ndarray
     intf_qu: np.ndarray
     sig_dl: np.ndarray
     intf_dl: np.ndarray
-    sin2_local: np.ndarray
-    hvirt_norm2: np.ndarray
 
 
 @dataclass
@@ -207,22 +205,20 @@ def _workspaces(
         # sweep_small_k's peak RSS from 42.0 to 52.3 MiB.
         vectors = gen_local_codebook(cfg, rngs).vectors
         v = np.concatenate([cooperation._local_choice(vectors[i], basis[i * k : (i + 1) * k]) for i in range(b)])
-        tau, _, h_virt, hv_norm2, sin2_local = cooperation._local_stage(h, basis, r, v)
+        local = cooperation._local_stage(h, basis, r, v)
 
-        # Global acquisition over the partner-stacked (n+1)-row matrices;
-        # k is even, so u ^ 1 stays inside u's trial.
-        partner = np.arange(len(h)) ^ 1
-        h_qu = np.concatenate([h, (tau[:, None] * v).conj()[partner][:, None, :]], axis=1)  # (b*k, n+1, m)
-        h_dl = np.concatenate([h, h_virt.conj()[partner][:, None, :]], axis=1)
-        cos2_g, eff_norm2, combiners = qbc._qbc_stage(*qbc._subspace(h_qu), cb, combine=True)
+        # Global acquisition over the partner-stacked (n+1)-row matrices
+        # (b*k, n+1, m); k is even, so u ^ 1 stays inside u's trial.
+        glob = cooperation.build_global_matrix(h, local[np.arange(len(h)) ^ 1])
+        cos2_g, eff_norm2, combiners = qbc._qbc_stage(*qbc._subspace(glob.h_qu), cb, combine=True)
         sig_qu, intf_qu = qbc._beam_powers(cos2_g, eff_norm2)
         # Not combined toward the codebook: correlate the served beam; the
         # unitary codebook's other beams carry the rest of the norm.
-        heff_dl = np.matmul(h_dl.conj().transpose(0, 2, 1), combiners)  # (b*k, m, beams)
+        heff_dl = np.matmul(glob.h_dl.conj().transpose(0, 2, 1), combiners)  # (b*k, m, beams)
         corr_dl = np.sum(cb.conj() * heff_dl, axis=1)
         sig_dl = corr_dl.real**2 + corr_dl.imag**2
         intf_dl = np.maximum(np.sum(heff_dl.real**2 + heff_dl.imag**2, axis=1) - sig_dl, 0.0)
-        coop_arrays = _CoopArrays(sig_qu, intf_qu, sig_dl, intf_dl, sin2_local, hv_norm2)
+        coop_arrays = _CoopArrays(sig_qu, intf_qu, sig_dl, intf_dl)
 
     return [
         TrialWorkspace(cfg, *_origin(rng), conv_part, coop_part)
@@ -374,8 +370,7 @@ def _pair_block(cfg: SystemConfig, beam: int, rngs: Sequence[RandomStream]) -> n
     pairs = complex_gaussian(_generators(rngs, "channels"), (2, cfg.n, cfg.m))
     codewords = gen_global_codebook(cfg, rngs).codeword(beam)
     local = cooperation.acquire_local_csi(pairs[:, 1], gen_local_codebook(cfg, rngs))
-    h_qu = np.concatenate([pairs[:, 0], local.quantized_virtual.conj()[:, None, :]], axis=1)
-    combined = qbc.combine_for_codeword(h_qu, codewords)
+    combined = qbc.combine_for_codeword(cooperation.build_global_matrix(pairs[:, 0], local).h_qu, codewords)
     h_eff = combined.h_eff
     norm2 = np.sum(h_eff.real**2 + h_eff.imag**2, axis=1)
     cos2 = np.abs(np.sum(h_eff.conj() * codewords, axis=1)) ** 2 / norm2
@@ -468,7 +463,7 @@ def run_experiment(experiment: str, overrides: Optional[dict] = None, workers: i
     if experiment not in SPECS:
         raise ValueError(f"unknown experiment {experiment!r}; expected one of {tuple(SPECS)}")
     spec = SPECS[experiment]
-    overrides = {key: value for key, value in (overrides or {}).items() if value is not None}
+    overrides = overrides or {}
     unknown = sorted(overrides.keys() - spec.params.keys())
     if unknown:
         raise ValueError(f"{experiment} does not accept override(s) {unknown}")
@@ -482,11 +477,15 @@ def run_experiment(experiment: str, overrides: Optional[dict] = None, workers: i
 
 
 def _system(params: dict, **fields) -> SystemConfig:
-    """The run's :class:`SystemConfig` from ``params`` and ``fields``. A run
-    that reads no user count gets the smallest its ``m`` allows, which only
-    the validation looks at."""
+    """The run's :class:`SystemConfig` from ``params`` and ``fields``, and
+    the check of its ``beam``, if it has one. A run that reads no user count
+    gets the smallest its ``m`` allows, which only the validation looks at."""
     known = {f.name: params[f.name] for f in dataclasses.fields(SystemConfig) if f.name in params}
-    return SystemConfig(**{"k": 2 * params["m"], **known, **fields})
+    cfg = SystemConfig(**{"k": 2 * params["m"], **known, **fields})
+    beam = params.get("beam", 0)
+    if isinstance(beam, bool) or not isinstance(beam, (int, np.integer)) or not 0 <= beam < cfg.m:
+        raise ConfigError(f"beam must be an integer in 0..{cfg.m - 1}, got beam={beam!r}")
+    return cfg
 
 
 def _run_fig3(params: dict, workers: int):

@@ -163,11 +163,6 @@ def ln_beta(a: float, b: float) -> float:
     return math.lgamma(b) - b * math.log(a) - (c - 0.5) * math.log1p(b / a) + b + (1.0 / a - 1.0 / c) / 12.0
 
 
-def beta_function(a: float, b: float) -> float:
-    """Beta function B(a, b), as the exponential of :func:`ln_beta`."""
-    return math.exp(ln_beta(a, b))
-
-
 def binomial(n: int, k: int) -> int:
     """Exact binomial coefficient C(n, k)."""
     if n < 0 or k < 0 or k > n:

@@ -20,10 +20,6 @@ class ScheduleResult:
     assignment: tuple[Optional[int], ...]
     mode: str = "conventional"
 
-    @property
-    def assigned_beams(self) -> list[int]:
-        return [beam for beam, user in enumerate(self.assignment) if user is not None]
-
 
 def main_users(cqi: np.ndarray) -> np.ndarray:
     """Main user of each pair (even, even+1) over the last axis of ``cqi``;

@@ -134,6 +134,19 @@ class TestBuildGlobalMatrix:
             expected_row = (expected_norm * local.error_direction).conj()
             assert np.linalg.norm(diff - expected_row) < 1e-10
 
+    @pytest.mark.parametrize("k", [1, 6])
+    def test_stack_is_the_per_user_calls(self, k):
+        rng = np.random.default_rng(k)
+        h = np.stack([random_channel(2, 4, rng) for _ in range(k)])
+        partner_h = np.stack([random_channel(2, 4, rng) for _ in range(k)])
+        partners = acquire_local_csi(partner_h, random_codebook(8, 4, rng))
+        stacked = build_global_matrix(h, partners)
+        assert stacked.h_qu.shape == stacked.h_dl.shape == (k, 3, 4)
+        for u in range(k):
+            single = build_global_matrix(h[u], partners[u])
+            np.testing.assert_array_equal(stacked.h_qu[u], single.h_qu)
+            np.testing.assert_array_equal(stacked.h_dl[u], single.h_dl)
+
 
 class TestAcquireGlobalCsi:
     def cfg(self):

@@ -38,8 +38,6 @@ def reference_arrays(cfg, trial, resamples):
     k, m = cfg.k, cfg.m
     out = {name: np.zeros((k, m)) for name in ("sig", "intf", "sig_qu", "intf_qu", "sig_dl", "intf_dl")}
     local = [reference.local(h[u], vectors) for u in range(k)]
-    out["sin2_local"] = np.array([sin2 for *_, sin2 in local])
-    out["hvirt_norm2"] = np.array([np.vdot(h_virt, h_virt).real for _, _, _, h_virt, _ in local])
     for u in range(k):
         q, tau, _, h_virt, _ = local[u ^ 1]
         h_qu = np.vstack([h[u], (tau * vectors[q]).conj()])

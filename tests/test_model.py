@@ -24,7 +24,6 @@ class TestSystemConfig:
     def test_derived_quantities(self):
         cfg = small_cfg(bcl=6)
         assert cfg.qcl == 64
-        assert cfg.b == 2
 
     @pytest.mark.parametrize(
         "kw",

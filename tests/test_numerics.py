@@ -10,7 +10,6 @@ from coopfb import numerics
 from coopfb.numerics import (
     DomainError,
     RankDeficient,
-    beta_function,
     binomial,
     gram_solve,
     haar_unitary,
@@ -18,6 +17,11 @@ from coopfb.numerics import (
 )
 
 RNG = np.random.default_rng(1234)
+
+
+def beta_function(a, b):
+    """B(a, b) as the exponential of ``ln_beta``, the form the analysis uses."""
+    return math.exp(numerics.ln_beta(a, b))
 
 
 def random_channel(n, m, rng=RNG):

@@ -5,7 +5,11 @@ or compare every output with another checkout's.
     python tools/run_list.py <checkout> --against <baseline> [--workers N]
 
 Each run is ``python -m coopfb.cli`` with ``<checkout>/src`` on the path, in
-a fresh output directory. For every run the script prints its exit code,
+a fresh output directory. One more run, ``per_user_link_seed7``, covers
+criterion 1's per-user pipeline, which no command reaches: it imports the
+checkout's ``perfbench/workloads.py`` without writing to it and writes what
+``run_per_user`` returns to ``per_user.csv`` (:func:`write_per_user`).
+For every run the script prints its exit code,
 the sha256 of its stdout (with the output directory replaced by ``<out>``)
 and of its stderr, and the sha256 of every file it wrote. A manifest is
 hashed without its ``timestamp`` and ``output_paths`` keys, which change
@@ -68,6 +72,8 @@ RUNS = [
     ("analyze_defaults", ("analyze",)),
     ("analyze_k50,100_rho0-10", ("analyze", "--k-grid", "50,100", "--rho-db", "0..10..5")),
     ("analyze_n3_bcl4", ("analyze", "--n", "3", "--bcl", "4")),
+    # perfbench's per_user_link workload at seed 7: (seed, trials) of run_per_user.
+    ("per_user_link_seed7", ("per_user", "7", "40")),
 ]
 
 
@@ -85,16 +91,42 @@ def _normalised(name: str, data: bytes) -> bytes:
     return data
 
 
+def write_per_user(perfbench: str, seed: str, trials: str, out_dir: str) -> None:
+    """``per_user.csv`` of ``run_per_user(seed, trials)`` from ``perfbench``'s
+    ``workloads.py``: per trial, each user's report (beam, CQI, combiner),
+    the beam assignment (-1 for no user) and each served beam's recombined
+    and simulated scalars, every float to 17 significant digits."""
+    sys.path.insert(0, perfbench)
+    from workloads import run_per_user
+
+    def digits(*values):
+        return [f"{part:.17g}" for v in values for part in (v.real, v.imag)]
+
+    rows = [("trial", "what", "index", "values")]
+    for t, trial in enumerate(run_per_user(int(seed), int(trials))):
+        rows += [(t, "report", r.user, r.beam, f"{r.cqi:.17g}", *digits(*r.combiner)) for r in trial.reports]
+        rows += [(t, "assignment", beam, -1 if u is None else u) for beam, u in enumerate(trial.assignment)]
+        rows += [(t, "decomposition", beam, *digits(rec, sim)) for beam, rec, sim in trial.decompositions]
+    Path(out_dir).mkdir()
+    with open(Path(out_dir) / "per_user.csv", "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
 def execute(src: Path, argv: tuple, workers: int, out_dir: Path) -> dict[str, bytes]:
     """Every output of one run by name: ``exit``, ``stdout``, ``stderr`` and
     each file it wrote, manifests normalised."""
-    if argv[0] != "analyze":
-        argv = (*argv, "--workers", str(workers), "--out-dir", str(out_dir))
     env = {key: value for key, value in os.environ.items() if key != "COOPFB_OUT_DIR"}
     env["PYTHONPATH"] = str(src)
-    done = subprocess.run(
-        [sys.executable, "-m", "coopfb.cli", *argv], capture_output=True, env=env, cwd=out_dir.parent
-    )
+    if argv[0] == "per_user":
+        env["PYTHONPATH"] += os.pathsep + str(Path(__file__).resolve().parent)
+        env["PYTHONDONTWRITEBYTECODE"] = "1"  # leaves the checkout's perfbench/ as it is
+        script = "import sys, run_list; run_list.write_per_user(*sys.argv[1:])"
+        command = ["-c", script, str(src.parent / "perfbench"), *argv[1:], str(out_dir)]
+    else:
+        if argv[0] != "analyze":
+            argv = (*argv, "--workers", str(workers), "--out-dir", str(out_dir))
+        command = ["-m", "coopfb.cli", *argv]
+    done = subprocess.run([sys.executable, *command], capture_output=True, env=env, cwd=out_dir.parent)
     outputs = {
         "exit": str(done.returncode).encode(),
         "stdout": done.stdout.replace(str(out_dir).encode(), b"<out>"),
