@@ -126,7 +126,7 @@ def _local_stage(h: np.ndarray, basis: np.ndarray, r: np.ndarray, v: np.ndarray)
     ``v`` ``(k, m)``: the one-column QBC stage, whose effective channel
     ``H^H z`` is the virtual channel. Gives the stacked :class:`LocalCsi`.
     """
-    cos2, hv_norm2, z_cols = qbc._qbc_stage(basis, r, v[:, :, None], combine=True)
+    cos2, hv_norm2, z_cols = qbc._qbc_stage(basis, r, v[:, :, None])
     h_virt = np.matmul(h.conj().transpose(0, 2, 1), z_cols)[:, :, 0]
     cos2, z = cos2[:, 0], z_cols[:, :, 0]
     tau = np.sqrt(cos2 * hv_norm2[:, 0])

@@ -93,6 +93,12 @@ def db_to_linear(rho_db):
     return rho
 
 
+def check_integer(name: str, value) -> None:
+    """Refuse a count that is not an integer: numpy integers pass, bools do not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {name}={value!r}")
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Dimensions, SNR, feedback budgets, and Monte Carlo bookkeeping.
@@ -113,9 +119,7 @@ class SystemConfig:
 
     def __post_init__(self):
         for name in ("m", "n", "k", "bcl", "trials", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {name}={value!r}")
+            check_integer(name, getattr(self, name))
         if self.n < 1:
             raise ConfigError(f"need n >= 1, got n={self.n}")
         if self.n + 1 > self.m:
@@ -165,10 +169,17 @@ class GlobalCodebook:
 
 @dataclass(frozen=True)
 class LocalCodebook:
-    """RVQ codebook for the cooperation link; codewords are rows of ``vectors``
-    (a stack ``(b, qcl, m)`` holds one codebook per trial)."""
+    """RVQ codebook for the cooperation link; codewords are rows of ``vectors``,
+    finite with ``|v^H v - 1| <= UNITARY_TOL`` (a stack ``(b, qcl, m)`` holds
+    one codebook per trial)."""
 
     vectors: np.ndarray
+
+    def __post_init__(self):
+        # No block-sized temporary; a non-finite row has a non-finite norm.
+        pairs = np.ascontiguousarray(self.vectors, dtype=np.complex128).view(np.float64)
+        if not np.all(np.abs(np.einsum("...i,...i->...", pairs, pairs) - 1.0) <= UNITARY_TOL):
+            raise ValueError(f"need finite unit-norm local codewords, max |v^H v - 1| <= {UNITARY_TOL}")
 
     def __len__(self) -> int:
         return self.vectors.shape[-2]

@@ -39,6 +39,7 @@ from .model import (
     RandomStream,
     SystemConfig,
     _generators,
+    check_integer,
     complex_gaussian,
     db_to_linear,
     derive_trial_rng,
@@ -210,7 +211,7 @@ def _workspaces(
         # Global acquisition over the partner-stacked (n+1)-row matrices
         # (b*k, n+1, m); k is even, so u ^ 1 stays inside u's trial.
         glob = cooperation.build_global_matrix(h, local[np.arange(len(h)) ^ 1])
-        cos2_g, eff_norm2, combiners = qbc._qbc_stage(*qbc._subspace(glob.h_qu), cb, combine=True)
+        cos2_g, eff_norm2, combiners = qbc._qbc_stage(*qbc._subspace(glob.h_qu), cb)
         sig_qu, intf_qu = qbc._beam_powers(cos2_g, eff_norm2)
         # Not combined toward the codebook: correlate the served beam; the
         # unitary codebook's other beams carry the rest of the norm.
@@ -358,17 +359,17 @@ def _simulate(kernel: Callable, cfg: SystemConfig, size: int, workers: int):
     return np.concatenate([rows for rows, _ in chunks]), sum(attempts for _, attempts in chunks)
 
 
-def _pair_block(cfg: SystemConfig, beam: int, rngs: Sequence[RandomStream]) -> np.ndarray:
-    """Cooperation-pair draws evaluated at a fixed beam, one row per stream:
-    sin^2 local error, sin^2 global error, squared effective norm, local
-    interference power.
+def _pair_block(cfg: SystemConfig, rngs: Sequence[RandomStream]) -> np.ndarray:
+    """Cooperation-pair draws evaluated at beam 0, which has every beam's law
+    (channels are isotropic), one row per stream: sin^2 local error, sin^2
+    global error, squared effective norm, local interference power.
 
     No role swap and no scheduling: this samples the per-candidate
     distributions the closed-form chain models (user 0 stacks user 1's
     shared local CSI).
     """
     pairs = complex_gaussian(_generators(rngs, "channels"), (2, cfg.n, cfg.m))
-    codewords = gen_global_codebook(cfg, rngs).codeword(beam)
+    codewords = gen_global_codebook(cfg, rngs).codeword(0)
     local = cooperation.acquire_local_csi(pairs[:, 1], gen_local_codebook(cfg, rngs))
     combined = qbc.combine_for_codeword(cooperation.build_global_matrix(pairs[:, 0], local).h_qu, codewords)
     h_eff = combined.h_eff
@@ -460,6 +461,7 @@ def run_experiment(experiment: str, overrides: Optional[dict] = None, workers: i
     A grid parameter takes a list or tuple and any other parameter one
     value; :class:`SystemConfig` checks the values themselves.
     """
+    check_integer("workers", workers)
     if experiment not in SPECS:
         raise ValueError(f"unknown experiment {experiment!r}; expected one of {tuple(SPECS)}")
     spec = SPECS[experiment]
@@ -477,15 +479,11 @@ def run_experiment(experiment: str, overrides: Optional[dict] = None, workers: i
 
 
 def _system(params: dict, **fields) -> SystemConfig:
-    """The run's :class:`SystemConfig` from ``params`` and ``fields``, and
-    the check of its ``beam``, if it has one. A run that reads no user count
-    gets the smallest its ``m`` allows, which only the validation looks at."""
+    """The run's :class:`SystemConfig` from ``params`` and ``fields``. A run
+    that reads no user count gets the smallest its ``m`` allows, which only
+    the validation looks at."""
     known = {f.name: params[f.name] for f in dataclasses.fields(SystemConfig) if f.name in params}
-    cfg = SystemConfig(**{"k": 2 * params["m"], **known, **fields})
-    beam = params.get("beam", 0)
-    if isinstance(beam, bool) or not isinstance(beam, (int, np.integer)) or not 0 <= beam < cfg.m:
-        raise ConfigError(f"beam must be an integer in 0..{cfg.m - 1}, got beam={beam!r}")
-    return cfg
+    return SystemConfig(**{"k": 2 * params["m"], **known, **fields})
 
 
 def _run_fig3(params: dict, workers: int):
@@ -508,7 +506,7 @@ def _run_fig3(params: dict, workers: int):
 def _run_fig5(params: dict, workers: int):
     """Cdfs of local/global quantization errors and interference powers."""
     cfg = _system(params)
-    data, resamples = _simulate(partial(_pair_block, cfg, params["beam"]), cfg, _block_trials(cfg), workers)
+    data, resamples = _simulate(partial(_pair_block, cfg), cfg, _block_trials(cfg), workers)
     sin2_local, sin2_global, norm2, local_intf = data.T
     global_intf = norm2 * sin2_global
     rows = []
@@ -543,7 +541,7 @@ def _run_fig6(params: dict, workers: int):
     """
     cfg = _system(params)
     rhos = [db_to_linear(rho_db) for rho_db in params["rho_db"]]
-    data, resamples = _simulate(partial(_pair_block, cfg, params["beam"]), cfg, _block_trials(cfg), workers)
+    data, resamples = _simulate(partial(_pair_block, cfg), cfg, _block_trials(cfg), workers)
     sin2_local, sin2_global, norm2, local_intf = data.T
     cos2_global = 1.0 - sin2_global
     rows = []
@@ -687,7 +685,7 @@ def _run_fig9(params: dict, workers: int):
     resamples = 0
     for cfg in [_system(params, n=n_rx) for n_rx in params["n_grid"]]:
         size = _block_trials(cfg)
-        pairs, attempts = _simulate(partial(_pair_block, cfg, params["beam"]), cfg, size, workers)
+        pairs, attempts = _simulate(partial(_pair_block, cfg), cfg, size, workers)
         direct = pairs[:, 2]
         resamples += attempts
         omega = analysis.expected_local_error(cfg.m, cfg.n, cfg.qcl)
@@ -745,15 +743,15 @@ _GLOBAL = dict(_DRAWS, codebook_mode="haar")  # for the runs that draw a global 
 # Every command: what its runner reads and which flags set it.
 SPECS = {
     "fig3": Spec(_run_fig3, dict(_DRAWS, n=2, bcl_grid=list(range(2, 11))), {"bcl": "bcl_grid"}),
-    "fig5": Spec(_run_fig5, dict(_GLOBAL, n=2, bcl=8, beam=0)),
-    "fig6": Spec(_run_fig6, dict(_GLOBAL, n=2, bcl=8, beam=0, rho_db=[0.0, 10.0, 20.0])),
+    "fig5": Spec(_run_fig5, dict(_GLOBAL, n=2, bcl=8)),
+    "fig6": Spec(_run_fig6, dict(_GLOBAL, n=2, bcl=8, rho_db=[0.0, 10.0, 20.0])),
     "fig7": Spec(
         _run_fig7,
         dict(_GLOBAL, configs=[(3, 4), (2, 8)], k_grid=[50, 100, 200, 400], rho_db=_RHO_GRID),
         {("n", "bcl"): "configs"},
     ),
     "fig8": Spec(_run_fig8, dict(_GLOBAL, n=3, bcl=6, k=200, rho_db=_RHO_GRID)),
-    "fig9": Spec(_run_fig9, dict(_GLOBAL, n_grid=[2, 3], bcl=8, beam=0), {"n": "n_grid"}),
+    "fig9": Spec(_run_fig9, dict(_GLOBAL, n_grid=[2, 3], bcl=8), {"n": "n_grid"}),
     "sweep": Spec(
         _run_sweep, dict(_GLOBAL, n=2, k=16, bcl=8, rho_db=[10.0], trials=1000, modes=[analysis.COOPERATIVE])
     ),

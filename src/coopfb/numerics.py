@@ -89,7 +89,7 @@ def mgs_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def solve_triangular(t: np.ndarray, b: np.ndarray, lower: bool = False) -> np.ndarray:
     """``T^-1 B`` for a stack of triangular matrices ``t`` ``(..., n, n)``
-    and of right-hand columns ``b`` ``(..., n, p)`` with the same leading axes.
+    and of right-hand columns ``b`` ``(..., n, p)``, leading axes broadcast.
 
     One update per column of ``T``, elementwise over the stack and the
     right-hand columns, so each column of each slice is solved on its own:

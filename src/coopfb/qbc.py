@@ -9,9 +9,10 @@ with the row-space basis ``Q = H^H R^-1``. A caller that needs the
 effective channel forms it as ``H^H z``.
 
 One stage does this for stacks of channels ``(k, n, m)``; the per-user
-functions run one channel through it as a stack of one. For a unitary
-codebook the served beam carries cos^2 of ``||h_eff||^2`` and the other
-beams the rest (Jindal, IEEE T-WC 2008).
+functions run one channel through it as a stack of one, :func:`select_csi`
+toward all its served codewords in one call. For a unitary codebook the
+served beam carries cos^2 of ``||h_eff||^2`` and the other beams the rest
+(Jindal, IEEE T-WC 2008).
 """
 
 from __future__ import annotations
@@ -51,26 +52,14 @@ def combine_for_codeword(h: np.ndarray, codeword) -> CombinedChannel:
 
     A stack of channels ``(k, n, m)`` takes one codeword per channel
     ``(k, m)`` and gives the combiners ``(k, n)`` and effective channels
-    ``(k, m)`` of the stack.
+    ``(k, m)`` of the stack; one channel is a stack of one.
     """
-    if h.ndim == 2:
-        return _combine_one(*_stack_of_one(h), codeword)
-    z = _qbc_stage(*_subspace(h), np.asarray(codeword)[:, :, None], combine=True)[2]
-    return CombinedChannel(combiner=z[:, :, 0], h_eff=np.matmul(h.conj().transpose(0, 2, 1), z)[:, :, 0])
-
-
-def _stack_of_one(h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One channel ``(n, m)`` as a stack of one, with its row-space basis
-    and R factor; :func:`numerics.as_channel` checks the input."""
-    h = numerics.as_channel(h)[None]
-    return (h, *_subspace(h))
-
-
-def _combine_one(h: np.ndarray, basis: np.ndarray, r: np.ndarray, codeword) -> CombinedChannel:
-    """The one-column stage on a stack of one channel; ``h_eff`` is exactly
-    ``H^H combiner``."""
-    z = _qbc_stage(basis, r, np.asarray(codeword)[None, :, None], combine=True)[2][0, :, 0]
-    return CombinedChannel(combiner=z, h_eff=h[0].conj().T @ z)
+    one = h.ndim == 2
+    if one:
+        h, codeword = numerics.as_channel(h)[None], np.asarray(codeword)[None]
+    z = _qbc_stage(*_subspace(h), np.asarray(codeword)[:, :, None])[2]
+    combiner, h_eff = z[:, :, 0], np.matmul(h.conj().transpose(0, 2, 1), z)[:, :, 0]
+    return CombinedChannel(combiner[0], h_eff[0]) if one else CombinedChannel(combiner, h_eff)
 
 
 def _subspace(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -80,13 +69,13 @@ def _subspace(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return numerics.mgs_columns(h.conj().transpose(0, 2, 1))
 
 
-def _qbc_stage(basis: np.ndarray, r: np.ndarray, cb: np.ndarray, combine: bool = False):
+def _qbc_stage(basis: np.ndarray, r: np.ndarray, cb: np.ndarray):
     """Batched QBC of stacked channels, given as their bases and R factors
     (:func:`_subspace`), against every column of ``cb``: one codebook
     ``(m, beams)`` for all channels, or one per channel ``(k, m, beams)``.
 
     Returns per-(user, beam): cos^2 of the projection, squared effective
-    norm, and with ``combine`` the unit combiners as columns (else None).
+    norm, and the unit combiners as columns.
     """
     corr = np.matmul(basis.conj().transpose(0, 2, 1), cb)  # (k, rank, beams)
     cos2 = np.sum(corr.real**2 + corr.imag**2, axis=1)  # (k, beams)
@@ -96,8 +85,7 @@ def _qbc_stage(basis: np.ndarray, r: np.ndarray, cb: np.ndarray, combine: bool =
     w = corr / norms[:, None, :]  # unit projections, in the basis' coordinates
     u = numerics.solve_triangular(r, w)  # H^H u = Q w
     u_norm2 = np.sum(u.real**2 + u.imag**2, axis=1)
-    combiners = u / np.sqrt(u_norm2)[:, None, :] if combine else None
-    return cos2, 1.0 / u_norm2, combiners
+    return cos2, 1.0 / u_norm2, u / np.sqrt(u_norm2)[:, None, :]
 
 
 def _beam_powers(cos2: np.ndarray, eff_norm2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -128,22 +116,21 @@ def best_beam(sig: np.ndarray, intf: np.ndarray, noise) -> tuple[np.ndarray, np.
 
 
 def select_csi(h: np.ndarray, codebook: GlobalCodebook, rho: float, user: int = 0) -> CsiReport:
-    """Evaluate every beam and report the SINR-maximising one.
-
-    :func:`best_beam` picks the beam, so ties go to the lowest index. A
-    beam whose codeword is orthogonal to the channel subspace cannot be
-    served at all and is skipped; at least one beam always has a nonzero
-    projection. The reported CQI and combiner are those of
-    :func:`combine_for_codeword` toward the chosen beam.
+    """Combine toward every beam once and report the one of largest
+    :func:`sinr_for_beam`, the lowest on a tie, with its combiner. A beam
+    whose codeword is orthogonal to the channel subspace cannot be served
+    and is skipped; some beam always is, since the cos^2 over a unitary
+    codebook add up to the rank.
     """
-    h1, basis, r = _stack_of_one(h)
-    cb = codebook.matrix
-    corr = basis[0].conj().T @ cb
+    h = numerics.as_channel(h)
+    basis, r = _subspace(h[None])
+    corr = basis[0].conj().T @ codebook.matrix
     served = np.flatnonzero(np.sqrt(np.sum(corr.real**2 + corr.imag**2, axis=0)) > numerics.PROJECTION_TOL)
-    if served.size == 0:
-        raise numerics.DegenerateProjection("no codeword projects onto the channel subspace")
-    sig, intf = _beam_powers(*_qbc_stage(basis, r, cb[:, served])[:2])
-    beam = int(served[best_beam(sig[0], intf[0], codebook.num_beams / rho)[0]])
-    combined = _combine_one(h1, basis, r, codebook.codeword(beam))
-    cqi = sinr_for_beam(combined.h_eff, codebook, beam, rho)
-    return CsiReport(user=user, beam=beam, cqi=cqi, combiner=combined.combiner)
+    # Each served codeword is its own one-column problem (s, m, 1) against the one
+    # basis and R, broadcast, which keeps the bits of combine_for_codeword; repeating
+    # basis and R, or one matmul over several codeword columns, moves last bits.
+    z = _qbc_stage(basis, r, codebook.matrix.T[served][:, :, None])[2]  # (s, n, 1)
+    h_eff = np.matmul(h.conj().T, z)[:, :, 0]
+    cqi = [sinr_for_beam(eff, codebook, beam, rho) for eff, beam in zip(h_eff, served)]
+    best = int(np.argmax(cqi))
+    return CsiReport(user=user, beam=int(served[best]), cqi=cqi[best], combiner=z[best, :, 0])

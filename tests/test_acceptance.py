@@ -210,7 +210,7 @@ class TestCriterion6SinrCdfUpperTail:
 
         cfg = SystemConfig(m=4, n=2, k=8, bcl=8, trials=10000, seed=0)
         data, _ = montecarlo._simulate(
-            partial(montecarlo._pair_block, cfg, 0), cfg, montecarlo._block_trials(cfg), WORKERS
+            partial(montecarlo._pair_block, cfg), cfg, montecarlo._block_trials(cfg), WORKERS
         )
         sin2, norm2, local = data[:, 1], data[:, 2], data[:, 3]
         for rho in (1.0, 10.0, 100.0):

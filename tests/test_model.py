@@ -5,6 +5,7 @@ from coopfb import model, numerics
 from coopfb.model import (
     ConfigError,
     GlobalCodebook,
+    LocalCodebook,
     SystemConfig,
     derive_trial_rng,
     dft_matrix,
@@ -78,6 +79,34 @@ class TestGlobalCodebook:
     def test_refuses_non_unitary(self, matrix):
         with pytest.raises(ValueError):
             GlobalCodebook(matrix)
+
+
+def _spoiled(vectors, index, value):
+    vectors = vectors.copy()
+    vectors[index] = value
+    return vectors
+
+
+_DRAWN = gen_local_codebook(small_cfg(), [derive_trial_rng(0, t) for t in range(2)]).vectors  # (2, 16, 4)
+
+
+class TestLocalCodebook:
+    def test_accepts_drawn_codebooks(self):
+        assert len(LocalCodebook(_DRAWN[0])) == len(LocalCodebook(_DRAWN)) == 16
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [
+            2.0 * _DRAWN[0],  # every row twice unit norm
+            _spoiled(_DRAWN[0], 3, _DRAWN[0, 3] * (1.0 + 1e-8)),  # one row just off unit norm
+            _spoiled(_DRAWN[0], 5, np.nan),  # a NaN row
+            _spoiled(_DRAWN[0], (5, 1), np.inf),  # one infinite entry
+            _spoiled(_DRAWN, (1, 7), 0.0),  # a zero row in the second codebook of a stack
+        ],
+    )
+    def test_refuses_rows_off_the_unit_sphere(self, vectors):
+        with pytest.raises(ValueError, match="unit-norm local codewords"):
+            LocalCodebook(vectors)
 
 
 class TestRandomStream:

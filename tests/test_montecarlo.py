@@ -425,12 +425,22 @@ class TestExperimentShapes:
         with pytest.raises(ConfigError, match="k must be an integer, got k=None"):
             run_experiment("sweep", {"k": None, "trials": 2})
 
-    @pytest.mark.parametrize("beam", [-1, 4, True, 1.0])
+    @pytest.mark.parametrize("beam", [0, -1, 4, True, 1.0])
     @pytest.mark.parametrize("experiment", ["fig5", "fig6", "fig9"])
     def test_beam_outside_the_codebook_refused(self, monkeypatch, experiment, beam):
+        # The pair sampler always evaluates beam 0, so no beam is an override.
         refuse_trials(monkeypatch)
-        with pytest.raises(ConfigError, match=r"beam must be an integer in 0\.\.3"):
+        with pytest.raises(ValueError, match=r"does not accept override\(s\) \['beam'\]"):
             run_experiment(experiment, {"m": 4, "beam": beam})
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    @pytest.mark.parametrize("workers", [2.5, True])
+    def test_non_integer_workers_refused(self, monkeypatch, workers, cpus):
+        # The worker cap reads the CPU count, so refuse trials below it.
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(montecarlo, "_sampled", lambda *_: pytest.fail("simulated a refused run"))
+        with pytest.raises(ConfigError, match="workers must be an integer, got workers="):
+            run_experiment("sweep", {"trials": 2}, workers=workers)
 
     def test_run_sweep_is_the_sweep_command(self, monkeypatch):
         fields = dict(m=4, n=2, k=16, bcl=6, trials=12, seed=4, codebook_mode="dft")

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import reference
 from coopfb import numerics, qbc
-from coopfb.model import GlobalCodebook, SystemConfig, derive_trial_rng, gen_global_codebook
+from coopfb.model import GlobalCodebook, SystemConfig, derive_trial_rng, dft_matrix, gen_global_codebook
 from coopfb.qbc import combine_for_codeword, select_csi, sinr_for_beam
 
 RNG = np.random.default_rng(99)
@@ -168,18 +168,24 @@ class TestSelectCsi:
         assert report.beam == 0
 
     def test_matches_brute_force(self):
-        cb = haar_codebook(4, seed=33)
+        haar, dft = haar_codebook(4, seed=33), GlobalCodebook(dft_matrix(4))
         rng = np.random.default_rng(14)
-        for _ in range(1000):
-            h = random_channel(2, 4, rng)
+        cases = [(haar, random_channel(n, 4, rng), range(4)) for n in (1, 2, 3) for _ in range(1000)]
+        # Rank-1 channels in the span of DFT codewords 1..s, so codeword 0
+        # (and codeword 3 when s = 2) is orthogonal and skipped.
+        for s in (2, 3) * 500:
+            h = (dft.matrix[:, 1 : s + 1] @ random_channel(1, s, rng)[0]).conj()[None]
+            cases.append((dft, h, range(1, s + 1)))
+        for cb, h, served in cases:
             report = select_csi(h, cb, rho=7.0, user=5)
-            gammas = []
-            for beam in range(4):
+            gammas = {}
+            for beam in served:
                 combined = combine_for_codeword(h, cb.codeword(beam))
-                gammas.append(sinr_for_beam(combined.h_eff, cb, beam, rho=7.0))
+                gammas[beam] = sinr_for_beam(combined.h_eff, cb, beam, rho=7.0)
             assert report.user == 5
-            assert report.beam == int(np.argmax(gammas))
+            assert report.beam == max(gammas, key=gammas.get)  # the first maximum
             assert report.cqi == gammas[report.beam]
+            np.testing.assert_array_equal(report.combiner, combine_for_codeword(h, cb.codeword(report.beam)).combiner)
 
 
 class TestDistributionalInvariants:

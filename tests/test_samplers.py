@@ -27,8 +27,8 @@ from coopfb.model import (
 RTOL, ATOL = 1e-10, 1e-14
 
 
-def oracle_pair(cfg, trial, beam=0):
-    """One cooperation-pair draw at a fixed beam, per user: returns
+def oracle_pair(cfg, trial):
+    """One cooperation-pair draw at beam 0, per user: returns
     (sin2_local, sin2_global, eff_norm2, local_intf) and the attempt used."""
     base = derive_trial_rng(cfg.seed, trial)
     for attempt in range(montecarlo.MAX_RESAMPLE_ATTEMPTS):
@@ -39,9 +39,9 @@ def oracle_pair(cfg, trial, beam=0):
             local_cb = gen_local_codebook(cfg, rng)
             q, tau, _, h_virt, sin2_local = reference.local(pair[1], local_cb.vectors)
             h_qu = np.vstack([pair[0], (tau * local_cb.vectors[q]).conj()])
-            z, h_eff = reference.combine(h_qu, codebook.codeword(beam))
+            z, h_eff = reference.combine(h_qu, codebook.codeword(0))
             norm2 = float(np.vdot(h_eff, h_eff).real)
-            cos2 = float(np.abs(np.vdot(h_eff, codebook.codeword(beam))) ** 2 / norm2)
+            cos2 = float(np.abs(np.vdot(h_eff, codebook.codeword(0))) ** 2 / norm2)
             local_intf = float(np.abs(z[cfg.n]) ** 2 * np.vdot(h_virt, h_virt).real * sin2_local)
             row = (sin2_local, min(max(1.0 - cos2, 0.0), 1.0), norm2, local_intf)
             return np.array(row), attempt
@@ -66,7 +66,7 @@ def oracle_local_error(cfg, trial):
 def pair_chunk(cfg, lo, hi):
     """The pair sampler's rows at beam 0 over the trials ``[lo, hi)``, and
     the resample count."""
-    kernel = partial(montecarlo._pair_block, cfg, 0)
+    kernel = partial(montecarlo._pair_block, cfg)
     return montecarlo._sampled(kernel, cfg.seed, montecarlo._block_trials(cfg), lo, hi)
 
 

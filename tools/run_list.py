@@ -64,6 +64,11 @@ RUNS = [
          "--rho-db=-5..25..5", "--trials", "40"),
     ),
     ("sweep_adaptive", ("sweep", "--mode", "adaptive", "--trials", "50")),
+    # Adaptive at k=16 is out of the closed form's regime at 20 dB: exits 2 before any trial.
+    (
+        "sweep_adaptive_out_of_regime",
+        ("sweep", *_COOP_CONV, "--mode", "adaptive", "--k", "16", "--rho-db", "0..20..5", "--trials", "200"),
+    ),
     ("sweep_conv_dft_k10", ("sweep", "--mode", "conventional", "--codebook", "dft", "--k", "10", "--trials", "200")),
     # The benchmark's command lines (perfbench/workloads.py) at seed 7.
     ("rate_fig8_seed7", ("fig8", "--seed", "7", "--trials", "200")),
