@@ -198,9 +198,6 @@ def sinr_cdf_exact(x, m: int, n: int, rho: float, alpha: float, varrho_sq: float
 class AnalysisParams:
     """Derived constants feeding the closed-form SINR/sum-rate chain."""
 
-    m: int
-    n: int
-    qcl: int
     omega: float
     delta: float
     nu: float
@@ -213,9 +210,6 @@ def derive_params(m: int, n: int, qcl: int, rho: float) -> AnalysisParams:
     omega = expected_local_error(m, n, qcl)
     nu = (m - n + 1.0) * omega / (n + 1.0)
     return AnalysisParams(
-        m=m,
-        n=n,
-        qcl=qcl,
         omega=omega,
         delta=error_support_edge(m, n),
         nu=nu,

@@ -99,8 +99,7 @@ def decompose_received(
     m = codebook.num_beams
     c = codebook.matrix
     h_qu = glob.h_qu.conj().T @ z_bar
-    h_dl = glob.h_dl.conj().T @ z_bar
-    local_vec = h_dl - h_qu
+    local_vec = downlink_effective_channel(glob, z_bar) - h_qu
 
     cm = c[:, beam]
     align = np.vdot(h_qu, cm)  # h_qu^H c_m, real-positive by construction
@@ -114,17 +113,16 @@ def decompose_received(
 
     symbols = np.asarray(symbols, dtype=np.complex128)
     leak = global_interference + local_interference
+    noise = np.vdot(z_bar, stacked_noise)
     recombined = complex(
-        math.sqrt(rho / m)
-        * (desired * symbols[beam] + np.sum(np.delete(leak * symbols, beam)))
-        + np.vdot(z_bar, stacked_noise)
+        math.sqrt(rho / m) * (desired * symbols[beam] + np.sum(np.delete(leak * symbols, beam))) + noise
     )
     return DecompositionTerms(
         beam=beam,
         desired=desired,
         global_interference=global_interference,
         local_interference=local_interference,
-        noise=complex(np.vdot(z_bar, stacked_noise)),
+        noise=complex(noise),
         recombined=recombined,
     )
 

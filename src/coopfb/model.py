@@ -50,10 +50,10 @@ class RandomStream:
         return np.random.Generator(np.random.PCG64(int.from_bytes(digest[:16], "little")))
 
 
-def derive_trial_rng(seed: int, trial: int, purpose: str = "") -> RandomStream:
-    """Independent, reproducible substream for ``(seed, trial, purpose)``."""
-    stream = RandomStream(int(seed), (int(trial),))
-    return stream.child(str(purpose)) if purpose else stream
+def derive_trial_rng(seed: int, trial: int) -> RandomStream:
+    """Independent, reproducible stream of ``(seed, trial)``; a purpose's
+    substream is its ``.child(purpose)``."""
+    return RandomStream(int(seed), (int(trial),))
 
 
 def _generators(rngs, purpose: str) -> list:

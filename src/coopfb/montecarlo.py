@@ -108,21 +108,20 @@ def ks_distances(samples: Sequence[float], cdf: Callable, regions: Sequence[Opti
 
 @dataclass
 class _ConvArrays:
-    """Per-(user, beam) signal and interference powers ``(k, m)`` of the
-    conventional pipeline, at unit SNR."""
+    """Per-(user, beam) signal and interference powers ``(k, m)`` a user
+    reports its CQI from, at unit SNR: its QBC-combined channel toward each
+    beam. The conventional downlink delivers these powers too."""
 
     sig: np.ndarray
     intf: np.ndarray
 
 
 @dataclass
-class _CoopArrays:
-    """Per-(user, beam) powers ``(k, m)`` of the cooperative pipeline: what
-    the quantized stacked channel reports (``*_qu``) and what the downlink
-    delivers (``*_dl``)."""
+class _CoopArrays(_ConvArrays):
+    """The cooperative pipeline's report, from the quantized stacked
+    channel, plus the powers the downlink delivers (``*_dl``) through the
+    partner's unquantized row."""
 
-    sig_qu: np.ndarray
-    intf_qu: np.ndarray
     sig_dl: np.ndarray
     intf_dl: np.ndarray
 
@@ -212,14 +211,13 @@ def _workspaces(
         # (b*k, n+1, m); k is even, so u ^ 1 stays inside u's trial.
         glob = cooperation.build_global_matrix(h, local[np.arange(len(h)) ^ 1])
         cos2_g, eff_norm2, combiners = qbc._qbc_stage(*qbc._subspace(glob.h_qu), cb)
-        sig_qu, intf_qu = qbc._beam_powers(cos2_g, eff_norm2)
         # Not combined toward the codebook: correlate the served beam; the
         # unitary codebook's other beams carry the rest of the norm.
         heff_dl = np.matmul(glob.h_dl.conj().transpose(0, 2, 1), combiners)  # (b*k, m, beams)
         corr_dl = np.sum(cb.conj() * heff_dl, axis=1)
         sig_dl = corr_dl.real**2 + corr_dl.imag**2
         intf_dl = np.maximum(np.sum(heff_dl.real**2 + heff_dl.imag**2, axis=1) - sig_dl, 0.0)
-        coop_arrays = _CoopArrays(sig_qu, intf_qu, sig_dl, intf_dl)
+        coop_arrays = _CoopArrays(*qbc._beam_powers(cos2_g, eff_norm2), sig_dl, intf_dl)
 
     return [
         TrialWorkspace(cfg, *_origin(rng), conv_part, coop_part)
@@ -245,24 +243,20 @@ def evaluate_mode(ws: TrialWorkspace, mode: str, rho_lin: np.ndarray) -> _ModeEv
     rho_lin = np.atleast_1d(np.asarray(rho_lin, dtype=float))
     noise = m / rho_lin  # (r,)
 
-    if mode == analysis.COOPERATIVE:
-        if ws.coop is None:
-            raise ValueError("workspace was built without the cooperative stage")
-        sel_sig, sel_intf = ws.coop.sig_qu, ws.coop.intf_qu
-        dl_sig, dl_intf = ws.coop.sig_dl, ws.coop.intf_dl
-    elif mode == analysis.CONVENTIONAL:
-        if ws.conv is None:
-            raise ValueError("workspace was built without the conventional stage")
-        sel_sig, sel_intf = ws.conv.sig, ws.conv.intf
-        dl_sig, dl_intf = ws.conv.sig, ws.conv.intf
-    else:
+    records = {analysis.COOPERATIVE: ws.coop, analysis.CONVENTIONAL: ws.conv}
+    if mode not in records:
         raise ValueError(f"unknown mode {mode!r}")
+    arrays = records[mode]
+    if arrays is None:
+        raise ValueError(f"workspace was built without the {mode} stage")
 
-    beam, cqi = qbc.best_beam(sel_sig[None], sel_intf[None], noise[:, None, None])  # (r, k)
+    beam, cqi = qbc.best_beam(arrays.sig[None], arrays.intf[None], noise[:, None, None])  # (r, k)
     reporters = np.broadcast_to(np.arange(cfg.k), beam.shape)
+    dl_sig, dl_intf = arrays.sig, arrays.intf  # what the downlink delivers
     if mode == analysis.COOPERATIVE:
         reporters = scheduler.main_users(cqi)  # (r, k/2)
         beam, cqi = (np.take_along_axis(a, reporters, axis=1) for a in (beam, cqi))
+        dl_sig, dl_intf = arrays.sig_dl, arrays.intf_dl
     pick = scheduler.per_beam(beam, cqi, m)  # (r, m) reporter index, -1 when unassigned
     has = pick >= 0
     users = np.where(has, np.take_along_axis(reporters, pick, axis=1), -1)
@@ -304,8 +298,6 @@ def _rate_block_trials(cfg: SystemConfig) -> int:
 def _worker_count(workers: int, n_trials: int, cpus: Optional[int]) -> int:
     """Processes to run: the requested count, capped at the CPU count and
     at the trial count (which caps the chunk count)."""
-    if workers < 1:
-        raise ConfigError(f"need workers >= 1, got workers={workers}")
     return min(workers, cpus or 1, n_trials)
 
 
@@ -458,10 +450,12 @@ class Spec:
 def run_experiment(experiment: str, overrides: Optional[dict] = None, workers: int = 1) -> ExperimentResult:
     """Run one command of :data:`SPECS` with ``overrides`` of its parameters.
 
-    A grid parameter takes a list or tuple and any other parameter one
-    value; :class:`SystemConfig` checks the values themselves.
+    A grid parameter takes a non-empty list or tuple and any other
+    parameter one value; :class:`SystemConfig` checks the values themselves.
     """
     check_integer("workers", workers)
+    if workers < 1:
+        raise ConfigError(f"need workers >= 1, got workers={workers}")
     if experiment not in SPECS:
         raise ValueError(f"unknown experiment {experiment!r}; expected one of {tuple(SPECS)}")
     spec = SPECS[experiment]
@@ -471,8 +465,8 @@ def run_experiment(experiment: str, overrides: Optional[dict] = None, workers: i
         raise ValueError(f"{experiment} does not accept override(s) {unknown}")
     for key, value in overrides.items():
         grid = isinstance(spec.params[key], list)
-        if grid != isinstance(value, (list, tuple)):
-            shape = "a list" if grid else "a single value"
+        if grid != isinstance(value, (list, tuple)) or (grid and not value):
+            shape = "a non-empty list" if grid else "a single value"
             raise ValueError(f"{experiment} takes {shape} for {key!r}, got {value!r}")
     params = copy.deepcopy({**spec.params, **overrides})
     return ExperimentResult(experiment, params, *spec.runner(params, workers))

@@ -278,19 +278,17 @@ def expn(k, x) -> np.ndarray:
     return out.reshape(np.shape(k) + x.shape)
 
 
-def haar_unitary(m: int, rng) -> np.ndarray:
-    """Haar-distributed ``m x m`` unitary matrix.
+def haar_unitary(m: int, gens) -> np.ndarray:
+    """Stack ``(len(gens), m, m)`` of Haar-distributed unitary matrices, one
+    per generator of the sequence ``gens``.
 
     QR of a complex Ginibre draw with the R-diagonal phase correction, which
-    makes the distribution exactly rotation invariant. ``rng`` is one
-    generator, or a sequence of them for a stack ``(b, m, m)`` taken through
-    one QR; each generator draws its real part before its imaginary part,
-    so slice ``i`` is exactly what ``rng[i]`` alone gives.
+    makes the distribution exactly rotation invariant. The stack is taken
+    through one QR; each generator draws its real part before its imaginary
+    part, so slice ``i`` is exactly what ``[gens[i]]`` alone gives.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    block = not hasattr(rng, "standard_normal")
-    gens = rng if block else [rng]
     parts = np.empty((2, len(gens), m, m))
     for i, gen in enumerate(gens):
         parts[0, i] = gen.standard_normal((m, m))
@@ -298,4 +296,4 @@ def haar_unitary(m: int, rng) -> np.ndarray:
     q, r = np.linalg.qr((parts[0] + 1j * parts[1]) / np.sqrt(2.0))
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     q *= (diag / np.abs(diag))[:, None, :]
-    return q if block else q[0]
+    return q

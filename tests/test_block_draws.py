@@ -74,7 +74,7 @@ def test_global_codebook_block_matches_one_call_per_stream(mode, m):
 def test_haar_stack_matches_one_call_per_generator():
     stack = haar_unitary(4, [np.random.default_rng(seed) for seed in range(5)])
     for seed, got in enumerate(stack):
-        same_bits(got, haar_unitary(4, np.random.default_rng(seed)))
+        same_bits(got, haar_unitary(4, [np.random.default_rng(seed)])[0])
         same_bits(got, plain_haar(np.random.default_rng(seed), 4))
 
 

@@ -59,6 +59,7 @@ def test_workspace_beam_powers_match_explicit_sums(n, codebook_mode):
         ws = montecarlo.build_workspace(cfg, trial, coop=True, conv=True)
         want = reference_arrays(cfg, trial, ws.resamples)
         got = {"sig": ws.conv.sig, "intf": ws.conv.intf}
+        got.update(sig_qu=ws.coop.sig, intf_qu=ws.coop.intf)
         got.update((name, getattr(ws.coop, name)) for name in want if name not in got)
         for name, value in want.items():
             np.testing.assert_allclose(got[name], value, err_msg=name, **TOL)

@@ -65,7 +65,7 @@ class TestSystemConfig:
 class TestGlobalCodebook:
     def test_accepts_haar_and_dft(self):
         GlobalCodebook(dft_matrix(4))
-        GlobalCodebook(numerics.haar_unitary(4, np.random.default_rng(0)))
+        GlobalCodebook(numerics.haar_unitary(4, [np.random.default_rng(0)])[0])
 
     @pytest.mark.parametrize(
         "matrix",
@@ -111,26 +111,26 @@ class TestLocalCodebook:
 
 class TestRandomStream:
     def test_same_label_same_output(self):
-        a = derive_trial_rng(3, 5, "x").generator().standard_normal(8)
-        b = derive_trial_rng(3, 5, "x").generator().standard_normal(8)
+        a = derive_trial_rng(3, 5).child("x").generator().standard_normal(8)
+        b = derive_trial_rng(3, 5).child("x").generator().standard_normal(8)
         np.testing.assert_array_equal(a, b)
 
     def test_labels_separate_streams(self):
-        a = derive_trial_rng(3, 5, "x").generator().standard_normal(8)
-        b = derive_trial_rng(3, 5, "y").generator().standard_normal(8)
-        c = derive_trial_rng(3, 6, "x").generator().standard_normal(8)
+        a = derive_trial_rng(3, 5).child("x").generator().standard_normal(8)
+        b = derive_trial_rng(3, 5).child("y").generator().standard_normal(8)
+        c = derive_trial_rng(3, 6).child("x").generator().standard_normal(8)
         assert not np.allclose(a, b)
         assert not np.allclose(a, c)
 
     def test_cross_trial_correlation_is_small(self):
         n = 20000
-        a = derive_trial_rng(0, 0, "corr").generator().standard_normal(n)
-        b = derive_trial_rng(0, 1, "corr").generator().standard_normal(n)
+        a = derive_trial_rng(0, 0).child("corr").generator().standard_normal(n)
+        b = derive_trial_rng(0, 1).child("corr").generator().standard_normal(n)
         corr = np.corrcoef(a, b)[0, 1]
         assert abs(corr) < 4 / np.sqrt(n)
 
     def test_child_extends_path(self):
-        s = derive_trial_rng(1, 2, "p")
+        s = derive_trial_rng(1, 2).child("p")
         assert s.child("q").path == (2, "p", "q")
 
 

@@ -122,7 +122,7 @@ class TestEngineAgainstModules:
                     report, z_bar = cooperation.acquire_global_csi(glob, codebook, rho, user=u)
                     globs.append(glob)
                     reports.append(report)
-                    cqi_engine = ws.coop.sig_qu[u] / (cfg.m / rho + ws.coop.intf_qu[u])
+                    cqi_engine = ws.coop.sig[u] / (cfg.m / rho + ws.coop.intf[u])
                     assert int(np.argmax(cqi_engine)) == report.beam
                     assert abs(cqi_engine[report.beam] - report.cqi) <= 1e-10 * max(1.0, report.cqi)
 
@@ -245,9 +245,12 @@ class TestWorkerCount:
         assert montecarlo._worker_count(2, 100, 8) == 2
 
     @pytest.mark.parametrize("workers", [0, -1])
-    def test_below_one_rejected(self, workers):
-        with pytest.raises(ConfigError):
-            montecarlo._worker_count(workers, 100, 2)
+    def test_below_one_rejected(self, monkeypatch, workers):
+        # Every command refuses it before any trial, analyze too, which simulates none.
+        refuse_trials(monkeypatch)
+        for experiment in montecarlo.SPECS:
+            with pytest.raises(ConfigError, match=f"need workers >= 1, got workers={workers}"):
+                run_experiment(experiment, workers=workers)
 
 
 class TestWorkspaceEvaluate:
@@ -419,6 +422,21 @@ class TestExperimentShapes:
         refuse_trials(monkeypatch)
         with pytest.raises(ValueError, match=f"'{name}'"):
             run_experiment("sweep", overrides)
+
+    @pytest.mark.parametrize(
+        "experiment, key",
+        [
+            (name, key)
+            for name, spec in montecarlo.SPECS.items()
+            for key, value in spec.params.items()
+            if isinstance(value, list)  # a grid parameter, modes included
+        ],
+    )
+    @pytest.mark.parametrize("empty", [[], ()])
+    def test_empty_grid_refused(self, monkeypatch, experiment, key, empty):
+        refuse_trials(monkeypatch)
+        with pytest.raises(ValueError, match=f"{experiment} takes a non-empty list for '{key}'"):
+            run_experiment(experiment, {key: empty})
 
     def test_none_override_refused(self, monkeypatch):
         refuse_trials(monkeypatch)

@@ -270,25 +270,25 @@ class TestIncompleteGammaAndExpn:
 
 class TestHaarUnitary:
     def test_scalar_case(self):
-        u = haar_unitary(1, np.random.default_rng(0))
+        u = haar_unitary(1, [np.random.default_rng(0)])[0]
         assert u.shape == (1, 1)
         assert abs(abs(u[0, 0]) - 1.0) < 1e-12
 
     def test_unitary(self):
-        u = haar_unitary(4, np.random.default_rng(3))
+        u = haar_unitary(4, [np.random.default_rng(3)])[0]
         np.testing.assert_allclose(u.conj().T @ u, np.eye(4), atol=1e-10)
         np.testing.assert_allclose(np.linalg.norm(u, axis=0), np.ones(4), atol=1e-10)
 
     def test_deterministic_for_fixed_state(self):
-        u1 = haar_unitary(4, np.random.default_rng(7))
-        u2 = haar_unitary(4, np.random.default_rng(7))
+        u1 = haar_unitary(4, [np.random.default_rng(7)])[0]
+        u2 = haar_unitary(4, [np.random.default_rng(7)])[0]
         np.testing.assert_array_equal(u1, u2)
 
     def test_entry_isotropy(self):
         # E|U_11|^2 = 1/M; |U_11|^2 is Beta(1, M-1) so var = (M-1)/(M^2 (M+1)).
         m, draws = 4, 10000
         rng = np.random.default_rng(11)
-        samples = np.array([abs(haar_unitary(m, rng)[0, 0]) ** 2 for _ in range(draws)])
+        samples = np.array([abs(haar_unitary(m, [rng])[0][0, 0]) ** 2 for _ in range(draws)])
         sigma = math.sqrt((m - 1) / (m**2 * (m + 1)) / draws)
         assert abs(samples.mean() - 1 / m) < 3 * sigma
 

@@ -16,7 +16,7 @@ def random_channel(n, m, rng=RNG):
 
 
 def haar_codebook(m, seed=0):
-    return GlobalCodebook(numerics.haar_unitary(m, np.random.default_rng(seed)))
+    return GlobalCodebook(numerics.haar_unitary(m, [np.random.default_rng(seed)])[0])
 
 
 def alignment(h_eff, c):
@@ -26,7 +26,7 @@ def alignment(h_eff, c):
 class TestCombineForCodeword:
     def test_full_rank_channel_has_zero_error(self):
         # With as many receive rows as transmit antennas the subspace is everything.
-        u = numerics.haar_unitary(4, np.random.default_rng(1))
+        u = numerics.haar_unitary(4, [np.random.default_rng(1)])[0]
         c = haar_codebook(4, seed=2).codeword(0)
         combined = combine_for_codeword(u, c)
         assert abs(alignment(combined.h_eff, c) - 1.0) < 1e-10

@@ -77,7 +77,7 @@ def local_error_chunk(cfg, lo, hi):
 
 def oracle_surrogate(cfg, trial, omega):
     """One stacked-norm surrogate sample from the trial's own stream."""
-    gen = derive_trial_rng(cfg.seed, trial, "surrogate").generator()
+    gen = derive_trial_rng(cfg.seed, trial).child("surrogate").generator()
     hw = complex_gaussian(gen, (cfg.n + 1, cfg.m))
     return reference.surrogate_norm(hw, gen.uniform(0.0, 2.0 * np.pi, cfg.n + 1), omega)
 
