@@ -199,7 +199,6 @@ class AnalysisParams:
     """Derived constants feeding the closed-form SINR/sum-rate chain."""
 
     omega: float
-    delta: float
     nu: float
     alpha: float
     varrho_sq: float
@@ -211,27 +210,29 @@ def derive_params(m: int, n: int, qcl: int, rho: float) -> AnalysisParams:
     nu = (m - n + 1.0) * omega / (n + 1.0)
     return AnalysisParams(
         omega=omega,
-        delta=error_support_edge(m, n),
         nu=nu,
         alpha=1.0 + rho * nu / m,
         varrho_sq=effective_norm_params(m, n, omega),
     )
 
 
+# Partner rows per scheduled user. A cooperative pair leaves the candidate
+# pool together, and the partner's row adds a receive dimension; conventional
+# feedback is the same chain without a partner.
+_PAIRED = {COOPERATIVE: 1, CONVENTIONAL: 0}
+
+
 def cqi_candidates(k: int, m: int, step: int, mode: str) -> int:
     """Number of CQI candidates at the ``step``-th (1-based) selection.
 
-    Cooperative scheduling retires two users (a whole pair) per selection,
-    conventional scheduling retires one; both retire the scheduled beam.
+    Each selection retires the scheduled beam and the scheduled user with
+    its partner, if any: a pair under cooperation, one user otherwise.
     """
     if not 1 <= step <= m:
         raise DomainError(f"selection step must lie in 1..{m}, got {step}")
-    if mode == COOPERATIVE:
-        count = (k - 2 * (step - 1)) * (m - (step - 1))
-    elif mode == CONVENTIONAL:
-        count = (k - (step - 1)) * (m - (step - 1))
-    else:
+    if mode not in _PAIRED:
         raise DomainError(f"mode must be cooperative or conventional, got {mode!r}")
+    count = (k - (1 + _PAIRED[mode]) * (step - 1)) * (m - (step - 1))
     if count <= 0:
         raise DomainError(f"no candidates left at step {step} with k={k}, m={m}")
     return count
@@ -250,21 +251,19 @@ def estimate_scheduled_sinr(
     """Extreme-value estimate of the ``step``-th scheduled user's SINR.
 
     Largest-order-statistic inversion of the per-beam SINR cdf over the
-    candidate pool; natural logarithms throughout. Raises
+    candidate pool; natural logarithms throughout. One chain serves both
+    modes at SNR scale ``rho varrho_sq / (m alpha)``, with ``alpha`` and
+    ``varrho_sq`` as given: a cooperative user receives on ``n + 1`` rows
+    (its partner's adds one), a conventional user on ``n``. Raises
     :class:`InvalidRegime` when the nested logarithm's argument drops to one
     or below, i.e. when the user pool is too small for the asymptotic
     expansion at this SNR.
     """
     count = cqi_candidates(k, m, step, mode)
-    if mode == COOPERATIVE:
-        scale = rho * varrho_sq / (m * alpha)
-        exponent = m - (n + 1)
-        combos = binomial(m - 1, n)
-    else:
-        scale = rho / m
-        exponent = m - n
-        combos = binomial(m - 1, n - 1)
-    lead = math.log(combos * count) - exponent * math.log(scale)
+    rows = n + _PAIRED[mode]
+    scale = rho * varrho_sq / (m * alpha)
+    exponent = m - rows
+    lead = math.log(binomial(m - 1, rows - 1) * count) - exponent * math.log(scale)
     inner = lead + 1.0 / scale
     if inner <= 1.0:
         raise InvalidRegime(
@@ -276,13 +275,10 @@ def estimate_scheduled_sinr(
 
 def estimate_sum_rate(k: int, m: int, n: int, rho: float, bcl: int, mode: str) -> float:
     """Closed-form sum-rate estimate, summing all ``m`` scheduled beams."""
+    alpha = varrho_sq = 1.0
     if mode == COOPERATIVE:
         params = derive_params(m, n, 2**bcl, rho)
         alpha, varrho_sq = params.alpha, params.varrho_sq
-    elif mode == CONVENTIONAL:
-        alpha, varrho_sq = 1.0, 1.0
-    else:
-        raise DomainError(f"mode must be cooperative or conventional, got {mode!r}")
     total = 0.0
     for step in range(1, m + 1):
         gamma = estimate_scheduled_sinr(step, k, m, n, rho, alpha, varrho_sq, mode)
@@ -304,28 +300,21 @@ def mode_switch(k: int, m: int, n: int, rho: float, bcl: int) -> ModeDecision:
     """Activate cooperation iff its estimated sum-rate strictly exceeds the
     conventional estimate.
 
-    When exactly one side's estimate is out of its asymptotic regime, the
-    other side wins: a conventional estimate that blows up at high SNR means
-    the baseline is interference limited there, and vice versa. Only when
-    both sides are out of regime is :class:`InvalidRegime` raised.
+    One loop estimates both modes. When exactly one side's estimate is out
+    of its asymptotic regime, the other side wins and the out-of-regime rate
+    reads NaN: a conventional estimate that blows up at high SNR means the
+    baseline is interference limited there, and vice versa. Only when both
+    sides are out of regime is :class:`InvalidRegime` raised.
     """
-    rate_coop = rate_conv = math.nan
-    coop_error = conv_error = None
-    try:
-        rate_coop = estimate_sum_rate(k, m, n, rho, bcl, COOPERATIVE)
-    except InvalidRegime as exc:
-        coop_error = exc
-    try:
-        rate_conv = estimate_sum_rate(k, m, n, rho, bcl, CONVENTIONAL)
-    except InvalidRegime as exc:
-        conv_error = exc
-    if coop_error and conv_error:
-        raise InvalidRegime(f"both estimates out of regime: {coop_error}; {conv_error}")
-    if coop_error:
-        return ModeDecision(CONVENTIONAL, -math.inf, rate_coop, rate_conv)
-    if conv_error:
-        return ModeDecision(COOPERATIVE, math.inf, rate_coop, rate_conv)
-    delta = rate_coop - rate_conv
-    return ModeDecision(
-        COOPERATIVE if delta > 0.0 else CONVENTIONAL, delta, rate_coop, rate_conv
-    )
+    rates, errors = {}, []
+    for mode in (COOPERATIVE, CONVENTIONAL):
+        try:
+            rates[mode] = estimate_sum_rate(k, m, n, rho, bcl, mode)
+        except InvalidRegime as exc:
+            errors.append(exc)
+    if len(errors) == 2:
+        raise InvalidRegime(f"both estimates out of regime: {errors[0]}; {errors[1]}")
+    # A side out of regime counts as -inf, so it loses outright (delta = +-inf).
+    delta = rates.get(COOPERATIVE, -math.inf) - rates.get(CONVENTIONAL, -math.inf)
+    coop, conv = (rates.get(mode, math.nan) for mode in (COOPERATIVE, CONVENTIONAL))
+    return ModeDecision(COOPERATIVE if delta > 0.0 else CONVENTIONAL, delta, coop, conv)

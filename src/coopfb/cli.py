@@ -25,10 +25,6 @@ OUT_DIR_ENV = "COOPFB_OUT_DIR"
 
 
 def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)

@@ -679,12 +679,12 @@ def _run_fig9(params: dict, workers: int):
     resamples = 0
     for cfg in [_system(params, n=n_rx) for n_rx in params["n_grid"]]:
         size = _block_trials(cfg)
-        pairs, attempts = _simulate(partial(_pair_block, cfg), cfg, size, workers)
+        pairs, pair_attempts = _simulate(partial(_pair_block, cfg), cfg, size, workers)
         direct = pairs[:, 2]
-        resamples += attempts
         omega = analysis.expected_local_error(cfg.m, cfg.n, cfg.qcl)
         varrho_sq = analysis.effective_norm_params(cfg.m, cfg.n, omega)
-        surrogate, _ = _simulate(partial(_surrogate_block, cfg, omega), cfg, size, workers)
+        surrogate, surrogate_attempts = _simulate(partial(_surrogate_block, cfg, omega), cfg, size, workers)
+        resamples += pair_attempts + surrogate_attempts
         model = lambda u, _c=cfg, _v=varrho_sq: analysis.effective_norm_cdf(u, _c.m, _c.n, _v)
         grid = np.quantile(direct, _CDF_PROBS)
         cdf_direct = empirical_cdf(direct, grid)

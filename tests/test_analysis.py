@@ -267,7 +267,6 @@ class TestDeriveParams:
         assert abs(p.nu - 3 * p.omega / 3) < 1e-15
         assert abs(p.alpha - (1 + 10.0 * p.nu / 4)) < 1e-15
         assert abs(p.varrho_sq - effective_norm_params(4, 2, p.omega)) < 1e-15
-        assert abs(p.delta - error_support_edge(4, 2)) < 1e-15
         assert p.alpha >= 1.0
 
 
@@ -332,6 +331,25 @@ class TestEstimateScheduledSinr:
             got = estimate_scheduled_sinr(step, k, m, n, rho, 1.0, 1.0, CONVENTIONAL)
             assert abs(got - expected) <= 1e-12 * max(1.0, expected)
 
+    def test_conventional_applies_explicit_alpha_and_varrho(self):
+        # k=200, m=4, n=2 at step 1: 800 candidates, exponent m - n = 2,
+        # binom(3, 1) = 3 combinations, scale rho varrho_sq / (m alpha).
+        scale = 10.0 * 0.5 / (4 * 2.0)
+        lead = math.log(3 * 800) - 2 * math.log(scale)
+        expected = scale * (lead - 2 * math.log(lead + 1.0 / scale))
+        got = estimate_scheduled_sinr(1, 200, 4, 2, 10.0, 2.0, 0.5, CONVENTIONAL)
+        assert abs(got - expected) <= 1e-12 * expected
+        assert abs(got - 2.5340) < 1e-4
+
+    @pytest.mark.parametrize("m, n", [(4, 1), (4, 2), (6, 3)])
+    def test_cooperation_is_conventional_with_a_partner_row(self, m, n):
+        # At the first selection both pools hold every user, so a cooperative
+        # user on n antennas is a conventional user on n + 1.
+        for alpha, varrho_sq in ((1.0, 1.0), (1.7, 0.6)):
+            coop = estimate_scheduled_sinr(1, 300, m, n, 10.0, alpha, varrho_sq, COOPERATIVE)
+            conv = estimate_scheduled_sinr(1, 300, m, n + 1, 10.0, alpha, varrho_sq, CONVENTIONAL)
+            assert coop == conv
+
 
 class TestEstimateSumRate:
     def test_uses_all_beams(self):
@@ -346,6 +364,10 @@ class TestEstimateSumRate:
     def test_invalid_regime_propagates(self):
         with pytest.raises(InvalidRegime):
             estimate_sum_rate(200, 4, 2, 316.0, 4, CONVENTIONAL)
+
+    def test_unknown_mode_refused(self):
+        with pytest.raises(DomainError, match="mode must be cooperative or conventional, got 'other'"):
+            estimate_sum_rate(200, 4, 2, 10.0, 4, "other")
 
 
 class TestModeSwitch:
@@ -378,6 +400,12 @@ class TestModeSwitch:
         assert decision.mode == COOPERATIVE
         assert decision.delta_rate == math.inf
         assert math.isnan(decision.rate_conventional)
+
+    def test_both_sides_out_of_regime_raise_cooperative_first(self):
+        # k=16, n=2, bcl=8 at 20 dB: too few users for either estimate.
+        pattern = r"^both estimates out of regime: cooperative estimate .*; conventional estimate "
+        with pytest.raises(InvalidRegime, match=pattern):
+            mode_switch(16, 4, 2, 100.0, 8)
 
     def test_delta_matches_difference(self):
         decision = mode_switch(400, 4, 3, 10.0, 6)

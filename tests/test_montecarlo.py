@@ -23,7 +23,7 @@ from coopfb.montecarlo import (
     run_experiment,
 )
 from test_link import sum_rate_numerical
-from test_samplers import zero_channels_at
+from test_samplers import zero_draws_at
 
 
 def small_cfg(**kw):
@@ -222,7 +222,7 @@ class TestBlockedEngine:
         n_trials, bad = 2 * size + 4, size + 3
         clean = rate_chunk(cfg, rho_lin, 0, n_trials)
         assert clean[2] == 0
-        zero_channels_at(monkeypatch, bad)
+        zero_draws_at(monkeypatch, bad)
         coop, conv, resamples, _ = rate_chunk(cfg, rho_lin, 0, n_trials)
         assert resamples == 1
         ws = build_workspace(cfg, bad, coop=True, conv=True)

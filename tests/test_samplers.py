@@ -86,17 +86,20 @@ def cfg_for(n, trials=300, seed=11):
     return SystemConfig(m=4, n=n, k=8, bcl=8, trials=trials, seed=seed)
 
 
-def zero_channels_at(monkeypatch, trial):
-    """Make the first channel draw of ``trial`` all zeros (rank deficient);
-    its resample streams and every other trial stay untouched."""
+def zero_draws_at(monkeypatch, trial, purpose="channels"):
+    """Make the first ``purpose`` draws of ``trial`` all zeros (rank
+    deficient); its resample streams and every other trial stay untouched."""
     original = RandomStream.generator
 
     class Zeros:
         def standard_normal(self, shape):
             return np.zeros(shape)
 
+        def uniform(self, low, high, size):
+            return np.zeros(size)
+
     def generator(self):
-        if self.path == (trial, "channels"):
+        if self.path == (trial, purpose):
             return Zeros()
         return original(self)
 
@@ -141,7 +144,7 @@ class TestForcedResample:
     def test_pair_trial_resamples_like_the_oracle(self, monkeypatch):
         cfg = cfg_for(2, trials=40)
         clean, _ = pair_chunk(cfg, 0, cfg.trials)
-        zero_channels_at(monkeypatch, 17)
+        zero_draws_at(monkeypatch, 17)
         rows, resamples = pair_chunk(cfg, 0, cfg.trials)
         expected, attempt = oracle_pair(cfg, 17)
         assert attempt == 1 and resamples == 1
@@ -152,7 +155,7 @@ class TestForcedResample:
     def test_local_error_trial_resamples_like_the_oracle(self, monkeypatch):
         cfg = cfg_for(3, trials=40)
         clean, _ = local_error_chunk(cfg, 0, cfg.trials)
-        zero_channels_at(monkeypatch, 3)
+        zero_draws_at(monkeypatch, 3)
         errors, resamples = local_error_chunk(cfg, 0, cfg.trials)
         expected, attempt = oracle_local_error(cfg, 3)
         assert attempt == 1 and resamples == 1
@@ -181,3 +184,8 @@ class TestSurrogateBlock:
         assert resamples == 0
         expected = [oracle_surrogate(cfg, t, omega) for t in range(cfg.trials)]
         np.testing.assert_allclose(whole, expected, rtol=1e-12, atol=0)
+
+    def test_fig9_counts_surrogate_resamples(self, monkeypatch):
+        zero_draws_at(monkeypatch, 5, "surrogate")
+        result = montecarlo.run_experiment("fig9", {"trials": 40, "seed": 3, "n_grid": [2]})
+        assert result.resample_count == 1

@@ -46,6 +46,9 @@ _COOP_CONV = ("--mode", "cooperative", "--mode", "conventional")
 RUNS = [
     ("fig3_seed2", ("fig3", "--seed", "2", "--trials", "300")),
     ("fig3_bcl2-4_n1", ("fig3", "--bcl", "2..4", "--n", "1", "--trials", "300")),
+    # 11- and 12-bit codebooks: ln_beta's Stirling branch (qcl > 1024) and
+    # sampler blocks of 32 and 16 trials, the last of each partial.
+    ("fig3_bcl11,12", ("fig3", "--bcl", "11,12", "--seed", "2", "--trials", "100")),
     ("fig5_seed2", ("fig5", "--seed", "2", "--trials", "300")),
     ("fig5_bcl5_dft", ("fig5", "--bcl", "5", "--codebook", "dft", "--trials", "300")),
     ("fig6_seed2", ("fig6", "--seed", "2", "--trials", "300")),
