@@ -62,7 +62,7 @@ def local_error_cdf(s, m: int, n: int):
     """Small-error cdf of a single-codeword quantization error.
 
     ``binom(m-1, n-1) * s^(m-n)`` below the support edge, 1 above it,
-    clamped to [0, 1]. Accepts scalars or arrays.
+    clamped to [0, 1], as an ndarray (0-d for a scalar).
     """
     _check_dims(m, n)
     s_arr = np.asarray(s, dtype=float)
@@ -70,8 +70,7 @@ def local_error_cdf(s, m: int, n: int):
         raise DomainError("quantization error values must lie in [0, 1]")
     edge = error_support_edge(m, n)
     raw = binomial(m - 1, n - 1) * s_arr ** (m - n)
-    out = np.where(s_arr > edge, 1.0, np.clip(raw, 0.0, 1.0))
-    return float(out) if np.isscalar(s) else out
+    return np.where(s_arr > edge, 1.0, np.clip(raw, 0.0, 1.0))
 
 
 def effective_norm_params(m: int, n: int, omega: float) -> float:
@@ -88,32 +87,29 @@ def effective_norm_params(m: int, n: int, omega: float) -> float:
 
 
 def effective_norm_pdf(u, m: int, n: int, varrho_sq: float):
-    """Gamma(m-n, varrho_sq) density modelling the stacked effective norm."""
+    """Gamma(m-n, varrho_sq) density of the stacked effective norm, as an ndarray."""
     _check_dims(m, n)
     u_arr = np.asarray(u, dtype=float)
     if np.any(u_arr < 0.0):
         raise DomainError("norm-square values must be nonnegative")
     shape = m - n
-    with np.errstate(divide="ignore"):
-        out = (
-            u_arr ** (shape - 1)
-            * np.exp(-u_arr / varrho_sq)
-            / (varrho_sq**shape * math.gamma(shape))
-        )
-    return float(out) if np.isscalar(u) else out
+    return np.asarray(
+        u_arr ** (shape - 1)
+        * np.exp(-u_arr / varrho_sq)
+        / (varrho_sq**shape * math.gamma(shape))
+    )
 
 
 def effective_norm_cdf(u, m: int, n: int, varrho_sq: float):
-    """Cdf companion of :func:`effective_norm_pdf` (regularized lower gamma)."""
+    """Cdf of :func:`effective_norm_pdf` (regularized lower gamma), as an ndarray."""
     _check_dims(m, n)
     u_arr = np.asarray(u, dtype=float)
-    out = gammainc(m - n, np.maximum(u_arr, 0.0) / varrho_sq)
-    return float(out) if np.isscalar(u) else out
+    return gammainc(m - n, np.maximum(u_arr, 0.0) / varrho_sq)
 
 
 def sinr_cdf(x, m: int, n: int, rho: float, alpha: float, varrho_sq: float):
     """Small-error, upper-tail form of the approximated per-beam SINR cdf,
-    clamped to [0, 1].
+    clamped to [0, 1], as an ndarray (0-d for a scalar).
 
     ``1 - binom(m-1, n) exp(-m alpha x / (rho varrho_sq)) / (x+1)^(m-n-1)``.
     It keeps only the leading term ``binom(m-1, n) s^(m-n-1)`` of the
@@ -129,13 +125,12 @@ def sinr_cdf(x, m: int, n: int, rho: float, alpha: float, varrho_sq: float):
     raw = 1.0 - binomial(m - 1, n) * np.exp(-m * alpha * x_arr / (rho * varrho_sq)) / (
         x_arr + 1.0
     ) ** (m - n - 1)
-    out = np.clip(raw, 0.0, 1.0)
-    return float(out) if np.isscalar(x) else out
+    return np.asarray(np.clip(raw, 0.0, 1.0))
 
 
 def sinr_cdf_exact(x, m: int, n: int, rho: float, alpha: float, varrho_sq: float):
     """Cdf of the approximated per-beam SINR under the exact direction-error
-    law, clamped to [0, 1].
+    law, clamped to [0, 1], as an ndarray (0-d for a scalar).
 
     The SINR is ``c U (1 - S) / (1 + c U S)`` with ``c = rho / (m alpha)``,
     ``U ~ Gamma(m-n, varrho_sq)`` the effective norm (as in
@@ -157,8 +152,7 @@ def sinr_cdf_exact(x, m: int, n: int, rho: float, alpha: float, varrho_sq: float
         raise DomainError("SINR values must be nonnegative")
     c = rho / (m * alpha)
     if n == m - 1:
-        out = effective_norm_cdf(x_arr / c, m, n, varrho_sq)
-        return float(out) if np.isscalar(x) else out
+        return effective_norm_cdf(x_arr / c, m, n, varrho_sq)
     # S ~ Beta(a, b); U has Gamma shape a + 1.
     a, b = m - n - 1, n + 1
     out = np.where(np.isposinf(x_arr), 1.0, 0.0)
@@ -191,7 +185,7 @@ def sinr_cdf_exact(x, m: int, n: int, rho: float, alpha: float, varrho_sq: float
                 tail += coef * tau**r * t ** (b - 1 - r) * lam_e
     inv_beta = a * binomial(m - 1, a)  # 1 / B(a, b) for integer arguments
     out[pos] = np.clip(1.0 - inv_beta * t**a * tail, 0.0, 1.0)
-    return float(out) if np.isscalar(x) else out
+    return out
 
 
 @dataclass(frozen=True)
@@ -256,9 +250,11 @@ def estimate_scheduled_sinr(
     ``varrho_sq`` as given: a cooperative user receives on ``n + 1`` rows
     (its partner's adds one), a conventional user on ``n``. Raises
     :class:`InvalidRegime` when the nested logarithm's argument drops to one
-    or below, i.e. when the user pool is too small for the asymptotic
-    expansion at this SNR.
+    or below (too few users for the asymptotic expansion at this SNR), and
+    :class:`DomainError` for a ``rho`` that is not positive and finite.
     """
+    if not (rho > 0.0 and math.isfinite(rho)):
+        raise DomainError(f"need a positive finite rho, got {rho}")
     count = cqi_candidates(k, m, step, mode)
     rows = n + _PAIRED[mode]
     scale = rho * varrho_sq / (m * alpha)

@@ -89,16 +89,14 @@ def acquire_local_csi(h: np.ndarray, codebook: LocalCodebook) -> LocalCsi:
     norms and only the winning codeword gets its combiner materialised.
 
     A stack of channels ``(k, n, m)`` takes one codebook for all of them
-    (``vectors`` of shape ``(qcl, m)``) or one per channel ``(k, qcl, m)``,
-    and gives a :class:`LocalCsi` whose fields are stacked along axis 0.
+    (``vectors`` of shape ``(qcl, m)``) or one per channel ``(k, qcl, m)``
+    and gets a :class:`LocalCsi` stacked along axis 0; one channel its ``[0]``.
     """
     one = h.ndim == 2
     h = numerics.as_channel(h)[None] if one else h
     basis, r = qbc._subspace(h)
     local = _local_stage(h, basis, r, _local_choice(codebook.vectors, basis))
-    if not one:
-        return local
-    return LocalCsi(local.cdi[0], float(local.cqi[0]), local.combiner[0], local.h_virt[0], float(local.sin2_error[0]))
+    return local[0] if one else local
 
 
 def _local_choice(vectors: np.ndarray, basis: np.ndarray) -> np.ndarray:

@@ -76,8 +76,8 @@ def simulate_symbol_path(
 
 
 def downlink_effective_channel(glob: GlobalChannel, z_bar: np.ndarray) -> np.ndarray:
-    """Effective channel the downlink actually flows through: ``H_dl^H z``."""
-    return glob.h_dl.conj().T @ z_bar
+    """Effective channel ``H_dl^H z`` the downlink flows through, for one user or a stack of them."""
+    return np.matmul(np.swapaxes(glob.h_dl.conj(), -1, -2), z_bar)
 
 
 def decompose_received(

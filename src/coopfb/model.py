@@ -181,9 +181,6 @@ class LocalCodebook:
         if not np.all(np.abs(np.einsum("...i,...i->...", pairs, pairs) - 1.0) <= UNITARY_TOL):
             raise ValueError(f"need finite unit-norm local codewords, max |v^H v - 1| <= {UNITARY_TOL}")
 
-    def __len__(self) -> int:
-        return self.vectors.shape[-2]
-
 
 def gen_all_channels(cfg: SystemConfig, rng: RandomStream) -> np.ndarray:
     """All users' channels for one trial, shape ``(k, n, m)``.

@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import analysis, cooperation, numerics, qbc, scheduler
+from . import analysis, cooperation, link, numerics, qbc, scheduler
 from .model import (
     MODES,
     ConfigError,
@@ -213,7 +213,7 @@ def _workspaces(
         cos2_g, eff_norm2, combiners = qbc._qbc_stage(*qbc._subspace(glob.h_qu), cb)
         # Not combined toward the codebook: correlate the served beam; the
         # unitary codebook's other beams carry the rest of the norm.
-        heff_dl = np.matmul(glob.h_dl.conj().transpose(0, 2, 1), combiners)  # (b*k, m, beams)
+        heff_dl = link.downlink_effective_channel(glob, combiners)  # (b*k, m, beams)
         corr_dl = np.sum(cb.conj() * heff_dl, axis=1)
         sig_dl = corr_dl.real**2 + corr_dl.imag**2
         intf_dl = np.maximum(np.sum(heff_dl.real**2 + heff_dl.imag**2, axis=1) - sig_dl, 0.0)
@@ -287,12 +287,9 @@ _BLOCK_ROWS = 64 * 1024
 _BLOCK_USERS = 512
 
 
-def _block_trials(cfg: SystemConfig) -> int:
-    return max(1, min(_BLOCK, _BLOCK_ROWS // cfg.qcl))
-
-
-def _rate_block_trials(cfg: SystemConfig) -> int:
-    return max(1, min(_block_trials(cfg), _BLOCK_USERS // cfg.k))
+def _block_trials(cfg: SystemConfig, users: int = 1) -> int:
+    """Trials per block of a kernel stacking ``users`` users per trial (the rate engine's k)."""
+    return max(1, min(_BLOCK, _BLOCK_ROWS // cfg.qcl, _BLOCK_USERS // users))
 
 
 def _worker_count(workers: int, n_trials: int, cpus: Optional[int]) -> int:
@@ -594,7 +591,7 @@ def _mode_rates(cfg: SystemConfig, modes: Sequence[str], rho_lin: np.ndarray, wo
     decisions = [analysis.mode_switch(cfg.k, cfg.m, cfg.n, rho, cfg.bcl) for rho in rho_lin] if adaptive else None
     pipelines = [mode for mode in (analysis.COOPERATIVE, analysis.CONVENTIONAL) if adaptive or mode in modes]
     kernel = partial(_rate_block, cfg, rho_lin, pipelines)
-    rows, resamples = _simulate(kernel, cfg, _rate_block_trials(cfg), workers)
+    rows, resamples = _simulate(kernel, cfg, _block_trials(cfg, cfg.k), workers)
     r = rho_lin.size
     means = {mode: rows[:, i * r : (i + 1) * r].mean(axis=0) for i, mode in enumerate(pipelines)}
     if adaptive:

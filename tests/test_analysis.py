@@ -260,6 +260,27 @@ class TestSinrCdfExact:
             sinr_cdf_exact(1.0, 4, 4, 10.0, 1.0, 0.9)
 
 
+@pytest.mark.parametrize(
+    "func, args, value",
+    [
+        (local_error_cdf, (0.1, 4, 2), 0.030000000000000006),
+        (effective_norm_pdf, (0.7, 4, 2, 0.8), 0.4559428340233685),
+        (effective_norm_cdf, (0.7, 4, 2, 0.8), 0.21838371310279667),
+        (sinr_cdf, (2.5, 4, 2, 10.0, 1.3, 0.8), 0.8312185641106908),
+        (sinr_cdf_exact, (2.5, 4, 2, 10.0, 1.3, 0.8), 0.8536508992498335),
+        (sinr_cdf_exact, (2.5, 4, 3, 10.0, 1.3, 0.8), 0.8030883247958063),
+    ],
+    ids=["local_error_cdf", "effective_norm_pdf", "effective_norm_cdf", "sinr_cdf", "sinr_cdf_exact", "sinr_cdf_exact_n3"],
+)
+def test_scalar_gives_zero_dim_array(func, args, value):
+    # Like the numerics they wrap, the distribution functions return an
+    # ndarray for any input; a Python float gives a 0-d one, and the values
+    # are those the functions returned as floats before.
+    out = func(*args)
+    assert type(out) is np.ndarray and out.shape == ()
+    assert float(out) == value
+
+
 class TestDeriveParams:
     def test_chain_values(self):
         p = derive_params(4, 2, 16, 10.0)
@@ -350,6 +371,12 @@ class TestEstimateScheduledSinr:
             conv = estimate_scheduled_sinr(1, 300, m, n + 1, 10.0, alpha, varrho_sq, CONVENTIONAL)
             assert coop == conv
 
+    @pytest.mark.parametrize("rho", [0.0, -1.0, math.inf, math.nan])
+    def test_rho_not_positive_finite_refused(self, rho):
+        for mode in (COOPERATIVE, CONVENTIONAL):
+            with pytest.raises(DomainError, match="need a positive finite rho"):
+                estimate_scheduled_sinr(1, 200, 4, 2, rho, 1.0, 1.0, mode)
+
 
 class TestEstimateSumRate:
     def test_uses_all_beams(self):
@@ -368,6 +395,13 @@ class TestEstimateSumRate:
     def test_unknown_mode_refused(self):
         with pytest.raises(DomainError, match="mode must be cooperative or conventional, got 'other'"):
             estimate_sum_rate(200, 4, 2, 10.0, 4, "other")
+
+    @pytest.mark.parametrize("rho", [math.inf, 0.0, math.nan])
+    def test_rho_not_positive_finite_refused(self, rho):
+        # At n = m - 1 and rho = inf the cooperative chain would read NaN.
+        for mode in (COOPERATIVE, CONVENTIONAL):
+            with pytest.raises(DomainError, match=f"need a positive finite rho, got {rho}"):
+                estimate_sum_rate(200, 4, 3, rho, 6, mode)
 
 
 class TestModeSwitch:
@@ -406,6 +440,11 @@ class TestModeSwitch:
         pattern = r"^both estimates out of regime: cooperative estimate .*; conventional estimate "
         with pytest.raises(InvalidRegime, match=pattern):
             mode_switch(16, 4, 2, 100.0, 8)
+
+    def test_infinite_rho_refused(self):
+        # A refusal is no regime failure: neither side wins by default.
+        with pytest.raises(DomainError, match="need a positive finite rho, got inf"):
+            mode_switch(200, 4, 3, math.inf, 6)
 
     def test_delta_matches_difference(self):
         decision = mode_switch(400, 4, 3, 10.0, 6)

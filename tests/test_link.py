@@ -5,6 +5,7 @@ import pytest
 
 from coopfb import link, numerics, qbc
 from coopfb.cooperation import (
+    GlobalChannel,
     acquire_global_csi,
     acquire_local_csi,
     build_global_matrix,
@@ -141,6 +142,20 @@ class TestDownlinkEffectiveChannel:
             )
             expected = scale * local.error_direction
             assert np.linalg.norm((h_eff - h_eff_qu) - expected) < 1e-10
+
+
+    def test_stack_equals_each_users_call(self):
+        rng = derive_trial_rng(CFG.seed, 3)
+        h = gen_all_channels(CFG, rng)[:6]
+        local = acquire_local_csi(h, gen_local_codebook(CFG, rng))
+        glob = build_global_matrix(h, local[np.arange(6) ^ 1])
+        gen = rng.child("combiners").generator()
+        z = gen.standard_normal((6, CFG.n + 1, CFG.m)) + 1j * gen.standard_normal((6, CFG.n + 1, CFG.m))
+        stacked = link.downlink_effective_channel(glob, z)
+        assert stacked.shape == (6, CFG.m, CFG.m)
+        for u in range(6):
+            alone = link.downlink_effective_channel(GlobalChannel(glob.h_qu[u], glob.h_dl[u]), z[u])
+            np.testing.assert_array_equal(stacked[u], alone)
 
 
 class TestDecomposeReceived:

@@ -175,7 +175,7 @@ def rate_chunk(cfg, rho_lin, lo, hi):
     ``[lo, hi)``, the resample count and the unassigned-beam count, read
     off the rate kernel's rows."""
     kernel = partial(montecarlo._rate_block, cfg, rho_lin, ("cooperative", "conventional"))
-    rows, resamples = montecarlo._sampled(kernel, cfg.seed, montecarlo._rate_block_trials(cfg), lo, hi)
+    rows, resamples = montecarlo._sampled(kernel, cfg.seed, montecarlo._block_trials(cfg, cfg.k), lo, hi)
     r = rho_lin.size
     return rows[:, :r], rows[:, r : 2 * r], resamples, int(rows[:, -1].sum())
 
@@ -186,12 +186,12 @@ class TestBlockedEngine:
 
     @pytest.mark.parametrize("k, size", [(8, 64), (16, 32), (100, 5), (200, 2), (400, 1)])
     def test_block_size_counts_users(self, k, size):
-        assert montecarlo._rate_block_trials(small_cfg(k=k)) == size
+        assert montecarlo._block_trials(small_cfg(k=k), k) == size
 
     @pytest.mark.parametrize("coop, conv", [(True, True), (True, False), (False, True)])
     def test_block_workspaces_equal_single_trials(self, coop, conv):
         cfg = small_cfg(k=16, bcl=6, seed=21)
-        trials = range(3, 3 + montecarlo._rate_block_trials(cfg))
+        trials = range(3, 3 + montecarlo._block_trials(cfg, cfg.k))
         block = montecarlo._workspaces(cfg, [derive_trial_rng(cfg.seed, t) for t in trials], coop, conv)
         assert [ws.trial for ws in block] == list(trials)
         for ws in block:
@@ -201,7 +201,7 @@ class TestBlockedEngine:
         cfg = small_cfg(k=16, bcl=6, seed=22)
         rho_lin = np.array([0.5, 5.0, 50.0])
         n_trials = 50
-        split = montecarlo._rate_block_trials(cfg) + 5
+        split = montecarlo._block_trials(cfg, cfg.k) + 5
         whole = rate_chunk(cfg, rho_lin, 0, n_trials)
         head = rate_chunk(cfg, rho_lin, 0, split)
         tail = rate_chunk(cfg, rho_lin, split, n_trials)
@@ -218,7 +218,7 @@ class TestBlockedEngine:
     def test_degenerate_trial_inside_a_block_resamples_alone(self, monkeypatch):
         cfg = small_cfg(k=16, bcl=6, seed=23)
         rho_lin = np.array([1.0, 10.0])
-        size = montecarlo._rate_block_trials(cfg)
+        size = montecarlo._block_trials(cfg, cfg.k)
         n_trials, bad = 2 * size + 4, size + 3
         clean = rate_chunk(cfg, rho_lin, 0, n_trials)
         assert clean[2] == 0
