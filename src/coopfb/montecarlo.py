@@ -199,13 +199,15 @@ def _workspaces(
 
     coop_arrays = None
     if coop:
-        # The users of a trial pick their codewords against that trial's
-        # local codebook, one trial at a time, to bound peak memory: picking
-        # for a whole block at once (b*k*qcl*n correlations) took
-        # sweep_small_k's peak RSS from 42.0 to 52.3 MiB.
-        vectors = gen_local_codebook(cfg, rngs).vectors
-        v = np.concatenate([cooperation._local_choice(vectors[i], basis[i * k : (i + 1) * k]) for i in range(b)])
-        local = cooperation._local_stage(h, basis, r, v)
+        # Users pick against their trial's codebook in chunks of a quarter of
+        # the row budget, 4 trials at k = 16 (+0.06 MiB sweep_small_k peak
+        # RSS); a whole block at once took it from 42.0 to 52.3 MiB.
+        vectors, chunk = gen_local_codebook(cfg, rngs).vectors, max(1, _BLOCK_ROWS // (4 * cfg.qcl * k))
+        picks = [
+            cooperation._local_choice(vectors[i : i + chunk], basis[i * k : (i + chunk) * k])
+            for i in range(0, b, chunk)
+        ]
+        local = cooperation._local_stage(h, basis, r, np.concatenate(picks))
 
         # Global acquisition over the partner-stacked (n+1)-row matrices
         # (b*k, n+1, m); k is even, so u ^ 1 stays inside u's trial.
@@ -238,8 +240,7 @@ class _ModeEval:
 
 def evaluate_mode(ws: TrialWorkspace, mode: str, rho_lin: np.ndarray) -> _ModeEval:
     """Selection, role assignment, scheduling, and rates at each SNR."""
-    cfg = ws.cfg
-    m = cfg.m
+    m = ws.cfg.m
     rho_lin = np.atleast_1d(np.asarray(rho_lin, dtype=float))
     noise = m / rho_lin  # (r,)
 
@@ -251,16 +252,17 @@ def evaluate_mode(ws: TrialWorkspace, mode: str, rho_lin: np.ndarray) -> _ModeEv
         raise ValueError(f"workspace was built without the {mode} stage")
 
     beam, cqi = qbc.best_beam(arrays.sig[None], arrays.intf[None], noise[:, None, None])  # (r, k)
-    reporters = np.broadcast_to(np.arange(cfg.k), beam.shape)
+    rows = np.arange(len(noise))[:, None]  # plain indexing gathers faster than take_along_axis
+    reporters = None  # conventional users report for themselves
     dl_sig, dl_intf = arrays.sig, arrays.intf  # what the downlink delivers
     if mode == analysis.COOPERATIVE:
         reporters = scheduler.main_users(cqi)  # (r, k/2)
-        beam, cqi = (np.take_along_axis(a, reporters, axis=1) for a in (beam, cqi))
+        beam, cqi = beam[rows, reporters], cqi[rows, reporters]
         dl_sig, dl_intf = arrays.sig_dl, arrays.intf_dl
     pick = scheduler.per_beam(beam, cqi, m)  # (r, m) reporter index, -1 when unassigned
     has = pick >= 0
-    users = np.where(has, np.take_along_axis(reporters, pick, axis=1), -1)
-    reported = np.where(has, np.take_along_axis(cqi, pick, axis=1), np.nan)
+    users = pick if reporters is None else np.where(has, reporters[rows, pick], -1)
+    reported = np.where(has, cqi[rows, pick], np.nan)
     served = np.arange(m)
     gamma_num = np.where(has, dl_sig[users, served] / (noise[:, None] + dl_intf[users, served]), 0.0)
     return _ModeEval(

@@ -118,11 +118,11 @@ def check_full_rank(r_diag2: np.ndarray, row_norm2: np.ndarray) -> None:
     ``(..., n)`` of squared R diagonals of ``H^H = QR`` and squared row
     norms of ``H`` has ``prod |R_ii|^2 / prod ||h_i||^2`` above ``RANK_TOL``.
 
-    The ratio is ``det(G) / prod(G_ii)`` for ``G = H H^H``: in [0, 1] and
-    independent of the scale of the rows.
+    The ratio is ``det(G) / prod(G_ii)`` for ``G = H H^H``, in [0, 1]; as a
+    product of per-row ratios it stays in range at any scale of the rows.
     """
-    ratio_ok = np.prod(r_diag2, axis=-1) > RANK_TOL * np.prod(row_norm2, axis=-1)
-    # Negated strict test, so a zero row (0 > 0) and NaN fail too.
+    with np.errstate(invalid="ignore"):  # a zero row's 0/0 is NaN, which the negated strict test fails
+        ratio_ok = np.prod(r_diag2 / row_norm2, axis=-1) > RANK_TOL
     if not ratio_ok.all():
         raise RankDeficient("channel rows numerically dependent")
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coopfb import numerics, qbc
+from coopfb import cooperation, montecarlo, numerics, qbc
 from coopfb.cooperation import (
     GlobalChannel,
     LocalCsi,
@@ -76,6 +76,85 @@ class TestAcquireLocalCsi:
             # error direction reassembles the unquantized vector
             rebuilt = local.quantized_virtual + hv_norm * np.sqrt(local.sin2_error) * local.error_direction
             assert np.linalg.norm(rebuilt - local.h_virt) < 1e-9 * hv_norm
+
+    @pytest.mark.parametrize("n, scale", [(2, 1e-100), (2, 1e80), (3, 1e-60), (3, 1e60)])
+    def test_scaled_channel_gives_the_same_choice(self, n, scale):
+        # The rank rule's two products of 2n powers of the scale left the
+        # float range here, refusing or overflowing on a well-conditioned channel.
+        rng = np.random.default_rng(3)
+        h, cb = random_channel(n, 4, rng), random_codebook(16, 4, rng)
+        local, scaled = acquire_local_csi(h, cb), acquire_local_csi(scale * h, cb)
+        np.testing.assert_array_equal(scaled.cdi, local.cdi)
+        assert abs(scaled.sin2_error - local.sin2_error) <= 1e-12
+
+
+def oracle_pick(vectors, h):
+    """Index of the codeword ``v`` of largest ``||B^H v||^2`` over an
+    orthonormal basis ``B`` of the conjugated rows of ``h``, the first on a
+    tie: a plain loop over the codewords."""
+    basis = np.linalg.qr(h.conj().T)[0]
+    best, best_gain = 0, -1.0
+    for q, v in enumerate(vectors):
+        gain = np.linalg.norm(basis.conj().T @ v) ** 2
+        if gain > best_gain:
+            best, best_gain = q, gain
+    return best
+
+
+class TestGroupedPick:
+    """Every user's codeword in each layout of the grouped pick, against a
+    per-user loop over the codewords."""
+
+    @staticmethod
+    def book_with_ties(rng, qcl):
+        # Ends in the negatives of its first four rows: the same alignment
+        # to the last bit, told apart by value, so the first must win.
+        vectors = random_codebook(qcl - 4, 4, rng).vectors
+        return LocalCodebook(np.concatenate([vectors, -vectors[:4]]))
+
+    def test_one_codebook_for_a_stack(self):
+        # 200 channels of 2 rows take 64 words in products of 20, 20, 20 and 4.
+        rng = np.random.default_rng(41)
+        hs = np.stack([random_channel(2, 4, rng) for _ in range(200)])
+        for cb in (random_codebook(64, 4, rng), self.book_with_ties(rng, 64), self.book_with_ties(rng, 8)):
+            chosen = acquire_local_csi(hs, cb).cdi
+            for h, v in zip(hs, chosen):
+                np.testing.assert_array_equal(v, cb.vectors[oracle_pick(cb.vectors, h)])
+
+    def test_one_codebook_per_channel(self):
+        rng = np.random.default_rng(42)
+        hs = np.stack([random_channel(3, 4, rng) for _ in range(30)])
+        books = [self.book_with_ties(rng, 8) for _ in range(15)] + [random_codebook(8, 4, rng) for _ in range(15)]
+        books = np.stack([cb.vectors for cb in books])
+        chosen = acquire_local_csi(hs, LocalCodebook(books)).cdi
+        for h, vectors, v in zip(hs, books, chosen):
+            np.testing.assert_array_equal(v, vectors[oracle_pick(vectors, h)])
+
+    def test_rate_engine_block_of_trials(self, monkeypatch):
+        # 6 trials of 16 users against 256-word codebooks: picked in
+        # chunks of 4 trials and then 2.
+        cfg = SystemConfig(m=4, n=2, k=16, rho=5.0, bcl=8, trials=6, seed=43)
+        sizes, picked = [], []
+
+        def choice(vectors, basis):
+            sizes.append(len(vectors))
+            return local_choice(vectors, basis)
+
+        def stage(h, basis, r, v):
+            picked.append(v)
+            return local_stage(h, basis, r, v)
+
+        local_choice, local_stage = cooperation._local_choice, cooperation._local_stage
+        monkeypatch.setattr(cooperation, "_local_choice", choice)
+        monkeypatch.setattr(cooperation, "_local_stage", stage)
+        rngs = [derive_trial_rng(cfg.seed, t) for t in range(cfg.trials)]
+        montecarlo._workspaces(cfg, rngs, coop=True, conv=False)
+        assert sum(sizes) == cfg.trials and len(sizes) > 1 and sizes[-1] < sizes[0]
+        chosen = picked[0].reshape(cfg.trials, cfg.k, cfg.m)
+        for rng, users in zip(rngs, chosen):
+            vectors = gen_local_codebook(cfg, rng).vectors
+            for h, v in zip(gen_all_channels(cfg, rng), users):
+                np.testing.assert_array_equal(v, vectors[oracle_pick(vectors, h)])
 
 
 class TestStackedLocalCsi:

@@ -482,12 +482,14 @@ class TestScheduledSinrEstimate:
         # the cdf at 1 - 1/count approximates a quantile, not the mean of the
         # maximum); in the rate domain every rank lands within 10%.
         cfg = SystemConfig(m=4, n=3, k=400, rho=10.0, bcl=4, trials=800, seed=0)
-        ranked = np.zeros((cfg.trials, cfg.m))
-        for t in range(cfg.trials):
-            ws = build_workspace(cfg, t, coop=True, conv=False)
-            ev = evaluate_mode(ws, "cooperative", np.array([cfg.rho]))
-            ranked[t] = ev.reported[0][np.argsort(-ev.reported[0])]
-        means = ranked.mean(axis=0)
+
+        def ranked(rngs):  # each trial's reported CQIs, largest first, off one block's workspaces
+            workspaces = montecarlo._workspaces(cfg, rngs, coop=True, conv=False)
+            evs = [evaluate_mode(ws, "cooperative", np.array([cfg.rho])) for ws in workspaces]
+            return np.array([ev.reported[0][np.argsort(-ev.reported[0])] for ev in evs])
+
+        # Blocks of 4 trials (1,600 users) read about 12% faster than one trial at a time, and 16 no faster.
+        means = montecarlo._sampled(ranked, cfg.seed, 4, 0, cfg.trials)[0].mean(axis=0)
         pars = analysis.derive_params(cfg.m, cfg.n, cfg.qcl, cfg.rho)
         for step in range(1, cfg.m + 1):
             est = analysis.estimate_scheduled_sinr(

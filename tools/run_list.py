@@ -76,6 +76,12 @@ RUNS = [
         "sweep_adaptive_out_of_regime",
         ("sweep", *_COOP_CONV, "--mode", "adaptive", "--k", "16", "--rho-db", "0..20..5", "--trials", "200"),
     ),
+    # Blocks of 42 trials at k = 12 and 128 words, the last of 16, whose codeword picks
+    # run in chunks of 10 trials: each block ends in a partial chunk (of 2, then 6).
+    (
+        "sweep_coop_conv_k12_bcl7",
+        ("sweep", *_COOP_CONV, "--k", "12", "--bcl", "7", "--rho-db", "0..20..10", "--trials", "100"),
+    ),
     ("sweep_conv_dft_k10", ("sweep", "--mode", "conventional", "--codebook", "dft", "--k", "10", "--trials", "200")),
     # The benchmark's command lines (perfbench/workloads.py) at seed 7.
     ("rate_fig8_seed7", ("fig8", "--seed", "7", "--trials", "200")),
