@@ -18,7 +18,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import analysis, montecarlo
+from . import montecarlo
 from .model import CODEBOOK_MODES, MODES, ConfigError
 
 OUT_DIR_ENV = "COOPFB_OUT_DIR"
@@ -284,7 +284,7 @@ def run(argv=None) -> int:
             return 0
         paths = _emit(_out_dir(args), result)
         print(f"{result.experiment}: wrote {', '.join(str(p) for p in paths)}")
-    except (ConfigError, analysis.InvalidRegime, ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError) as exc:  # ConfigError and InvalidRegime among them
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -54,7 +54,7 @@ class LocalCsi:
         """
         residual = self.h_virt - self.quantized_virtual
         norm = np.linalg.norm(residual)
-        if norm <= numerics.PROJECTION_TOL:
+        if norm <= numerics.PROJECTION_TOL * np.linalg.norm(self.h_virt):
             return np.zeros_like(self.h_virt)
         return residual / norm
 

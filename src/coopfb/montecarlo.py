@@ -300,27 +300,6 @@ def _worker_count(workers: int, n_trials: int, cpus: Optional[int]) -> int:
     return min(workers, cpus or 1, n_trials)
 
 
-def _parallel_chunks(fn, n_trials: int, workers: int) -> list:
-    """Run ``fn(lo, hi)`` over a partition of the trial range.
-
-    Results come back in chunk order; per-trial outputs depend only on the
-    trial index, so the assembled output is identical for any worker count.
-    """
-    workers = _worker_count(workers, n_trials, os.cpu_count())
-    if workers == 1:
-        return [fn(0, n_trials)]
-    chunks = min(workers * 4, n_trials)
-    bounds = np.linspace(0, n_trials, chunks + 1).astype(int)
-    spans = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        ctx = multiprocessing.get_context()
-    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-        futures = [pool.submit(fn, lo, hi) for lo, hi in spans]
-        return [f.result() for f in futures]
-
-
 def _sampled(kernel: Callable, seed: int, size: int, lo: int, hi: int):
     """Rows of ``kernel(rngs)`` (one per stream) stacked over the trials
     ``[lo, hi)`` in blocks of ``size`` trials, and the resample count.
@@ -342,11 +321,24 @@ def _sampled(kernel: Callable, seed: int, size: int, lo: int, hi: int):
     return np.concatenate(parts), resamples
 
 
-def _simulate(kernel: Callable, cfg: SystemConfig, size: int, workers: int):
-    """Rows of ``kernel`` over every trial of ``cfg`` in trial order, run in
-    blocks of ``size`` trials on ``workers`` processes, and the resample
-    count. Every experiment's trials go through here."""
-    chunks = _parallel_chunks(partial(_sampled, kernel, cfg.seed, size), cfg.trials, workers)
+def _simulate(kernel: Callable, cfg: SystemConfig, workers: int, users: int = 1):
+    """Rows of ``kernel`` over every trial of ``cfg`` in trial order, and the
+    resample count. Every experiment's trials go through here, in blocks of
+    :func:`_block_trials` for ``users`` users per trial; past one worker,
+    chunks of the trial range run on a fork pool. A trial's row depends only
+    on its index, so the output is identical for any worker count."""
+    fn = partial(_sampled, kernel, cfg.seed, _block_trials(cfg, users))
+    workers = _worker_count(workers, cfg.trials, os.cpu_count())
+    if workers == 1:
+        return fn(0, cfg.trials)
+    bounds = np.linspace(0, cfg.trials, min(workers * 4, cfg.trials) + 1).astype(int)
+    try:
+        ctx = multiprocessing.get_context("fork")
+    except ValueError:
+        ctx = multiprocessing.get_context()
+    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+        futures = [pool.submit(fn, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        chunks = [f.result() for f in futures]
     return np.concatenate([rows for rows, _ in chunks]), sum(attempts for _, attempts in chunks)
 
 
@@ -485,7 +477,7 @@ def _run_fig3(params: dict, workers: int):
     aggregates = {"rel_err_closed_form": {}, "rel_err_reference": {}}
     resamples = 0
     for cfg in [_system(params, bcl=bcl) for bcl in params["bcl_grid"]]:
-        errors, attempts = _simulate(partial(_local_error_block, cfg), cfg, _block_trials(cfg), workers)
+        errors, attempts = _simulate(partial(_local_error_block, cfg), cfg, workers)
         resamples += attempts
         mc_mean = float(errors.mean())
         closed = analysis.expected_local_error(cfg.m, cfg.n, cfg.qcl)
@@ -499,7 +491,7 @@ def _run_fig3(params: dict, workers: int):
 def _run_fig5(params: dict, workers: int):
     """Cdfs of local/global quantization errors and interference powers."""
     cfg = _system(params)
-    data, resamples = _simulate(partial(_pair_block, cfg), cfg, _block_trials(cfg), workers)
+    data, resamples = _simulate(partial(_pair_block, cfg), cfg, workers)
     sin2_local, sin2_global, norm2, local_intf = data.T
     global_intf = norm2 * sin2_global
     rows = []
@@ -534,7 +526,7 @@ def _run_fig6(params: dict, workers: int):
     """
     cfg = _system(params)
     rhos = [db_to_linear(rho_db) for rho_db in params["rho_db"]]
-    data, resamples = _simulate(partial(_pair_block, cfg), cfg, _block_trials(cfg), workers)
+    data, resamples = _simulate(partial(_pair_block, cfg), cfg, workers)
     sin2_local, sin2_global, norm2, local_intf = data.T
     cos2_global = 1.0 - sin2_global
     rows = []
@@ -593,7 +585,7 @@ def _mode_rates(cfg: SystemConfig, modes: Sequence[str], rho_lin: np.ndarray, wo
     decisions = [analysis.mode_switch(cfg.k, cfg.m, cfg.n, rho, cfg.bcl) for rho in rho_lin] if adaptive else None
     pipelines = [mode for mode in (analysis.COOPERATIVE, analysis.CONVENTIONAL) if adaptive or mode in modes]
     kernel = partial(_rate_block, cfg, rho_lin, pipelines)
-    rows, resamples = _simulate(kernel, cfg, _block_trials(cfg, cfg.k), workers)
+    rows, resamples = _simulate(kernel, cfg, workers, users=cfg.k)
     r = rho_lin.size
     means = {mode: rows[:, i * r : (i + 1) * r].mean(axis=0) for i, mode in enumerate(pipelines)}
     if adaptive:
@@ -677,12 +669,11 @@ def _run_fig9(params: dict, workers: int):
     aggregates = {"ks_direct_vs_model": {}, "ks_surrogate_vs_model": {}, "ks_surrogate_vs_direct": {}}
     resamples = 0
     for cfg in [_system(params, n=n_rx) for n_rx in params["n_grid"]]:
-        size = _block_trials(cfg)
-        pairs, pair_attempts = _simulate(partial(_pair_block, cfg), cfg, size, workers)
+        pairs, pair_attempts = _simulate(partial(_pair_block, cfg), cfg, workers)
         direct = pairs[:, 2]
         omega = analysis.expected_local_error(cfg.m, cfg.n, cfg.qcl)
         varrho_sq = analysis.effective_norm_params(cfg.m, cfg.n, omega)
-        surrogate, surrogate_attempts = _simulate(partial(_surrogate_block, cfg, omega), cfg, size, workers)
+        surrogate, surrogate_attempts = _simulate(partial(_surrogate_block, cfg, omega), cfg, workers)
         resamples += pair_attempts + surrogate_attempts
         model = lambda u, _c=cfg, _v=varrho_sq: analysis.effective_norm_cdf(u, _c.m, _c.n, _v)
         grid = np.quantile(direct, _CDF_PROBS)

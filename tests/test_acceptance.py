@@ -209,9 +209,7 @@ class TestCriterion6SinrCdfUpperTail:
         from functools import partial
 
         cfg = SystemConfig(m=4, n=2, k=8, bcl=8, trials=10000, seed=0)
-        data, _ = montecarlo._simulate(
-            partial(montecarlo._pair_block, cfg), cfg, montecarlo._block_trials(cfg), WORKERS
-        )
+        data, _ = montecarlo._simulate(partial(montecarlo._pair_block, cfg), cfg, WORKERS)
         sin2, norm2, local = data[:, 1], data[:, 2], data[:, 3]
         for rho in (1.0, 10.0, 100.0):
             pars = analysis.derive_params(cfg.m, cfg.n, cfg.qcl, rho)

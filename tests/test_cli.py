@@ -296,10 +296,10 @@ class TestRejectedInputs:
     def test_snr_of_zero_or_infinite_linear_value_refused(self, tmp_path, capsys, monkeypatch, command, rho_db):
         from coopfb import montecarlo
 
-        def refuse(*_):
+        def refuse(*_, **__):
             raise AssertionError(f"{command} simulated at an SNR of {rho_db} dB")
 
-        monkeypatch.setattr(montecarlo, "_parallel_chunks", refuse)
+        monkeypatch.setattr(montecarlo, "_simulate", refuse)
         args = [command, f"--rho-db={rho_db}"]
         if command != "analyze":
             args += ["--trials", "20", "--out-dir", str(tmp_path)]
@@ -445,10 +445,10 @@ class TestAdaptiveDecidedFirst:
         # k=50 is in regime and k=20 is not: no point may be simulated.
         from coopfb import montecarlo
 
-        def refuse(*args):
+        def refuse(*args, **kwargs):
             raise AssertionError("fig7 simulated before estimating every point")
 
-        monkeypatch.setattr(montecarlo, "_parallel_chunks", refuse)
+        monkeypatch.setattr(montecarlo, "_simulate", refuse)
         status = cli.run(["fig7", "--trials", "1", "--k-grid", "50,20", "--out-dir", str(tmp_path)])
         assert status == 2
         assert "error:" in capsys.readouterr().err

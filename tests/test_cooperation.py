@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from coopfb import cooperation, montecarlo, numerics, qbc
+from coopfb import cooperation, montecarlo, numerics, qbc, scheduler
 from coopfb.cooperation import (
     GlobalChannel,
     LocalCsi,
@@ -80,12 +82,59 @@ class TestAcquireLocalCsi:
     @pytest.mark.parametrize("n, scale", [(2, 1e-100), (2, 1e80), (3, 1e-60), (3, 1e60)])
     def test_scaled_channel_gives_the_same_choice(self, n, scale):
         # The rank rule's two products of 2n powers of the scale left the
-        # float range here, refusing or overflowing on a well-conditioned channel.
+        # float range here, refusing or overflowing on a well-conditioned
+        # channel; an absolute residual threshold zeroed the small scales'
+        # error directions.
         rng = np.random.default_rng(3)
         h, cb = random_channel(n, 4, rng), random_codebook(16, 4, rng)
         local, scaled = acquire_local_csi(h, cb), acquire_local_csi(scale * h, cb)
         np.testing.assert_array_equal(scaled.cdi, local.cdi)
         assert abs(scaled.sin2_error - local.sin2_error) <= 1e-12
+        np.testing.assert_allclose(scaled.error_direction, local.error_direction, rtol=0, atol=1e-12)
+
+
+def per_user_pipeline(channels, local_cb, codebook, rho):
+    """Criterion 1's per-user cooperative pipeline on one trial's channels:
+    local records, every user's global report, the main users' reports and
+    the schedule."""
+    k, m = channels.shape[0], channels.shape[2]
+    locals_ = [acquire_local_csi(channels[u], local_cb) for u in range(k)]
+    reports = [
+        acquire_global_csi(build_global_matrix(channels[u], locals_[u ^ 1]), codebook, rho, user=u)[0]
+        for u in range(k)
+    ]
+    mains = [assign_roles((a, a + 1), reports[a], reports[a + 1]).mu_csi for a in range(0, k, 2)]
+    return locals_, reports, mains, scheduler.schedule_users(mains, m).assignment
+
+
+class TestScaleInvariance:
+    """Channels scaled by 10^e with the SNR scaled by 10^(-2e) leave every
+    SINR as it was, so the per-user pipeline must decide as at e = 0.
+    Beyond about 1e+-150 the squared norms leave the float range."""
+
+    @given(n=st.integers(1, 3), e=st.integers(-100, 100), seed=st.integers(0, 2**32 - 1))
+    @example(n=2, e=-13, seed=3)
+    @example(n=2, e=13, seed=3)
+    @example(n=3, e=-100, seed=3)
+    @example(n=1, e=100, seed=3)
+    @settings(max_examples=100, deadline=None)
+    def test_pipeline_decides_as_at_unit_scale(self, n, e, seed):
+        cfg = SystemConfig(m=4, n=n, k=8, rho=10.0, bcl=6, trials=1, seed=seed)
+        rng = derive_trial_rng(cfg.seed, 0)
+        channels = gen_all_channels(cfg, rng)
+        codebook, local_cb = gen_global_codebook(cfg, rng), gen_local_codebook(cfg, rng)
+        base = per_user_pipeline(channels, local_cb, codebook, cfg.rho)
+        scaled = per_user_pipeline(10.0**e * channels, local_cb, codebook, cfg.rho * 10.0 ** (-2 * e))
+        base_locals, base_reports, base_mains, base_schedule = base
+        locals_, reports, mains, schedule = scaled
+        for got, want in zip(locals_, base_locals):
+            np.testing.assert_array_equal(got.cdi, want.cdi)
+            assert abs(got.sin2_error - want.sin2_error) <= 1e-12
+            np.testing.assert_allclose(got.error_direction, want.error_direction, rtol=0, atol=1e-12)
+        assert [r.beam for r in reports] == [r.beam for r in base_reports]
+        np.testing.assert_allclose([r.cqi for r in reports], [r.cqi for r in base_reports], rtol=1e-12, atol=0)
+        assert [r.user for r in mains] == [r.user for r in base_mains]
+        assert schedule == base_schedule
 
 
 def oracle_pick(vectors, h):

@@ -35,10 +35,10 @@ def small_cfg(**kw):
 def refuse_trials(monkeypatch):
     """Fail the test if any trial is simulated from here on."""
 
-    def refuse(*_):
+    def refuse(*_, **__):
         raise AssertionError("simulated a refused run")
 
-    monkeypatch.setattr(montecarlo, "_parallel_chunks", refuse)
+    monkeypatch.setattr(montecarlo, "_simulate", refuse)
 
 
 class TestEmpiricalCdf:
