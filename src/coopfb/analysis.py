@@ -24,9 +24,12 @@ class InvalidRegime(ValueError):
     (too few users for the requested SNR)."""
 
 
-def _check_dims(m: int, n: int) -> None:
+def _check_dims(m: int, n: int, **scales: float) -> None:
     if not (1 <= n < m):
         raise DomainError(f"need 1 <= n < m, got n={n}, m={m}")
+    for name, value in scales.items():  # SNR, alpha, varrho^2
+        if not (value > 0.0 and math.isfinite(value)):
+            raise DomainError(f"need a positive finite {name}, got {value}")
 
 
 def error_support_edge(m: int, n: int) -> float:
@@ -88,7 +91,7 @@ def effective_norm_params(m: int, n: int, omega: float) -> float:
 
 def effective_norm_pdf(u, m: int, n: int, varrho_sq: float):
     """Gamma(m-n, varrho_sq) density of the stacked effective norm, as an ndarray."""
-    _check_dims(m, n)
+    _check_dims(m, n, varrho_sq=varrho_sq)
     u_arr = np.asarray(u, dtype=float)
     if np.any(u_arr < 0.0):
         raise DomainError("norm-square values must be nonnegative")
@@ -102,7 +105,7 @@ def effective_norm_pdf(u, m: int, n: int, varrho_sq: float):
 
 def effective_norm_cdf(u, m: int, n: int, varrho_sq: float):
     """Cdf of :func:`effective_norm_pdf` (regularized lower gamma), as an ndarray."""
-    _check_dims(m, n)
+    _check_dims(m, n, varrho_sq=varrho_sq)
     u_arr = np.asarray(u, dtype=float)
     return gammainc(m - n, np.maximum(u_arr, 0.0) / varrho_sq)
 
@@ -118,7 +121,7 @@ def sinr_cdf(x, m: int, n: int, rho: float, alpha: float, varrho_sq: float):
     (see :func:`sinr_cdf_exact`). The raw expression can go negative near
     x = 0; clamping keeps it a valid cdf there.
     """
-    _check_dims(m, n)
+    _check_dims(m, n, rho=rho, alpha=alpha, varrho_sq=varrho_sq)
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < 0.0):
         raise DomainError("SINR values must be nonnegative")
@@ -146,7 +149,7 @@ def sinr_cdf_exact(x, m: int, n: int, rho: float, alpha: float, varrho_sq: float
     ``E_k(lam) = int_1^inf exp(-lam w) w^(-k) dw`` at ``lam = x / (c varrho_sq)``.
     Unlike :func:`sinr_cdf`, it holds over the whole distribution.
     """
-    _check_dims(m, n)
+    _check_dims(m, n, rho=rho, alpha=alpha, varrho_sq=varrho_sq)
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < 0.0):
         raise DomainError("SINR values must be nonnegative")
@@ -200,6 +203,7 @@ class AnalysisParams:
 
 def derive_params(m: int, n: int, qcl: int, rho: float) -> AnalysisParams:
     """Chain omega -> nu -> alpha -> varrho^2 for a cooperative configuration."""
+    _check_dims(m, n, rho=rho)
     omega = expected_local_error(m, n, qcl)
     nu = (m - n + 1.0) * omega / (n + 1.0)
     return AnalysisParams(
@@ -251,10 +255,9 @@ def estimate_scheduled_sinr(
     (its partner's adds one), a conventional user on ``n``. Raises
     :class:`InvalidRegime` when the nested logarithm's argument drops to one
     or below (too few users for the asymptotic expansion at this SNR), and
-    :class:`DomainError` for a ``rho`` that is not positive and finite.
+    :class:`DomainError` for a scale (rho, alpha, varrho^2) that is not positive and finite.
     """
-    if not (rho > 0.0 and math.isfinite(rho)):
-        raise DomainError(f"need a positive finite rho, got {rho}")
+    _check_dims(m, n, rho=rho, alpha=alpha, varrho_sq=varrho_sq)
     count = cqi_candidates(k, m, step, mode)
     rows = n + _PAIRED[mode]
     scale = rho * varrho_sq / (m * alpha)

@@ -88,14 +88,14 @@ def acquire_local_csi(h: np.ndarray, codebook: LocalCodebook) -> LocalCsi:
     projection onto the channel subspace, so the selection scans projection
     norms and only the winning codeword gets its combiner materialised.
 
-    A stack of channels ``(k, n, m)`` takes one codebook for all of them
-    (``vectors`` of shape ``(qcl, m)``) or one per channel ``(k, qcl, m)``
-    and gets a :class:`LocalCsi` stacked along axis 0; one channel its ``[0]``.
+    A stack of ``g*u`` channels ``(g*u, n, m)`` takes ``g`` codebooks
+    ``(g, qcl, m)``, each for the next ``u`` channels (one for all as
+    ``(qcl, m)``), and gets a :class:`LocalCsi` stacked along axis 0; one
+    channel gets its ``[0]``. The pick bounds its own memory.
     """
     one = h.ndim == 2
     h = numerics.as_channel(h)[None] if one else h
-    basis, r = qbc._subspace(h)
-    local = _local_stage(h, basis, r, _local_choice(codebook.vectors.reshape(-1, *codebook.vectors.shape[-2:]), basis))
+    local = _local_stage(h, *qbc._subspace(h), codebook.vectors.reshape(-1, *codebook.vectors.shape[-2:]))
     return local[0] if one else local
 
 
@@ -105,33 +105,39 @@ def _local_choice(vectors: np.ndarray, basis: np.ndarray) -> np.ndarray:
     ``u`` subspaces of ``basis`` ``(g*u, m, n)``; gives the rows ``(g*u, m)``.
 
     The best alignment per codeword is the squared norm of its projection
-    onto the channel subspace, so the argmax needs one correlation pass,
-    ``g*qcl*u*n`` complex (0.5 MiB at 4 trials of 16 users and 256 words),
-    in products of a group's codewords with its basis columns ``(m, u*n)``
-    of at most 2^15 multiply-adds: OpenBLAS threads one of 2^16 or more,
-    which more than doubled a 4-process fig7 run at k = 400 on 2 cores.
+    onto the channel subspace, so the argmax needs ``qcl*u*n`` complex
+    correlations per group. They go into one buffer, in passes of at most
+    2^14 (codeword, subspace) pairs or one group: 0.5 MiB at 4 groups of 16
+    users and 256 words (a 32-group pick in one pass peaked at 6.1 MiB).
+    A pass runs products of a group's codewords with its basis columns
+    ``(m, u*n)`` of at most 2^15 multiply-adds: OpenBLAS threads one of
+    2^16 or more, which more than doubled a 4-process fig7 run at k = 400.
     """
-    g, (m, n) = len(vectors), basis.shape[1:]
+    (g, qcl, _), (m, n), u = vectors.shape, basis.shape[1:], len(basis) // len(vectors)
     # The conjugated correlations (g, qcl, u, n) as real pairs: conjugating the
-    # small basis instead of the codebook leaves every square unchanged and
-    # copies no codebook, and the sum of squares needs no temporaries as
-    # large as the correlations themselves.
-    columns = basis.conj().reshape(g, -1, m, n).transpose(0, 2, 1, 3).reshape(g, m, -1)
-    corr = np.empty(vectors.shape[:2] + columns.shape[2:], dtype=np.complex128)
-    rows = max(1, (1 << 15) // columns[0].size)  # codewords per product
-    for q in range(0, corr.shape[1], rows):
-        np.matmul(vectors[:, q : q + rows], columns, out=corr[:, q : q + rows])
-    pairs = corr.view(np.float64).reshape(*corr.shape[:2], -1, 2 * n)
-    chosen = np.argmax(np.einsum("...i,...i->...", pairs, pairs), axis=1)  # (g, u)
+    # small basis instead of the codebook leaves every square unchanged and copies
+    # no codebook; the sum of squares needs no temporaries as large as them.
+    columns = basis.conj().reshape(g, u, m, n).transpose(0, 2, 1, 3).reshape(g, m, u * n)
+    step = max(1, (1 << 14) // (qcl * u))  # groups per pass
+    rows = max(1, (1 << 15) // (m * u * n))  # codewords per product
+    buffer = np.empty((min(step, g), qcl, u * n), dtype=np.complex128)  # once: one per pass doubled a k=200 pick
+    chosen = np.empty((g, u), dtype=np.intp)
+    for lo in range(0, g, step):
+        corr = buffer[: min(step, g - lo)]
+        for q in range(0, qcl, rows):
+            np.matmul(vectors[lo : lo + step, q : q + rows], columns[lo : lo + step], out=corr[:, q : q + rows])
+        pairs = corr.view(np.float64).reshape(len(corr), qcl, u, 2 * n)
+        chosen[lo : lo + step] = np.argmax(np.einsum("...i,...i->...", pairs, pairs), axis=1)
     return vectors[np.arange(g)[:, None], chosen].reshape(-1, m)
 
 
-def _local_stage(h: np.ndarray, basis: np.ndarray, r: np.ndarray, v: np.ndarray) -> LocalCsi:
-    """Batched local acquisition of stacked channels ``h`` ``(k, n, m)``,
-    also given as their bases and R factors, toward their chosen codewords
-    ``v`` ``(k, m)``: the one-column QBC stage, whose effective channel
-    ``H^H z`` is the virtual channel. Gives the stacked :class:`LocalCsi`.
-    """
+def _local_stage(h: np.ndarray, basis: np.ndarray, r: np.ndarray, vectors: np.ndarray) -> LocalCsi:
+    """The one local acquisition of stacked channels ``h`` ``(g*u, n, m)``,
+    also given as their bases and R factors, against ``g`` codebooks
+    ``(g, qcl, m)``, each for the next ``u`` channels: :func:`_local_choice`,
+    then the one-column QBC stage toward the chosen codewords, whose
+    effective channel ``H^H z`` is the virtual channel (stacked :class:`LocalCsi`)."""
+    v = _local_choice(vectors, basis)
     cos2, hv_norm2, z_cols = qbc._qbc_stage(basis, r, v[:, :, None])
     h_virt = np.matmul(h.conj().transpose(0, 2, 1), z_cols)[:, :, 0]
     cos2, z = cos2[:, 0], z_cols[:, :, 0]

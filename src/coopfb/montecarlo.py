@@ -115,6 +115,10 @@ class _ConvArrays:
     sig: np.ndarray
     intf: np.ndarray
 
+    def __getitem__(self, users) -> "_ConvArrays":
+        """The powers of ``users`` out of stacked arrays, of the same type."""
+        return type(self)(**{name: value[users] for name, value in vars(self).items()})
+
 
 @dataclass
 class _CoopArrays(_ConvArrays):
@@ -173,15 +177,6 @@ def _origin(rng: RandomStream) -> tuple[int, int]:
     return trial, redraw[1] if redraw else 0
 
 
-def _per_trial(arrays, b: int, k: int) -> list:
-    """Views of block-stacked arrays (``b`` trials of ``k`` users along
-    axis 0), one trial at a time."""
-    if arrays is None:
-        return [None] * b
-    fields = vars(arrays).items()
-    return [type(arrays)(**{name: value[i * k : (i + 1) * k] for name, value in fields}) for i in range(b)]
-
-
 def _workspaces(
     cfg: SystemConfig, rngs: Sequence[RandomStream], coop: bool, conv: bool
 ) -> list[TrialWorkspace]:
@@ -199,15 +194,7 @@ def _workspaces(
 
     coop_arrays = None
     if coop:
-        # Users pick against their trial's codebook in chunks of a quarter of
-        # the row budget, 4 trials at k = 16 (+0.06 MiB sweep_small_k peak
-        # RSS); a whole block at once took it from 42.0 to 52.3 MiB.
-        vectors, chunk = gen_local_codebook(cfg, rngs).vectors, max(1, _BLOCK_ROWS // (4 * cfg.qcl * k))
-        picks = [
-            cooperation._local_choice(vectors[i : i + chunk], basis[i * k : (i + chunk) * k])
-            for i in range(0, b, chunk)
-        ]
-        local = cooperation._local_stage(h, basis, r, np.concatenate(picks))
+        local = cooperation._local_stage(h, basis, r, gen_local_codebook(cfg, rngs).vectors)
 
         # Global acquisition over the partner-stacked (n+1)-row matrices
         # (b*k, n+1, m); k is even, so u ^ 1 stays inside u's trial.
@@ -221,9 +208,10 @@ def _workspaces(
         intf_dl = np.maximum(np.sum(heff_dl.real**2 + heff_dl.imag**2, axis=1) - sig_dl, 0.0)
         coop_arrays = _CoopArrays(*qbc._beam_powers(cos2_g, eff_norm2), sig_dl, intf_dl)
 
+    parts = (conv_arrays, coop_arrays)
     return [
-        TrialWorkspace(cfg, *_origin(rng), conv_part, coop_part)
-        for rng, conv_part, coop_part in zip(rngs, _per_trial(conv_arrays, b, k), _per_trial(coop_arrays, b, k))
+        TrialWorkspace(cfg, *_origin(rng), *(None if part is None else part[i * k : (i + 1) * k] for part in parts))
+        for i, rng in enumerate(rngs)
     ]
 
 
@@ -242,6 +230,8 @@ def evaluate_mode(ws: TrialWorkspace, mode: str, rho_lin: np.ndarray) -> _ModeEv
     """Selection, role assignment, scheduling, and rates at each SNR."""
     m = ws.cfg.m
     rho_lin = np.atleast_1d(np.asarray(rho_lin, dtype=float))
+    if not (rho_lin.min() > 0.0 and rho_lin.max() < math.inf):  # NaN fails the first
+        raise ValueError(f"need positive finite SNRs, got {rho_lin}")
     noise = m / rho_lin  # (r,)
 
     records = {analysis.COOPERATIVE: ws.coop, analysis.CONVENTIONAL: ws.conv}

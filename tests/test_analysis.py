@@ -281,6 +281,31 @@ def test_scalar_gives_zero_dim_array(func, args, value):
     assert float(out) == value
 
 
+_SCALES = {"rho": 10.0, "alpha": 1.3, "varrho_sq": 0.8}
+# Each closed-form call and the scales it checks; estimate_scheduled_sinr's
+# rho has its own test in TestEstimateScheduledSinr.
+_SCALED = {
+    "derive_params": (lambda s: derive_params(4, 2, 256, s["rho"]), ["rho"]),
+    "effective_norm_pdf": (lambda s: effective_norm_pdf(1.0, 4, 2, s["varrho_sq"]), ["varrho_sq"]),
+    "effective_norm_cdf": (lambda s: effective_norm_cdf(1.0, 4, 2, s["varrho_sq"]), ["varrho_sq"]),
+    "sinr_cdf": (lambda s: sinr_cdf(1.0, 4, 2, **s), list(_SCALES)),
+    "sinr_cdf_exact": (lambda s: sinr_cdf_exact(1.0, 4, 2, **s), list(_SCALES)),
+    "estimate_cooperative": (lambda s: estimate_scheduled_sinr(1, 200, 4, 2, **s, mode=COOPERATIVE), ["alpha", "varrho_sq"]),
+    "estimate_conventional": (lambda s: estimate_scheduled_sinr(1, 200, 4, 2, **s, mode=CONVENTIONAL), ["alpha", "varrho_sq"]),
+}
+
+
+@pytest.mark.parametrize("value", [-10.0, -0.9, 0.0, math.inf, math.nan])
+@pytest.mark.parametrize(
+    "call, name", [pytest.param(call, name, id=f"{label}-{name}") for label, (call, names) in _SCALED.items() for name in names]
+)
+def test_scale_not_positive_finite_refused(call, name, value):
+    # Refused by name, not answered with a number or refused by a special
+    # function the caller never called.
+    with pytest.raises(DomainError, match=f"need a positive finite {name}, got"):
+        call({**_SCALES, name: value})
+
+
 class TestDeriveParams:
     def test_chain_values(self):
         p = derive_params(4, 2, 16, 10.0)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -180,30 +182,48 @@ class TestGroupedPick:
             np.testing.assert_array_equal(v, vectors[oracle_pick(vectors, h)])
 
     def test_rate_engine_block_of_trials(self, monkeypatch):
-        # 6 trials of 16 users against 256-word codebooks: picked in
-        # chunks of 4 trials and then 2.
+        # 6 trials of 16 users against 256-word codebooks: the pick runs in
+        # passes of 4 trials and then 2.
         cfg = SystemConfig(m=4, n=2, k=16, rho=5.0, bcl=8, trials=6, seed=43)
-        sizes, picked = [], []
+        picked = []
 
         def choice(vectors, basis):
-            sizes.append(len(vectors))
-            return local_choice(vectors, basis)
+            picked.append(local_choice(vectors, basis))
+            return picked[-1]
 
-        def stage(h, basis, r, v):
-            picked.append(v)
-            return local_stage(h, basis, r, v)
-
-        local_choice, local_stage = cooperation._local_choice, cooperation._local_stage
+        local_choice = cooperation._local_choice
         monkeypatch.setattr(cooperation, "_local_choice", choice)
-        monkeypatch.setattr(cooperation, "_local_stage", stage)
         rngs = [derive_trial_rng(cfg.seed, t) for t in range(cfg.trials)]
         montecarlo._workspaces(cfg, rngs, coop=True, conv=False)
-        assert sum(sizes) == cfg.trials and len(sizes) > 1 and sizes[-1] < sizes[0]
-        chosen = picked[0].reshape(cfg.trials, cfg.k, cfg.m)
+        chosen = np.concatenate(picked).reshape(cfg.trials, cfg.k, cfg.m)
         for rng, users in zip(rngs, chosen):
             vectors = gen_local_codebook(cfg, rng).vectors
             for h, v in zip(gen_all_channels(cfg, rng), users):
                 np.testing.assert_array_equal(v, vectors[oracle_pick(vectors, h)])
+
+    def test_partial_last_pass(self):
+        # 6 codebooks of 256 words for 16 channels each: passes of 4 groups,
+        # then a partial one of 2, against the oracle.
+        rng = np.random.default_rng(44)
+        hs = np.stack([random_channel(2, 4, rng) for _ in range(96)])
+        books = np.stack([self.book_with_ties(rng, 256).vectors for _ in range(6)])
+        chosen = acquire_local_csi(hs, LocalCodebook(books)).cdi
+        for i, (h, v) in enumerate(zip(hs, chosen)):
+            np.testing.assert_array_equal(v, books[i // 16][oracle_pick(books[i // 16], h)])
+
+    def test_pick_bounds_its_memory(self):
+        # 32 per-trial 256-word codebooks for 16 users each peaked at
+        # 6.16 MiB when the pick ran in one pass.
+        rng = np.random.default_rng(45)
+        hs = np.stack([random_channel(2, 4, rng) for _ in range(32 * 16)])
+        books = LocalCodebook(np.stack([random_codebook(256, 4, rng).vectors for _ in range(32)]))
+        tracemalloc.start()
+        try:
+            acquire_local_csi(hs, books)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 2**20
 
 
 class TestStackedLocalCsi:

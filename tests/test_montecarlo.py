@@ -309,6 +309,15 @@ class TestWorkspaceEvaluate:
         with pytest.raises(ValueError, match="unknown mode 'adaptive'"):
             evaluate_mode(ws, "adaptive", np.array([1.0]))
 
+    @pytest.mark.parametrize("rho", [-1.0, 0.0, math.inf, math.nan])
+    def test_refuses_an_snr_not_positive_finite(self, rho):
+        # Unrefused, -1 gave a negative sum-rate, 0 divided by zero, inf
+        # rated noiseless beams and NaN gave NaN.
+        ws = build_workspace(small_cfg(seed=1), 0, coop=True, conv=True)
+        for mode in ("cooperative", "conventional"):
+            with pytest.raises(ValueError, match="need positive finite SNRs"):
+                evaluate_mode(ws, mode, np.array([1.0, rho]))
+
 
 class TestExperimentDeterminism:
     def test_worker_count_invariance(self):
