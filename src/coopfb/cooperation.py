@@ -107,11 +107,14 @@ def _local_choice(vectors: np.ndarray, basis: np.ndarray) -> np.ndarray:
     The best alignment per codeword is the squared norm of its projection
     onto the channel subspace, so the argmax needs ``qcl*u*n`` complex
     correlations per group. They go into one buffer, in passes of at most
-    2^14 (codeword, subspace) pairs or one group: 0.5 MiB at 4 groups of 16
-    users and 256 words (a 32-group pick in one pass peaked at 6.1 MiB).
-    A pass runs products of a group's codewords with its basis columns
-    ``(m, u*n)`` of at most 2^15 multiply-adds: OpenBLAS threads one of
-    2^16 or more, which more than doubled a 4-process fig7 run at k = 400.
+    2^14 (codeword, subspace) pairs or one codebook's words against one
+    subspace: whole groups while one fits, else a group's subspaces split.
+    That is 0.5 MiB at 4 groups of 16 users and 256 words (a 32-group pick
+    in one pass peaked at 6.1 MiB, and 512 subspaces of one group 6.2 MiB).
+    A pass runs products of a group's codewords with its basis columns,
+    ``(m, u*n)`` or fewer, of at most 2^15 multiply-adds: OpenBLAS threads
+    one of 2^16 or more, which more than doubled a 4-process fig7 run at
+    k = 400.
     """
     (g, qcl, _), (m, n), u = vectors.shape, basis.shape[1:], len(basis) // len(vectors)
     # The conjugated correlations (g, qcl, u, n) as real pairs: conjugating the
@@ -119,15 +122,18 @@ def _local_choice(vectors: np.ndarray, basis: np.ndarray) -> np.ndarray:
     # no codebook; the sum of squares needs no temporaries as large as them.
     columns = basis.conj().reshape(g, u, m, n).transpose(0, 2, 1, 3).reshape(g, m, u * n)
     step = max(1, (1 << 14) // (qcl * u))  # groups per pass
-    rows = max(1, (1 << 15) // (m * u * n))  # codewords per product
-    buffer = np.empty((min(step, g), qcl, u * n), dtype=np.complex128)  # once: one per pass doubled a k=200 pick
+    width = min(u, max(1, (1 << 14) // qcl))  # subspaces per pass: all u unless one group is too large
+    rows = max(1, (1 << 15) // (m * width * n))  # codewords per product
+    buffer = np.empty((min(step, g), qcl, width * n), dtype=np.complex128)  # once: one per pass doubled a k=200 pick
     chosen = np.empty((g, u), dtype=np.intp)
     for lo in range(0, g, step):
-        corr = buffer[: min(step, g - lo)]
-        for q in range(0, qcl, rows):
-            np.matmul(vectors[lo : lo + step, q : q + rows], columns[lo : lo + step], out=corr[:, q : q + rows])
-        pairs = corr.view(np.float64).reshape(len(corr), qcl, u, 2 * n)
-        chosen[lo : lo + step] = np.argmax(np.einsum("...i,...i->...", pairs, pairs), axis=1)
+        for s in range(0, u, width):
+            part = columns[lo : lo + step, :, s * n : (s + width) * n]
+            corr = buffer[: len(part), :, : part.shape[-1]]
+            for q in range(0, qcl, rows):
+                np.matmul(vectors[lo : lo + step, q : q + rows], part, out=corr[:, q : q + rows])
+            pairs = corr.view(np.float64).reshape(len(corr), qcl, -1, 2 * n)
+            chosen[lo : lo + step, s : s + width] = np.argmax(np.einsum("...i,...i->...", pairs, pairs), axis=1)
     return vectors[np.arange(g)[:, None], chosen].reshape(-1, m)
 
 

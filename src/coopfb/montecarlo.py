@@ -13,7 +13,9 @@ never silently). The kernels are vectorised across the users of a block
 through the one stacked QBC stage of ``qbc`` (Householder QR, then
 substitution on the R factor across the stack), which ``cooperation`` also
 runs for local acquisition; partner rows are stacked by
-``cooperation.build_global_matrix``, as in the per-user pipeline. Every
+``cooperation.build_global_matrix``, as in the per-user pipeline, and the
+rate engine factors each stacked matrix by appending the partner's row to
+the user's own factors (``numerics.append_column``). Every
 random quantity is keyed by (seed, trial, purpose), so results are
 bit-identical for any worker count and block boundary.
 """
@@ -181,7 +183,11 @@ def _workspaces(
     cfg: SystemConfig, rngs: Sequence[RandomStream], coop: bool, conv: bool
 ) -> list[TrialWorkspace]:
     """One :class:`TrialWorkspace` per stream, with the users of all the
-    streams' trials stacked ``(b*k, ...)`` through the batched stages."""
+    streams' trials stacked ``(b*k, ...)`` through the batched stages.
+
+    Each user's own rows go through one QR: its basis and R serve the
+    conventional stage, the local pick and, with the partner's quantized
+    row appended as one column, the global stage."""
     k, n, m, b = cfg.k, cfg.n, cfg.m, len(rngs)
     h = complex_gaussian(_generators(rngs, "channels"), (k, n, m)).reshape(b * k, n, m)
     cb = np.repeat(gen_global_codebook(cfg, rngs).matrix, k, axis=0)  # each trial's, per user
@@ -199,7 +205,9 @@ def _workspaces(
         # Global acquisition over the partner-stacked (n+1)-row matrices
         # (b*k, n+1, m); k is even, so u ^ 1 stays inside u's trial.
         glob = cooperation.build_global_matrix(h, local[np.arange(len(h)) ^ 1])
-        cos2_g, eff_norm2, combiners = qbc._qbc_stage(*qbc._subspace(glob.h_qu), cb)
+        row_norm2 = np.sum(h.real**2 + h.imag**2, axis=-1)
+        stacked = numerics.append_column(basis, r, row_norm2, glob.h_qu[:, n].conj())
+        cos2_g, eff_norm2, combiners = qbc._qbc_stage(*stacked, cb)
         # Not combined toward the codebook: correlate the served beam; the
         # unitary codebook's other beams carry the rest of the norm.
         heff_dl = link.downlink_effective_channel(glob, combiners)  # (b*k, m, beams)

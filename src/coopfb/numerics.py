@@ -5,7 +5,8 @@ operates on tiny dimensions (a handful of antennas), so the routines favour
 numerical transparency over asymptotic speed. The one QR,
 :func:`r_factor`, accepts stacked inputs ``(..., m, n)`` and applies the
 one rank rule, :func:`check_full_rank`, to its Householder R factor;
-:func:`mgs_columns` adds the basis Q, and every solve on R is a
+:func:`mgs_columns` adds the basis Q, :func:`append_column` extends both
+factors by one column under the same rule, and every solve on R is a
 substitution over the whole stack, :func:`solve_triangular`.
 ``as_channel`` checks one channel where the per-user API takes it in.
 """
@@ -85,6 +86,37 @@ def mgs_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r = r_factor(a)
     q = solve_triangular(r.swapaxes(-1, -2), a.swapaxes(-1, -2), lower=True)  # Q^T = R^-T a^T
     return q.swapaxes(-1, -2), r
+
+
+def append_column(q: np.ndarray, r: np.ndarray, col_norm2: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(Q', R')`` with ``[a | x] = Q'R'`` for a stack ``a = QR``: Q
+    ``(..., m, n)`` with orthonormal columns, R ``(..., n, n)``, the squared
+    column norms of ``a`` ``(..., n)`` and the new columns ``x`` ``(..., m)``.
+
+    Classical Gram-Schmidt with one reorthogonalisation pass, which keeps Q'
+    orthonormal to rounding however close ``x`` lies to the span of ``a``
+    (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 1976). The rank rule runs
+    on ``[|R_ii|^2, rho^2]`` against ``[col_norm2, ||x||^2]``, the diagonal
+    the Householder R of ``[a | x]`` would have, before ``rho`` divides.
+    Each entry of the new column is a sum of products over its own row of
+    Q, in the same order for every row and without BLAS, so equal rows of
+    ``[a | x]`` give bit-equal rows of Q', as in :func:`mgs_columns`.
+    """
+    qh = q.conj()
+    c = np.einsum("...in,...i->...n", qh, x)  # Q^H x
+    res = x - np.einsum("...in,...n->...i", q, c)
+    c2 = np.einsum("...in,...i->...n", qh, res)
+    res -= np.einsum("...in,...n->...i", q, c2)
+    rho2 = np.sum(res.real**2 + res.imag**2, axis=-1)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    check_full_rank(
+        np.concatenate([diag.real**2 + diag.imag**2, rho2[..., None]], axis=-1),
+        np.concatenate([col_norm2, np.sum(x.real**2 + x.imag**2, axis=-1)[..., None]], axis=-1),
+    )
+    n, rho = r.shape[-1], np.sqrt(rho2)
+    r_new = np.zeros(r.shape[:-2] + (n + 1, n + 1), dtype=np.complex128)
+    r_new[..., :n, :n], r_new[..., :n, n], r_new[..., n, n] = r, c + c2, rho
+    return np.concatenate([q, (res / rho[..., None])[..., None]], axis=-1), r_new
 
 
 def solve_triangular(t: np.ndarray, b: np.ndarray, lower: bool = False) -> np.ndarray:

@@ -65,7 +65,9 @@ def combine_for_codeword(h: np.ndarray, codeword) -> CombinedChannel:
 def _subspace(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal row-space bases ``Q`` ``(k, m, rank)`` of stacked channels
     ``(k, rank, m)`` and the R factors ``(k, rank, rank)`` of ``H^H = QR``,
-    from :func:`numerics.mgs_columns`, which applies the rank rule."""
+    from :func:`numerics.mgs_columns`, which applies the rank rule. A row
+    stacked under channels whose factors are at hand is appended to them by
+    :func:`numerics.append_column` instead, as the rate engine does."""
     return numerics.mgs_columns(h.conj().transpose(0, 2, 1))
 
 

@@ -225,6 +225,29 @@ class TestGroupedPick:
             tracemalloc.stop()
         assert peak <= 1.5 * 2**20
 
+    def test_one_large_group_split_across_passes(self):
+        # One 512-word codebook for 100 channels: passes of 32 subspaces,
+        # then a partial one of 4, against the oracle.
+        rng = np.random.default_rng(47)
+        hs = np.stack([random_channel(2, 4, rng) for _ in range(100)])
+        cb = self.book_with_ties(rng, 512)
+        for h, v in zip(hs, acquire_local_csi(hs, cb).cdi):
+            np.testing.assert_array_equal(v, cb.vectors[oracle_pick(cb.vectors, h)])
+
+    def test_one_large_group_bounds_its_memory(self):
+        # 512 channels against one 256-word codebook peaked at 6.17 MiB
+        # when the group's subspaces ran in one pass.
+        rng = np.random.default_rng(46)
+        hs = np.stack([random_channel(2, 4, rng) for _ in range(512)])
+        cb = random_codebook(256, 4, rng)
+        tracemalloc.start()
+        try:
+            acquire_local_csi(hs, cb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 2**20
+
 
 class TestStackedLocalCsi:
     @pytest.mark.parametrize("shared", [True, False])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from coopfb import analysis, cooperation, link, montecarlo, qbc, scheduler
+from coopfb import analysis, cooperation, link, montecarlo, numerics, qbc, scheduler
 from coopfb.model import (
     ConfigError,
     SystemConfig,
@@ -232,6 +232,55 @@ class TestBlockedEngine:
         np.testing.assert_array_equal(coop[bad], evaluate_mode(ws, "cooperative", rho_lin).sum_rate)
         np.testing.assert_array_equal(conv[bad], evaluate_mode(ws, "conventional", rho_lin).sum_rate)
         assert not np.array_equal(coop[bad], clean[0][bad])
+        others = np.arange(n_trials) != bad
+        np.testing.assert_array_equal(coop[others], clean[0][others])
+        np.testing.assert_array_equal(conv[others], clean[1][others])
+
+
+class TestStackedFactors:
+    """The partner-stacked matrix is factored by appending the partner's row
+    to the factors of the user's own rows."""
+
+    def test_rate_block_runs_one_qr(self, monkeypatch):
+        cfg = small_cfg(k=16, bcl=6, seed=25)
+        calls = []
+        mgs_columns = numerics.mgs_columns
+
+        def counted(a):
+            calls.append(a.shape)
+            return mgs_columns(a)
+
+        monkeypatch.setattr(numerics, "mgs_columns", counted)
+        rngs = [derive_trial_rng(cfg.seed, t) for t in range(montecarlo._block_trials(cfg, cfg.k))]
+        montecarlo._rate_block(cfg, np.array([1.0, 10.0]), ("cooperative", "conventional"), rngs)
+        assert calls == [(len(rngs) * cfg.k, cfg.m, cfg.n)]
+
+    def test_partner_row_in_the_users_span_resamples(self, monkeypatch):
+        cfg = small_cfg(k=16, bcl=6, seed=24)
+        rho_lin = np.array([1.0, 10.0])
+        n_trials, bad = montecarlo._block_trials(cfg, cfg.k) + 4, 3
+        clean = rate_chunk(cfg, rho_lin, 0, n_trials)
+        assert clean[2] == 0
+        channels = gen_all_channels(cfg, derive_trial_rng(cfg.seed, bad))
+        local_stage = cooperation._local_stage
+
+        def in_span(h, basis, r, vectors):
+            # In the bad trial's first draw, user 1 shares a row in user 0's span.
+            local = local_stage(h, basis, r, vectors)
+            for i in range(len(h) // cfg.k):
+                if np.array_equal(h[i * cfg.k : (i + 1) * cfg.k], channels):
+                    own = h[i * cfg.k, 0].conj()
+                    local.cdi[i * cfg.k + 1] = own / np.linalg.norm(own)
+            return local
+
+        monkeypatch.setattr(cooperation, "_local_stage", in_span)
+        with pytest.raises(numerics.RankDeficient):
+            montecarlo._workspaces(cfg, [derive_trial_rng(cfg.seed, bad)], True, False)
+        coop, conv, resamples, _ = rate_chunk(cfg, rho_lin, 0, n_trials)
+        assert resamples == 1
+        redraw = derive_trial_rng(cfg.seed, bad).child("resample", 1)
+        row = montecarlo._rate_block(cfg, rho_lin, ("cooperative", "conventional"), [redraw])[0]
+        np.testing.assert_array_equal(np.concatenate([coop[bad], conv[bad]]), row[:-1])
         others = np.arange(n_trials) != bad
         np.testing.assert_array_equal(coop[others], clean[0][others])
         np.testing.assert_array_equal(conv[others], clean[1][others])

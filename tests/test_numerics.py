@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -351,6 +352,78 @@ class TestMgsColumns:
         a[2, :, 1] = 3 * a[2, :, 0]
         with pytest.raises(RankDeficient):
             numerics.r_factor(a)
+
+
+class TestAppendColumn:
+    """The factors of ``[a | x]`` from those of ``a``, against
+    :func:`numerics.mgs_columns` of the whole stack as the oracle."""
+
+    @staticmethod
+    def stack(rng, size, n, m=4):
+        a = (rng.standard_normal((size, m, n)) + 1j * rng.standard_normal((size, m, n))) / np.sqrt(2)
+        x = (rng.standard_normal((size, m)) + 1j * rng.standard_normal((size, m))) / np.sqrt(2)
+        return a, x
+
+    @staticmethod
+    def appended(a, x):
+        q, r = numerics.mgs_columns(a)
+        return numerics.append_column(q, r, np.sum(a.real**2 + a.imag**2, axis=-2), x)
+
+    @staticmethod
+    def near_span(rng, a, angle):
+        """A column per slice at relative ``angle`` to the span of ``a``."""
+        q = np.linalg.qr(a)[0]
+        x = TestAppendColumn.stack(rng, len(a), 1, a.shape[1])[1]
+        inside = (q @ (q.conj().swapaxes(-1, -2) @ x[..., None]))[..., 0]
+        outside = x - inside
+        norm = partial(np.linalg.norm, axis=-1, keepdims=True)
+        return inside + outside * (angle * norm(inside) / norm(outside))
+
+    @staticmethod
+    def projection(q):
+        return q @ q.conj().swapaxes(-1, -2)
+
+    def test_factors_the_stack(self):
+        # The partner rows at relative angle 1e-5 need the second pass: one
+        # Gram-Schmidt pass leaves Q' about 1e-11 from orthonormal.
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 3):
+            a, x = self.stack(rng, 200, n)
+            for col in (x, self.near_span(rng, a, 1e-5)):
+                q, r = self.appended(a, col)
+                assert q.shape == (200, 4, n + 1) and r.shape == (200, n + 1, n + 1)
+                np.testing.assert_array_equal(np.triu(r), r)
+                np.testing.assert_allclose(q @ r, np.concatenate([a, col[..., None]], axis=-1), rtol=0, atol=1e-12)
+                assert TestMgsColumns.gram_error(q).max() <= 1e-12
+
+    def test_projections_match_the_oracle(self):
+        rng = np.random.default_rng(13)
+        for n in (1, 2, 3):
+            a, x = self.stack(rng, 200, n)
+            q = self.appended(a, x)[0]
+            oracle = numerics.mgs_columns(np.concatenate([a, x[..., None]], axis=-1))[0]
+            np.testing.assert_allclose(self.projection(q), self.projection(oracle), rtol=0, atol=1e-12)
+
+    def test_equal_rows_give_bit_equal_rows_of_q(self):
+        rng = np.random.default_rng(14)
+        a, x = self.stack(rng, 37, 2)
+        a[:, 3], x[:, 3] = a[:, 0], x[:, 0]
+        q = self.appended(a, x)[0]
+        np.testing.assert_array_equal(q[:, 3], q[:, 0])
+        for i in (0, 17, 36):
+            np.testing.assert_array_equal(self.appended(a[i : i + 1], x[i : i + 1])[0][0], q[i])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+    def test_rank_rule_at_any_scale(self, n, scale):
+        rng = np.random.default_rng(15)
+        a, x = self.stack(rng, 20, n)
+        q, r = self.appended(scale * a, scale * x)
+        np.testing.assert_allclose(q, self.appended(a, x)[0], rtol=0, atol=1e-12)
+        in_span = x.copy()
+        in_span[7] = a[7] @ (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        with pytest.raises(RankDeficient):
+            self.appended(scale * a, scale * in_span)
 
 
 class TestSolveTriangular:
