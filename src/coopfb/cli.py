@@ -22,6 +22,9 @@ from . import montecarlo
 from .model import CODEBOOK_MODES, MODES, ConfigError
 
 OUT_DIR_ENV = "COOPFB_OUT_DIR"
+# The most points a start..stop..step grid may have, checked before the
+# list is built; the README's grids have at most 31.
+MAX_GRID_POINTS = 10_000
 
 
 def _format_cell(value) -> str:
@@ -92,8 +95,10 @@ def parse_grid(text: str, name: str = "a grid") -> list:
     start, stop, step = values + [1.0] * (3 - len(values))
     if step <= 0:
         raise ConfigError("grid step must be positive")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(count)]
+    span = (stop - start) / step + 1e-9
+    if not span < MAX_GRID_POINTS:  # an infinite span fails too
+        raise ConfigError(f"{name} {text!r} has more than {MAX_GRID_POINTS} points")
+    return [start + i * step for i in range(int(math.floor(span)) + 1)]
 
 
 def _finite(values: list, name: str, given) -> list:

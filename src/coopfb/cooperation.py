@@ -7,7 +7,7 @@ the quantized vector to its partner, and both then run quantization-based
 combining on the (n+1)-row stacked matrix as if they owned the extra
 antenna. Both quantizations are the one QBC stage of :mod:`qbc`: local
 acquisition is its one-column case toward the chosen RVQ codeword, for one
-channel or a stack. :func:`build_global_matrix` is the one place a
+channel or channels with any leading axes. :func:`build_global_matrix` is the one place a
 partner's row is stacked: the per-user pipeline, engine and sampler call it.
 """
 
@@ -88,15 +88,14 @@ def acquire_local_csi(h: np.ndarray, codebook: LocalCodebook) -> LocalCsi:
     projection onto the channel subspace, so the selection scans projection
     norms and only the winning codeword gets its combiner materialised.
 
-    A stack of ``g*u`` channels ``(g*u, n, m)`` takes ``g`` codebooks
+    Channels ``(..., n, m)``, ``g*u`` in order, take ``g`` codebooks
     ``(g, qcl, m)``, each for the next ``u`` channels (one for all as
-    ``(qcl, m)``), and gets a :class:`LocalCsi` stacked along axis 0; one
-    channel gets its ``[0]``. The pick bounds its own memory.
+    ``(qcl, m)``), and get a :class:`LocalCsi` of their leading axes, so
+    one channel gets scalars. The pick bounds its own memory.
     """
-    one = h.ndim == 2
-    h = numerics.as_channel(h)[None] if one else h
-    local = _local_stage(h, *qbc._subspace(h), codebook.vectors.reshape(-1, *codebook.vectors.shape[-2:]))
-    return local[0] if one else local
+    if np.ndim(h) == 2:
+        h = numerics.as_channel(h)
+    return _local_stage(h, *qbc._subspace(h), codebook.vectors.reshape(-1, *codebook.vectors.shape[-2:]))
 
 
 def _local_choice(vectors: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -138,16 +137,16 @@ def _local_choice(vectors: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 def _local_stage(h: np.ndarray, basis: np.ndarray, r: np.ndarray, vectors: np.ndarray) -> LocalCsi:
-    """The one local acquisition of stacked channels ``h`` ``(g*u, n, m)``,
-    also given as their bases and R factors, against ``g`` codebooks
-    ``(g, qcl, m)``, each for the next ``u`` channels: :func:`_local_choice`,
-    then the one-column QBC stage toward the chosen codewords, whose
-    effective channel ``H^H z`` is the virtual channel (stacked :class:`LocalCsi`)."""
-    v = _local_choice(vectors, basis)
-    cos2, hv_norm2, z_cols = qbc._qbc_stage(basis, r, v[:, :, None])
-    h_virt = np.matmul(h.conj().transpose(0, 2, 1), z_cols)[:, :, 0]
-    cos2, z = cos2[:, 0], z_cols[:, :, 0]
-    tau = np.sqrt(cos2 * hv_norm2[:, 0])
+    """The one local acquisition of channels ``h`` ``(..., n, m)``, ``g*u``
+    in order, also given as their bases and R factors, against ``g``
+    codebooks ``(g, qcl, m)``, each for the next ``u``: :func:`_local_choice`
+    on the flattened bases, then the one-column QBC stage toward the chosen
+    codewords, whose ``H^H z`` is the virtual channel (a :class:`LocalCsi`)."""
+    v = _local_choice(vectors, basis.reshape(-1, *basis.shape[-2:])).reshape(basis.shape[:-1])
+    cos2, hv_norm2, z = qbc._qbc_stage(basis, r, v[..., None])
+    h_virt = np.matmul(h.conj().swapaxes(-1, -2), z)[..., 0]
+    cos2, z = cos2[..., 0], z[..., 0]
+    tau = np.sqrt(cos2 * hv_norm2[..., 0])
     return LocalCsi(cdi=v, cqi=tau, combiner=z, h_virt=h_virt, sin2_error=np.clip(1.0 - cos2, 0.0, 1.0))
 
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .cooperation import GlobalChannel, LocalCsi
 from .model import GlobalCodebook, RandomStream, complex_gaussian
+from .numerics import check_snr
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,7 @@ def simulate_symbol_path(
     virtual channel (its own combiner applied to its receive vector), which
     is the exact scalar it would forward over the sidelink.
     """
+    check_snr(rho)
     n_rx = h_mu.shape[0]
     gen = rng.generator()
     noise_mu = complex_gaussian(gen, (n_rx,))
@@ -96,6 +98,7 @@ def decompose_received(
     the partner's direction quantization (the difference between the
     downlink and quantized stacked matrices).
     """
+    check_snr(rho)
     m = codebook.num_beams
     c = codebook.matrix
     h_qu = glob.h_qu.conj().T @ z_bar

@@ -10,9 +10,10 @@ fig9's surrogate norm, or the sum-rates of fig7, fig8 and sweep. The map
 runs it over the trial range in blocks on the worker processes, and redoes
 a block with a degenerate draw trial by trial on resample streams (counted,
 never silently). The kernels are vectorised across the users of a block
-through the one stacked QBC stage of ``qbc`` (Householder QR, then
-substitution on the R factor across the stack), which ``cooperation`` also
-runs for local acquisition; partner rows are stacked by
+through the one QBC stage of ``qbc`` (Householder QR, then substitution on
+the R factor), which takes any leading axes, so a rate block stays
+(trials, users); ``cooperation`` runs it for local acquisition, and
+partner rows are stacked by
 ``cooperation.build_global_matrix``, as in the per-user pipeline, and the
 rate engine factors each stacked matrix by appending the partner's row to
 the user's own factors (``numerics.append_column``). Every
@@ -182,15 +183,15 @@ def _origin(rng: RandomStream) -> tuple[int, int]:
 def _workspaces(
     cfg: SystemConfig, rngs: Sequence[RandomStream], coop: bool, conv: bool
 ) -> list[TrialWorkspace]:
-    """One :class:`TrialWorkspace` per stream, with the users of all the
-    streams' trials stacked ``(b*k, ...)`` through the batched stages.
+    """One :class:`TrialWorkspace` per stream, the block kept ``(trials,
+    users, ...)`` through the stages, each trial's codebook broadcast.
 
     Each user's own rows go through one QR: its basis and R serve the
     conventional stage, the local pick and, with the partner's quantized
     row appended as one column, the global stage."""
-    k, n, m, b = cfg.k, cfg.n, cfg.m, len(rngs)
-    h = complex_gaussian(_generators(rngs, "channels"), (k, n, m)).reshape(b * k, n, m)
-    cb = np.repeat(gen_global_codebook(cfg, rngs).matrix, k, axis=0)  # each trial's, per user
+    k, n = cfg.k, cfg.n
+    h = complex_gaussian(_generators(rngs, "channels"), (k, n, cfg.m))  # (b, k, n, m)
+    cb = gen_global_codebook(cfg, rngs).matrix[:, None]  # (b, 1, m, beams)
 
     basis, r = qbc._subspace(h)
 
@@ -203,22 +204,22 @@ def _workspaces(
         local = cooperation._local_stage(h, basis, r, gen_local_codebook(cfg, rngs).vectors)
 
         # Global acquisition over the partner-stacked (n+1)-row matrices
-        # (b*k, n+1, m); k is even, so u ^ 1 stays inside u's trial.
-        glob = cooperation.build_global_matrix(h, local[np.arange(len(h)) ^ 1])
+        # (b, k, n+1, m); k is even, so user u pairs with u ^ 1.
+        glob = cooperation.build_global_matrix(h, local[:, np.arange(k) ^ 1])
         row_norm2 = np.sum(h.real**2 + h.imag**2, axis=-1)
-        stacked = numerics.append_column(basis, r, row_norm2, glob.h_qu[:, n].conj())
+        stacked = numerics.append_column(basis, r, row_norm2, glob.h_qu[..., n, :].conj())
         cos2_g, eff_norm2, combiners = qbc._qbc_stage(*stacked, cb)
         # Not combined toward the codebook: correlate the served beam; the
         # unitary codebook's other beams carry the rest of the norm.
-        heff_dl = link.downlink_effective_channel(glob, combiners)  # (b*k, m, beams)
-        corr_dl = np.sum(cb.conj() * heff_dl, axis=1)
+        heff_dl = link.downlink_effective_channel(glob, combiners)  # (b, k, m, beams)
+        corr_dl = np.sum(cb.conj() * heff_dl, axis=-2)
         sig_dl = corr_dl.real**2 + corr_dl.imag**2
-        intf_dl = np.maximum(np.sum(heff_dl.real**2 + heff_dl.imag**2, axis=1) - sig_dl, 0.0)
+        intf_dl = np.maximum(np.sum(heff_dl.real**2 + heff_dl.imag**2, axis=-2) - sig_dl, 0.0)
         coop_arrays = _CoopArrays(*qbc._beam_powers(cos2_g, eff_norm2), sig_dl, intf_dl)
 
     parts = (conv_arrays, coop_arrays)
     return [
-        TrialWorkspace(cfg, *_origin(rng), *(None if part is None else part[i * k : (i + 1) * k] for part in parts))
+        TrialWorkspace(cfg, *_origin(rng), *(None if part is None else part[i] for part in parts))
         for i, rng in enumerate(rngs)
     ]
 

@@ -8,7 +8,8 @@ one rank rule, :func:`check_full_rank`, to its Householder R factor;
 :func:`mgs_columns` adds the basis Q, :func:`append_column` extends both
 factors by one column under the same rule, and every solve on R is a
 substitution over the whole stack, :func:`solve_triangular`.
-``as_channel`` checks one channel where the per-user API takes it in.
+``as_channel`` and ``check_snr`` check one channel and one SNR where the
+per-user API takes them in.
 """
 
 from __future__ import annotations
@@ -48,6 +49,13 @@ def as_channel(h) -> np.ndarray:
     if h.shape[0] > h.shape[1]:
         raise ValueError(f"need row count <= column count, got {h.shape[0]}x{h.shape[1]}")
     return h
+
+
+def check_snr(rho) -> None:
+    """Refuse a linear SNR that is not positive and finite (NaN included),
+    by plain float comparisons, which cost little on every per-user call."""
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"need a positive finite SNR, got rho={rho}")
 
 
 def _as_vector(v) -> np.ndarray:

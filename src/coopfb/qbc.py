@@ -8,11 +8,11 @@ Householder R factor of ``H^H = QR`` (:func:`numerics.solve_triangular`),
 with the row-space basis ``Q = H^H R^-1``. A caller that needs the
 effective channel forms it as ``H^H z``.
 
-One stage does this for stacks of channels ``(k, n, m)``; the per-user
-functions run one channel through it as a stack of one, :func:`select_csi`
-toward all its served codewords in one call. For a unitary codebook the
-served beam carries cos^2 of ``||h_eff||^2`` and the other beams the rest
-(Jindal, IEEE T-WC 2008).
+One stage does this for channels ``(..., n, m)`` of any leading axes,
+broadcast like ``matmul``: a rate block (trials, users), one channel, or
+one channel toward all its served codewords (:func:`select_csi`). For a
+unitary codebook the served beam carries cos^2 of ``||h_eff||^2`` and the
+other beams the rest (Jindal, IEEE T-WC 2008).
 """
 
 from __future__ import annotations
@@ -50,44 +50,42 @@ class CsiReport:
 def combine_for_codeword(h: np.ndarray, codeword) -> CombinedChannel:
     """QBC combiner and effective channel for a single target codeword.
 
-    A stack of channels ``(k, n, m)`` takes one codeword per channel
-    ``(k, m)`` and gives the combiners ``(k, n)`` and effective channels
-    ``(k, m)`` of the stack; one channel is a stack of one.
+    Channels ``(..., n, m)`` take one codeword each ``(..., m)`` and give
+    the combiners ``(..., n)`` and effective channels ``(..., m)``.
     """
-    one = h.ndim == 2
-    if one:
-        h, codeword = numerics.as_channel(h)[None], np.asarray(codeword)[None]
-    z = _qbc_stage(*_subspace(h), np.asarray(codeword)[:, :, None])[2]
-    combiner, h_eff = z[:, :, 0], np.matmul(h.conj().transpose(0, 2, 1), z)[:, :, 0]
-    return CombinedChannel(combiner[0], h_eff[0]) if one else CombinedChannel(combiner, h_eff)
+    if np.ndim(h) == 2:
+        h = numerics.as_channel(h)
+    z = _qbc_stage(*_subspace(h), np.asarray(codeword)[..., None])[2]
+    return CombinedChannel(z[..., 0], np.matmul(h.conj().swapaxes(-1, -2), z)[..., 0])
 
 
 def _subspace(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal row-space bases ``Q`` ``(k, m, rank)`` of stacked channels
-    ``(k, rank, m)`` and the R factors ``(k, rank, rank)`` of ``H^H = QR``,
+    """Orthonormal row-space bases ``Q`` ``(..., m, rank)`` of channels
+    ``(..., rank, m)`` and the R factors ``(..., rank, rank)`` of ``H^H = QR``,
     from :func:`numerics.mgs_columns`, which applies the rank rule. A row
     stacked under channels whose factors are at hand is appended to them by
     :func:`numerics.append_column` instead, as the rate engine does."""
-    return numerics.mgs_columns(h.conj().transpose(0, 2, 1))
+    return numerics.mgs_columns(h.conj().swapaxes(-1, -2))
 
 
 def _qbc_stage(basis: np.ndarray, r: np.ndarray, cb: np.ndarray):
-    """Batched QBC of stacked channels, given as their bases and R factors
-    (:func:`_subspace`), against every column of ``cb``: one codebook
-    ``(m, beams)`` for all channels, or one per channel ``(k, m, beams)``.
+    """QBC of channels given as their bases ``(..., m, rank)`` and R factors
+    (:func:`_subspace`) against every column of the codebooks ``cb``
+    ``(..., m, beams)``, leading axes broadcast: one per trial ``(b, 1, m,
+    beams)`` against a block of bases ``(b, k, m, rank)``, say.
 
-    Returns per-(user, beam): cos^2 of the projection, squared effective
+    Returns per (channel, beam): cos^2 of the projection, squared effective
     norm, and the unit combiners as columns.
     """
-    corr = np.matmul(basis.conj().transpose(0, 2, 1), cb)  # (k, rank, beams)
-    cos2 = np.sum(corr.real**2 + corr.imag**2, axis=1)  # (k, beams)
+    corr = np.matmul(basis.conj().swapaxes(-1, -2), cb)  # (..., rank, beams)
+    cos2 = np.sum(corr.real**2 + corr.imag**2, axis=-2)  # (..., beams)
     norms = np.sqrt(cos2)
     if np.any(norms <= numerics.PROJECTION_TOL):
         raise numerics.DegenerateProjection("codeword orthogonal to a channel subspace")
-    w = corr / norms[:, None, :]  # unit projections, in the basis' coordinates
+    w = corr / norms[..., None, :]  # unit projections, in the basis' coordinates
     u = numerics.solve_triangular(r, w)  # H^H u = Q w
-    u_norm2 = np.sum(u.real**2 + u.imag**2, axis=1)
-    return cos2, 1.0 / u_norm2, u / np.sqrt(u_norm2)[:, None, :]
+    u_norm2 = np.sum(u.real**2 + u.imag**2, axis=-2)
+    return cos2, 1.0 / u_norm2, u / np.sqrt(u_norm2)[..., None, :]
 
 
 def _beam_powers(cos2: np.ndarray, eff_norm2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,6 +101,7 @@ def sinr_for_beam(h_eff: np.ndarray, codebook: GlobalCodebook, beam: int, rho: f
     denominator carries the noise-normalised power ``m / rho`` plus every
     cross-beam leakage term.
     """
+    numerics.check_snr(rho)
     m = codebook.num_beams
     powers = np.abs(codebook.matrix.conj().T @ h_eff) ** 2
     signal = powers[beam]
@@ -113,8 +112,12 @@ def best_beam(sig: np.ndarray, intf: np.ndarray, noise) -> tuple[np.ndarray, np.
     """Each stack row's best beam over the last axis and its CQI
     ``sig / (noise + intf)``; ties go to the lowest beam."""
     cqi = sig / (noise + intf)
-    beam = np.argmax(cqi, axis=-1)
-    return beam, np.take_along_axis(cqi, beam[..., None], axis=-1)[..., 0]
+    # The row maximum is the CQI at the first argmax, NaN included. Taken beam by
+    # beam: numpy reduces a short last axis row by row, 6x slower at 31 x 200 x 4.
+    best = cqi[..., 0]
+    for beam in range(1, cqi.shape[-1]):
+        best = np.maximum(best, cqi[..., beam])
+    return np.argmax(cqi, axis=-1), best
 
 
 def select_csi(h: np.ndarray, codebook: GlobalCodebook, rho: float, user: int = 0) -> CsiReport:
@@ -125,8 +128,8 @@ def select_csi(h: np.ndarray, codebook: GlobalCodebook, rho: float, user: int = 
     codebook add up to the rank.
     """
     h = numerics.as_channel(h)
-    basis, r = _subspace(h[None])
-    corr = basis[0].conj().T @ codebook.matrix
+    basis, r = _subspace(h)
+    corr = basis.conj().T @ codebook.matrix
     served = np.flatnonzero(np.sqrt(np.sum(corr.real**2 + corr.imag**2, axis=0)) > numerics.PROJECTION_TOL)
     # Each served codeword is its own one-column problem (s, m, 1) against the one
     # basis and R, broadcast, which keeps the bits of combine_for_codeword; repeating

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from coopfb import analysis, cli
+from coopfb.model import ConfigError
 
 
 def run_cli(args, tmp_path, env_dir=None, monkeypatch=None):
@@ -26,6 +27,19 @@ class TestGridParsing:
 
     def test_scalar(self):
         assert cli.parse_grid("7") == [7.0]
+
+    def test_range_size_is_bounded(self):
+        bound = cli.MAX_GRID_POINTS
+        assert len(cli.parse_grid(f"1..{bound}")) == bound
+        with pytest.raises(ConfigError, match=f"more than {bound} points"):
+            cli.parse_grid(f"1..{bound + 1}", "--rho-db")
+
+    def test_range_count_beyond_the_float_range(self, tmp_path):
+        # (stop - start) / step overflows to infinity: refused, not an OverflowError.
+        with pytest.raises(ConfigError, match="--rho-db '0..1e308..1e-308'"):
+            cli.parse_grid("0..1e308..1e-308", "--rho-db")
+        assert run_cli(["sweep", "--rho-db", "0..1e308..1e-308", "--trials", "1"], tmp_path) == 2
+        assert not any(tmp_path.iterdir())
 
 
 class TestFig3Command:

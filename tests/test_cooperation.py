@@ -269,6 +269,25 @@ class TestStackedLocalCsi:
                 )
 
 
+class TestShapeRule:
+    def test_block_of_trials_matches_its_flat_call(self):
+        # 3 trials of 8 users, each trial against its own 64-word codebook.
+        rng = np.random.default_rng(78)
+        h = np.stack([[random_channel(2, 4, rng) for _ in range(8)] for _ in range(3)])
+        vectors = np.stack([random_codebook(64, 4, rng).vectors for _ in range(3)])
+        block = cooperation._local_stage(h, *qbc._subspace(h), vectors)
+        flat_h = h.reshape(24, 2, 4)
+        flat = cooperation._local_stage(flat_h, *qbc._subspace(flat_h), vectors)
+        assert block.cqi.shape == (3, 8) and block.combiner.shape == (3, 8, 2)
+        for name, value in vars(block).items():
+            np.testing.assert_array_equal(value, getattr(flat, name).reshape(value.shape))
+
+    def test_one_channel_record_has_scalar_fields(self):
+        local = acquire_local_csi(random_channel(2, 4), random_codebook(16, 4))
+        assert type(local.cqi) is np.float64 and type(local.sin2_error) is np.float64
+        assert local.cdi.shape == local.h_virt.shape == (4,) and local.combiner.shape == (2,)
+
+
 class TestBuildGlobalMatrix:
     def test_exact_quantization_gives_equal_matrices(self):
         h_b = random_channel(2, 4)

@@ -105,6 +105,20 @@ class TestSimulateSymbolPath:
         assert abs(abs(combined) - expected) < 1e-10
 
 
+class TestSnrRefused:
+    @pytest.mark.parametrize("rho", [-1.0, 0.0, math.nan, math.inf])
+    def test_not_positive_and_finite(self, rho):
+        h, codebook, local, glob, report, z_bar, rng = draw_pair(0)
+        s = symbols_for(rng, CFG.m)
+        with pytest.raises(ValueError, match="positive finite SNR"):
+            link.simulate_symbol_path(h[0], local, z_bar, codebook, s, rho, rng.child("noise"))
+        noise = np.zeros(CFG.n + 1, complex)
+        with pytest.raises(ValueError, match="positive finite SNR"):
+            link.decompose_received(glob, z_bar, codebook, report.beam, s, rho, noise)
+        with pytest.raises(ValueError, match="positive finite SNR"):
+            acquire_global_csi(glob, codebook, rho)
+
+
 class TestDownlinkEffectiveChannel:
     def test_exact_partner_gives_equal_channels(self):
         h, codebook, local, glob, report, z_bar, rng = draw_pair(4)

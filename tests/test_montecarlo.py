@@ -253,7 +253,7 @@ class TestStackedFactors:
         monkeypatch.setattr(numerics, "mgs_columns", counted)
         rngs = [derive_trial_rng(cfg.seed, t) for t in range(montecarlo._block_trials(cfg, cfg.k))]
         montecarlo._rate_block(cfg, np.array([1.0, 10.0]), ("cooperative", "conventional"), rngs)
-        assert calls == [(len(rngs) * cfg.k, cfg.m, cfg.n)]
+        assert calls == [(len(rngs), cfg.k, cfg.m, cfg.n)]
 
     def test_partner_row_in_the_users_span_resamples(self, monkeypatch):
         cfg = small_cfg(k=16, bcl=6, seed=24)
@@ -267,10 +267,10 @@ class TestStackedFactors:
         def in_span(h, basis, r, vectors):
             # In the bad trial's first draw, user 1 shares a row in user 0's span.
             local = local_stage(h, basis, r, vectors)
-            for i in range(len(h) // cfg.k):
-                if np.array_equal(h[i * cfg.k : (i + 1) * cfg.k], channels):
-                    own = h[i * cfg.k, 0].conj()
-                    local.cdi[i * cfg.k + 1] = own / np.linalg.norm(own)
+            for i, trial in enumerate(h):
+                if np.array_equal(trial, channels):
+                    own = trial[0, 0].conj()
+                    local.cdi[i, 1] = own / np.linalg.norm(own)
             return local
 
         monkeypatch.setattr(cooperation, "_local_stage", in_span)

@@ -120,6 +120,39 @@ class TestStackedCombine:
             combine_for_codeword(hs, cs)
 
 
+class TestShapeRule:
+    """The stages take any leading axes: a block stays (trials, users) and
+    one channel needs no stack of one, bit for bit."""
+
+    @pytest.mark.parametrize("m, n, k, b", [(4, 2, 16, 3), (4, 1, 8, 2), (5, 3, 12, 4)])
+    def test_stage_on_a_block_matches_the_flat_stack(self, m, n, k, b):
+        rng = np.random.default_rng(60 + n)
+        h = np.stack([[random_channel(n, m, rng) for _ in range(k)] for _ in range(b)])
+        cb = numerics.haar_unitary(m, [np.random.default_rng(s) for s in range(b)])  # one per trial
+        block = qbc._qbc_stage(*qbc._subspace(h), cb[:, None])
+        flat = qbc._qbc_stage(*qbc._subspace(h.reshape(b * k, n, m)), np.repeat(cb, k, axis=0))
+        assert block[2].shape == (b, k, n, m)
+        for got, want in zip(block, flat):
+            np.testing.assert_array_equal(got, want.reshape(got.shape))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_combine_one_channel_is_its_stack_of_one(self, n):
+        rng = np.random.default_rng(70 + n)
+        h, c = random_channel(n, 4, rng), haar_codebook(4, seed=n).codeword(1)
+        one, stack = combine_for_codeword(h, c), combine_for_codeword(h[None], c[None])
+        np.testing.assert_array_equal(one.combiner, stack.combiner[0])
+        np.testing.assert_array_equal(one.h_eff, stack.h_eff[0])
+        basis, r = qbc._subspace(h)
+        assert basis.shape == (4, n) and r.shape == (n, n)
+        np.testing.assert_array_equal(qbc._qbc_stage(basis, r, c[:, None])[2][:, 0], one.combiner)
+
+    def test_one_channel_is_checked(self):
+        with pytest.raises(ValueError, match="finite"):
+            combine_for_codeword(np.full((2, 4), np.nan), haar_codebook(4).codeword(0))
+        with pytest.raises(ValueError, match="row count"):
+            select_csi(random_channel(3, 2), haar_codebook(2), 1.0)
+
+
 class TestSinrForBeam:
     def test_served_codeword_at_matched_snr(self):
         cb = haar_codebook(4, seed=21)
@@ -144,6 +177,16 @@ class TestSinrForBeam:
                 expected = num / den
                 got = sinr_for_beam(h_eff, cb, beam, rho=2.5)
                 assert abs(got - expected) <= 1e-12 * max(expected, 1.0)
+
+
+class TestSnrRefused:
+    @pytest.mark.parametrize("rho", [-1.0, 0.0, np.nan, np.inf])
+    def test_not_positive_and_finite(self, rho):
+        h, cb = random_channel(2, 4), haar_codebook(4)
+        with pytest.raises(ValueError, match="positive finite SNR"):
+            sinr_for_beam(h.conj().T @ np.array([1.0, 0.0]), cb, 0, rho)
+        with pytest.raises(ValueError, match="positive finite SNR"):
+            select_csi(h, cb, rho)
 
 
 class TestSelectCsi:

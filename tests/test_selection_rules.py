@@ -39,6 +39,14 @@ def test_best_beam_matches_first_max():
     assert tied_beams > 200
 
 
+def test_best_beam_nan_row():
+    # A NaN CQI is the row's argmax and its CQI, as the first maximum.
+    sig = np.array([[1.0, np.nan, 3.0, np.nan], [2.0, 1.0, 2.0, 0.0]])
+    beam, cqi = qbc.best_beam(sig, np.zeros_like(sig), 1.0)
+    assert beam.tolist() == [1, 0]
+    assert np.isnan(cqi[0]) and cqi[1] == 2.0
+
+
 def test_main_users_match_pair_rule():
     rng = np.random.default_rng(102)
     tied_pairs = 0

@@ -76,6 +76,8 @@ RUNS = [
         "sweep_adaptive_out_of_regime",
         ("sweep", *_COOP_CONV, "--mode", "adaptive", "--k", "16", "--rho-db", "0..20..5", "--trials", "200"),
     ),
+    # A range grid of about 1e316 points: refused before its list is built, exits 2.
+    ("sweep_rho_grid_overflow", ("sweep", "--rho-db", "0..1e308..1e-308", "--trials", "1")),
     # Blocks of 42 trials at k = 12 and 128 words, the last of 16, whose codeword picks
     # run in chunks of 10 trials: each block ends in a partial chunk (of 2, then 6).
     (
