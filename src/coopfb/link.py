@@ -100,6 +100,8 @@ def decompose_received(
     """
     check_snr(rho)
     m = codebook.num_beams
+    if not 0 <= beam < m:  # a negative index would read another beam
+        raise ValueError(f"beam {beam} outside 0..{m - 1}")
     c = codebook.matrix
     h_qu = glob.h_qu.conj().T @ z_bar
     local_vec = downlink_effective_channel(glob, z_bar) - h_qu

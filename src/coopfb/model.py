@@ -5,7 +5,8 @@ addressed by ``(seed, trial, purpose)``. Streams are derived by hashing the
 label, never by sharing generator state, so results are bit-identical no
 matter how trials are ordered or how many workers run them. The draws also
 take a block of streams, and use each stream exactly as a call with that
-stream alone does.
+stream alone does. A complex draw is scaled by a real factor as a product
+with its reciprocal, never divided by it (see :mod:`numerics`).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ CODEBOOK_MODES = ("haar", "dft")
 MODES = ("conventional", "cooperative", "adaptive")
 MAX_BCL = 62  # the local codebook's 2**bcl rows fit numpy's int64 dimensions
 UNITARY_TOL = 1e-10  # QBC's beam powers rest on a unitary global codebook
+_NORM_STEP_BYTES = 128 * 1024  # largest temporary of the local codebooks' normalisation
 
 
 class ConfigError(ValueError):
@@ -75,8 +77,8 @@ def complex_gaussian(gen, shape) -> np.ndarray:
     parts = np.empty((len(gens),) + pairs)
     for out, g in zip(parts, gens):
         out[...] = g.standard_normal(pairs)
+    parts *= 1.0 / np.sqrt(2.0)
     z = parts.view(np.complex128)[..., 0]
-    z /= np.sqrt(2.0)
     return z if block else z[0]
 
 
@@ -195,7 +197,7 @@ def gen_all_channels(cfg: SystemConfig, rng: RandomStream) -> np.ndarray:
 def dft_matrix(m: int) -> np.ndarray:
     """Unitary DFT matrix, the deterministic codebook option."""
     idx = np.arange(m)
-    return np.exp(-2j * np.pi * np.outer(idx, idx) / m) / np.sqrt(m)
+    return np.exp(-2j * np.pi * np.outer(idx, idx) / m) * (1.0 / np.sqrt(m))
 
 
 def gen_global_codebook(cfg: SystemConfig, rng) -> GlobalCodebook:
@@ -223,6 +225,9 @@ def gen_local_codebook(cfg: SystemConfig, rng) -> LocalCodebook:
     block = not isinstance(rng, RandomStream)
     streams = rng if block else [rng]
     vecs = complex_gaussian(_generators(streams, "local_codebook"), (cfg.qcl, cfg.m))
-    for book in vecs:  # a block-wide norm would hold two block-sized temporaries
-        book /= np.linalg.norm(book, axis=1, keepdims=True)
+    # np.linalg.norm's ops, a few books per step; each row's real/imag pairs times 1/norm.
+    step, pairs = max(1, _NORM_STEP_BYTES // vecs[0].nbytes), vecs.view(np.float64)
+    for i in range(0, len(vecs), step):
+        x = vecs[i : i + step]
+        pairs[i : i + step] *= 1.0 / np.sqrt(np.add.reduce((x.conj() * x).real, axis=-1, keepdims=True))
     return LocalCodebook(vecs if block else vecs[0])

@@ -10,6 +10,11 @@ factors by one column under the same rule, and every solve on R is a
 substitution over the whole stack, :func:`solve_triangular`.
 ``as_channel`` and ``check_snr`` check one channel and one SNR where the
 per-user API takes them in.
+
+A complex array is scaled by a real factor ``d`` as ``x * (1.0 / d)``, never
+``x / d``: numpy divides by ``d + 0j`` with Smith's algorithm, which gives
+the same bits (but on a -0.0 component) at several times the cost. R's
+diagonal is complex, so a solve on it still divides.
 """
 
 from __future__ import annotations
@@ -124,7 +129,7 @@ def append_column(q: np.ndarray, r: np.ndarray, col_norm2: np.ndarray, x: np.nda
     n, rho = r.shape[-1], np.sqrt(rho2)
     r_new = np.zeros(r.shape[:-2] + (n + 1, n + 1), dtype=np.complex128)
     r_new[..., :n, :n], r_new[..., :n, n], r_new[..., n, n] = r, c + c2, rho
-    return np.concatenate([q, (res / rho[..., None])[..., None]], axis=-1), r_new
+    return np.concatenate([q, (res * (1.0 / rho)[..., None])[..., None]], axis=-1), r_new
 
 
 def solve_triangular(t: np.ndarray, b: np.ndarray, lower: bool = False) -> np.ndarray:
@@ -333,7 +338,8 @@ def haar_unitary(m: int, gens) -> np.ndarray:
     for i, gen in enumerate(gens):
         parts[0, i] = gen.standard_normal((m, m))
         parts[1, i] = gen.standard_normal((m, m))
-    q, r = np.linalg.qr((parts[0] + 1j * parts[1]) / np.sqrt(2.0))
+    parts *= 1.0 / np.sqrt(2.0)
+    q, r = np.linalg.qr(parts[0] + 1j * parts[1])
     diag = np.diagonal(r, axis1=-2, axis2=-1)
-    q *= (diag / np.abs(diag))[:, None, :]
+    q *= (diag * (1.0 / np.abs(diag)))[:, None, :]
     return q

@@ -12,7 +12,8 @@ One stage does this for channels ``(..., n, m)`` of any leading axes,
 broadcast like ``matmul``: a rate block (trials, users), one channel, or
 one channel toward all its served codewords (:func:`select_csi`). For a
 unitary codebook the served beam carries cos^2 of ``||h_eff||^2`` and the
-other beams the rest (Jindal, IEEE T-WC 2008).
+other beams the rest (Jindal, IEEE T-WC 2008). Projections and combiners
+are normalised by real reciprocals, never divided (see :mod:`numerics`).
 """
 
 from __future__ import annotations
@@ -82,10 +83,10 @@ def _qbc_stage(basis: np.ndarray, r: np.ndarray, cb: np.ndarray):
     norms = np.sqrt(cos2)
     if np.any(norms <= numerics.PROJECTION_TOL):
         raise numerics.DegenerateProjection("codeword orthogonal to a channel subspace")
-    w = corr / norms[..., None, :]  # unit projections, in the basis' coordinates
+    w = corr * (1.0 / norms)[..., None, :]  # unit projections, in the basis' coordinates
     u = numerics.solve_triangular(r, w)  # H^H u = Q w
     u_norm2 = np.sum(u.real**2 + u.imag**2, axis=-2)
-    return cos2, 1.0 / u_norm2, u / np.sqrt(u_norm2)[..., None, :]
+    return cos2, 1.0 / u_norm2, u * (1.0 / np.sqrt(u_norm2))[..., None, :]
 
 
 def _beam_powers(cos2: np.ndarray, eff_norm2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,6 +104,8 @@ def sinr_for_beam(h_eff: np.ndarray, codebook: GlobalCodebook, beam: int, rho: f
     """
     numerics.check_snr(rho)
     m = codebook.num_beams
+    if not 0 <= beam < m:  # a negative index would read another beam
+        raise ValueError(f"beam {beam} outside 0..{m - 1}")
     powers = np.abs(codebook.matrix.conj().T @ h_eff) ** 2
     signal = powers[beam]
     return float(signal / (m / rho + (powers.sum() - signal)))

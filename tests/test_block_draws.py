@@ -12,6 +12,7 @@ Ginibre part before the imaginary part.
 import numpy as np
 import pytest
 
+from coopfb import model
 from coopfb.model import (
     GlobalCodebook,
     SystemConfig,
@@ -78,12 +79,17 @@ def test_haar_stack_matches_one_call_per_generator():
         same_bits(got, plain_haar(np.random.default_rng(seed), 4))
 
 
-@pytest.mark.parametrize("bcl", [0, 3, 8])
+@pytest.mark.parametrize("bcl", [0, 3, 8, 10])
 def test_local_codebook_block_matches_one_call_per_stream(bcl):
+    # The block is normalised a few books per step, its own multiply by each
+    # norm's reciprocal; the plain oracle divides. 19 books cross the steps
+    # at bcl 8 (8 books per step) and 10 (2 per step) and end in a partial one.
     cfg = SystemConfig(m=4, n=2, k=8, bcl=bcl, seed=5)
-    rngs = streams(cfg.seed, 6)
+    step = max(1, model._NORM_STEP_BYTES // (cfg.qcl * cfg.m * 16))
+    assert (step < 19 and 19 % step) or bcl < 8
+    rngs = streams(cfg.seed, 19)
     block = gen_local_codebook(cfg, rngs)
-    assert block.vectors.shape == (6, cfg.qcl, cfg.m)
+    assert block.vectors.shape == (19, cfg.qcl, cfg.m)
     for rng, got in zip(rngs, block.vectors):
         same_bits(got, gen_local_codebook(cfg, rng).vectors)
         plain = plain_cn(rng.child("local_codebook").generator(), (cfg.qcl, cfg.m))

@@ -119,6 +119,15 @@ class TestSnrRefused:
             acquire_global_csi(glob, codebook, rho)
 
 
+class TestBeamRefused:
+    @pytest.mark.parametrize("beam", [-1, CFG.m])
+    def test_outside_the_codebook(self, beam):
+        h, codebook, local, glob, report, z_bar, rng = draw_pair(0)
+        s, noise = symbols_for(rng, CFG.m), np.zeros(CFG.n + 1, complex)
+        with pytest.raises(ValueError, match=f"beam {beam} outside 0..{CFG.m - 1}"):
+            link.decompose_received(glob, z_bar, codebook, beam, s, 1.0, noise)
+
+
 class TestDownlinkEffectiveChannel:
     def test_exact_partner_gives_equal_channels(self):
         h, codebook, local, glob, report, z_bar, rng = draw_pair(4)

@@ -425,6 +425,45 @@ class TestAppendColumn:
         with pytest.raises(RankDeficient):
             self.appended(scale * a, scale * in_span)
 
+    @pytest.mark.parametrize("lead", [(1,), (7,), (3, 5)])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+    def test_new_column_matches_the_division_form(self, lead, n, scale):
+        rng = np.random.default_rng(16 + n)
+        a, x = (scale * part.reshape(lead + part.shape[1:]) for part in self.stack(rng, math.prod(lead), n))
+        q, r = numerics.mgs_columns(a)
+        q_new, r_new = numerics.append_column(q, r, np.sum(a.real**2 + a.imag**2, axis=-2), x)
+        c = np.einsum("...in,...i->...n", q.conj(), x)
+        res = x - np.einsum("...in,...n->...i", q, c)
+        res -= np.einsum("...in,...n->...i", q, np.einsum("...in,...i->...n", q.conj(), res))
+        rho = np.sqrt(np.sum(res.real**2 + res.imag**2, axis=-1))
+        assert q_new[..., -1].tobytes() == (res / rho[..., None]).tobytes()
+        assert q_new[..., :-1].tobytes() == q.tobytes() and r_new[..., n, n].tobytes() == rho.astype(complex).tobytes()
+
+
+class TestRealScaling:
+    """numpy divides a complex array by a real one as by ``d + 0j``, with
+    Smith's algorithm: ``rat = 0`` and ``scl = 1/d``, so the quotient is the
+    product with the reciprocal, bit for bit, for any component but an
+    exact -0.0. coopfb's draws and QBC stage rely on that identity to scale
+    by reciprocals with the bits of a division; a numpy whose complex
+    division changes fails here by name."""
+
+    @pytest.mark.parametrize("size", [1, 3, 7, 8, 9, 17, 64, 1001])
+    @pytest.mark.parametrize("exponent", [-100, 0, 100])
+    def test_complex_over_real_is_the_product_with_the_reciprocal(self, size, exponent):
+        rng = np.random.default_rng(1000 * size + exponent + 100)
+        x = (rng.standard_normal((size, 2)) * 10.0 ** rng.integers(-150, 150, (size, 2))).view(complex)[:, 0]
+        d = rng.uniform(0.5, 2.0, size) * 10.0**exponent * rng.choice([-1.0, 1.0], size)
+        want = (x / d).tobytes()
+        assert (x * (1.0 / d)).tobytes() == want
+        assert (x.view(np.float64).reshape(size, 2) * (1.0 / d)[:, None]).tobytes() == want
+        inplace = x.copy()
+        inplace *= 1.0 / d
+        assert inplace.tobytes() == want
+        assert (x / d[0]).tobytes() == (x * (1.0 / d[0])).tobytes()
+        assert (x[:, None] / d).tobytes() == (x[:, None] * (1.0 / d)).tobytes()  # broadcast, odd tails
+
 
 class TestSolveTriangular:
     """Substitution against ``np.linalg.solve`` as the oracle."""

@@ -153,6 +153,31 @@ class TestShapeRule:
             select_csi(random_channel(3, 2), haar_codebook(2), 1.0)
 
 
+class TestScaledByReciprocals:
+    """The stage scales by real reciprocals; the same arithmetic written
+    with quotients gives the same bits."""
+
+    @staticmethod
+    def division_stage(basis, r, cb):
+        corr = np.matmul(basis.conj().swapaxes(-1, -2), cb)
+        cos2 = np.sum(corr.real**2 + corr.imag**2, axis=-2)
+        u = numerics.solve_triangular(r, corr / np.sqrt(cos2)[..., None, :])
+        u_norm2 = np.sum(u.real**2 + u.imag**2, axis=-2)
+        return cos2, 1.0 / u_norm2, u / np.sqrt(u_norm2)[..., None, :]
+
+    @pytest.mark.parametrize("lead", [(1,), (7,), (3, 5)])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+    def test_stage_matches_the_division_form(self, lead, n, scale):
+        rng = np.random.default_rng(80 + n + len(lead))
+        h = scale * (rng.standard_normal(lead + (n, 4)) + 1j * rng.standard_normal(lead + (n, 4)))
+        cb = numerics.haar_unitary(4, [np.random.default_rng(s) for s in range(lead[0])])[:, None]
+        cb = cb.reshape(lead[:1] + (1,) * (len(lead) - 1) + (4, 4))  # one codebook per leading row
+        basis, r = qbc._subspace(h)
+        for got, want in zip(qbc._qbc_stage(basis, r, cb), self.division_stage(basis, r, cb)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 class TestSinrForBeam:
     def test_served_codeword_at_matched_snr(self):
         cb = haar_codebook(4, seed=21)
@@ -187,6 +212,17 @@ class TestSnrRefused:
             sinr_for_beam(h.conj().T @ np.array([1.0, 0.0]), cb, 0, rho)
         with pytest.raises(ValueError, match="positive finite SNR"):
             select_csi(h, cb, rho)
+
+
+class TestBeamRefused:
+    @pytest.mark.parametrize("beam", [-1, 4])
+    def test_outside_the_codebook(self, beam):
+        # -1 would otherwise read beam 3's SINR at m = 4.
+        h, cb = random_channel(2, 4), haar_codebook(4)
+        h_eff = combine_for_codeword(h, cb.codeword(3)).h_eff
+        with pytest.raises(ValueError, match=f"beam {beam} outside 0..3"):
+            sinr_for_beam(h_eff, cb, beam, 1.0)
+        assert np.isfinite(sinr_for_beam(h_eff, cb, 3, 1.0))
 
 
 class TestSelectCsi:

@@ -23,21 +23,30 @@ output (exit code, stdout, stderr and every file) the script prints either
 ``differs`` line for every other cell that differs: integers (counts) are
 compared exactly, like text. So a change that only moves last bits shows as
 a small ``max_rel`` and no ``differs`` line.
+
+A hash list starts with one ``#`` line naming the Python and numpy versions
+that made it. The list at one worker is committed as
+``tests/run_list_hashes.txt``, which ``tests/test_run_list.py`` reproduces
+in process (:func:`execute_in_process`); a change that moves an output
+regenerates it with ``python tools/run_list.py . > tests/run_list_hashes.txt``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
 import tempfile
+from importlib import metadata
 from pathlib import Path
 
 _COOP_CONV = ("--mode", "cooperative", "--mode", "conventional")
@@ -132,9 +141,27 @@ def write_per_user(perfbench: str, seed: str, trials: str, out_dir: str) -> None
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
-def execute(src: Path, argv: tuple, workers: int, out_dir: Path) -> dict[str, bytes]:
+def versions() -> str:
+    """The ``#`` line that heads a hash list."""
+    return f"# python {platform.python_version()}, numpy {metadata.version('numpy')}"
+
+
+def _cli_args(argv: tuple, workers: int, out_dir: Path) -> tuple:
+    """A command line with the writing runs given ``--workers`` and ``--out-dir``."""
+    return argv if argv[0] == "analyze" else (*argv, "--workers", str(workers), "--out-dir", str(out_dir))
+
+
+def _outputs(code: int, stdout: bytes, stderr: bytes, out_dir: Path) -> dict[str, bytes]:
     """Every output of one run by name: ``exit``, ``stdout``, ``stderr`` and
     each file it wrote, manifests normalised."""
+    outputs = {"exit": str(code).encode(), "stdout": stdout.replace(str(out_dir).encode(), b"<out>"), "stderr": stderr}
+    if out_dir.is_dir():
+        outputs.update((path.name, _normalised(path.name, path.read_bytes())) for path in sorted(out_dir.iterdir()))
+    return outputs
+
+
+def execute(src: Path, argv: tuple, workers: int, out_dir: Path) -> dict[str, bytes]:
+    """The outputs of one run, in a fresh interpreter with ``src`` on the path."""
     env = {key: value for key, value in os.environ.items() if key != "COOPFB_OUT_DIR"}
     env["PYTHONPATH"] = str(src)
     if argv[0] == "per_user":
@@ -143,24 +170,34 @@ def execute(src: Path, argv: tuple, workers: int, out_dir: Path) -> dict[str, by
         script = "import sys, run_list; run_list.write_per_user(*sys.argv[1:])"
         command = ["-c", script, str(src.parent / "perfbench"), *argv[1:], str(out_dir)]
     else:
-        if argv[0] != "analyze":
-            argv = (*argv, "--workers", str(workers), "--out-dir", str(out_dir))
-        command = ["-m", "coopfb.cli", *argv]
+        command = ["-m", "coopfb.cli", *_cli_args(argv, workers, out_dir)]
     done = subprocess.run([sys.executable, *command], capture_output=True, env=env, cwd=out_dir.parent)
-    outputs = {
-        "exit": str(done.returncode).encode(),
-        "stdout": done.stdout.replace(str(out_dir).encode(), b"<out>"),
-        "stderr": done.stderr,
-    }
-    if out_dir.is_dir():
-        outputs.update((path.name, _normalised(path.name, path.read_bytes())) for path in sorted(out_dir.iterdir()))
-    return outputs
+    return _outputs(done.returncode, done.stdout, done.stderr, out_dir)
 
 
-def run_one(src: Path, argv: tuple, workers: int, out_dir: Path) -> list[tuple[str, str]]:
-    """``(what, value)`` lines for one run: exit code, stdout, stderr, files."""
-    outputs = execute(src, argv, workers, out_dir)
-    return [("exit", outputs.pop("exit").decode())] + [(name, _sha(data)) for name, data in outputs.items()]
+def execute_in_process(argv: tuple, out_dir: Path, perfbench: str) -> dict[str, bytes]:
+    """The outputs of one run at one worker, from the ``coopfb`` this
+    process imports: ``coopfb.cli.run`` with its stdout and stderr captured,
+    or :func:`write_per_user` on the ``workloads.py`` in ``perfbench``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        if argv[0] == "per_user":
+            write_per_user(perfbench, *argv[1:], str(out_dir))
+            code = 0
+        else:
+            from coopfb import cli
+
+            try:
+                code = cli.run(list(_cli_args(argv, 1, out_dir)))
+            except SystemExit as exc:  # argparse's refusals
+                code = exc.code
+    return _outputs(code, out.getvalue().encode(), err.getvalue().encode(), out_dir)
+
+
+def hash_lines(outputs: dict[str, bytes]) -> list[tuple[str, str]]:
+    """``(what, value)`` lines for one run: exit code, then the sha256 of
+    stdout, stderr and each file."""
+    return [("exit", outputs["exit"].decode())] + [(name, _sha(data)) for name, data in outputs.items() if name != "exit"]
 
 
 _INTEGER = re.compile(r"[+-]?\d+")
@@ -230,13 +267,15 @@ def main(argv=None) -> int:
     for src in srcs:
         if not (src / "coopfb").is_dir():
             parser.error(f"no src/coopfb under {src.parent}")
+    if args.against is None:
+        print(versions(), flush=True)
     with tempfile.TemporaryDirectory(prefix="run_list-") as tmp:
         for label, command in RUNS:
             dirs = [Path(tmp) / label / side for side in ("change", "baseline")[: len(srcs)]]
             for run_dir in dirs:
                 run_dir.mkdir(parents=True)
             if args.against is None:
-                for what, value in run_one(srcs[0], command, args.workers, dirs[0] / "out"):
+                for what, value in hash_lines(execute(srcs[0], command, args.workers, dirs[0] / "out")):
                     print(f"{label} {what} {value}", flush=True)
                 continue
             new, old = (execute(src, command, args.workers, run_dir / "out") for src, run_dir in zip(srcs, dirs))
