@@ -172,18 +172,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config_file(path: str, routes: dict) -> dict:
     """The file's keys as flags; a key that stands for no flag of the
-    command, and two keys for one flag, are refused."""
+    command, two keys for one flag (a repeated key among them) and a null
+    value are refused."""
+    objects = []  # each object's key-value pairs as read, repeats kept; the outermost ends last
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = json.load(fh, object_pairs_hook=lambda pairs: objects.append(pairs) or dict(pairs))
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     flags = {}
-    for key, value in data.items():
+    for key, value in objects[-1]:
         dest = CONFIG_KEYS.get(key)
         if dest not in routes:
             raise ConfigError(f"config file {path}: this command takes no key {key!r}")
         if dest in flags:
             raise ConfigError(f"config file {path}: two keys set {_flag(dest)}")
+        if value is None:
+            raise ConfigError(f"config file {path}: {key!r} is null; give a value or leave the key out")
         flags[dest] = value
     return flags
 

@@ -354,13 +354,10 @@ def _pair_block(cfg: SystemConfig, rngs: Sequence[RandomStream]) -> np.ndarray:
     codewords = gen_global_codebook(cfg, rngs).codeword(0)
     local = cooperation.acquire_local_csi(pairs[:, 1], gen_local_codebook(cfg, rngs))
     combined = qbc.combine_for_codeword(cooperation.build_global_matrix(pairs[:, 0], local).h_qu, codewords)
-    h_eff = combined.h_eff
-    norm2 = np.sum(h_eff.real**2 + h_eff.imag**2, axis=1)
-    cos2 = np.abs(np.sum(h_eff.conj() * codewords, axis=1)) ** 2 / norm2
     last_row = combined.combiner[:, cfg.n]
     hv_norm2 = np.sum(local.h_virt.real**2 + local.h_virt.imag**2, axis=1)
     local_intf = (last_row.real**2 + last_row.imag**2) * hv_norm2 * local.sin2_error
-    return np.column_stack([local.sin2_error, np.clip(1.0 - cos2, 0.0, 1.0), norm2, local_intf])
+    return np.column_stack([local.sin2_error, np.clip(1.0 - combined.cos2, 0.0, 1.0), combined.eff_norm2, local_intf])
 
 
 def _local_error_block(cfg: SystemConfig, rngs: Sequence[RandomStream]) -> np.ndarray:
@@ -380,7 +377,7 @@ def _surrogate_block(cfg: SystemConfig, omega: float, rngs: Sequence[RandomStrea
     w = np.exp(1j * phases)[:, :, None] / math.sqrt(n + 1.0)
     hw[:, n] *= math.sqrt((1.0 - omega) * (m - n + 1.0) / m)
     # w^H (H H^H)^-1 w = ||R^-H w||^2, since H H^H = R^H R for H^H = QR.
-    r = numerics.r_factor(hw.conj().transpose(0, 2, 1))
+    r = qbc._subspace(hw)[1]
     x = numerics.solve_triangular(r.conj().transpose(0, 2, 1), w, lower=True)[:, :, 0]
     return 1.0 / np.sum(x.real**2 + x.imag**2, axis=1)
 

@@ -2,12 +2,12 @@
 
 Matrices and vectors are plain numpy arrays (complex128). Everything here
 operates on tiny dimensions (a handful of antennas), so the routines favour
-numerical transparency over asymptotic speed. The one QR,
-:func:`r_factor`, accepts stacked inputs ``(..., m, n)`` and applies the
-one rank rule, :func:`check_full_rank`, to its Householder R factor;
-:func:`mgs_columns` adds the basis Q, :func:`append_column` extends both
-factors by one column under the same rule, and every solve on R is a
-substitution over the whole stack, :func:`solve_triangular`.
+numerical transparency over asymptotic speed. The one QR entry,
+:func:`mgs_columns`, accepts stacked inputs ``(..., m, n)``, applies the
+one rank rule, :func:`check_full_rank`, to its Householder R factor and
+solves the basis Q on it; :func:`append_column` extends both factors by one
+column under the same rule, and every solve on R is a substitution over the
+whole stack, :func:`solve_triangular`.
 ``as_channel`` and ``check_snr`` check one channel and one SNR where the
 per-user API takes them in.
 
@@ -72,31 +72,22 @@ def _as_vector(v) -> np.ndarray:
     return v
 
 
-def r_factor(a: np.ndarray) -> np.ndarray:
-    """Householder R of ``a = QR`` for a stack ``(..., m, n)``, n <= m,
-    after :func:`check_full_rank` accepts its diagonal against the column
-    norms of ``a``."""
-    a = np.asarray(a, dtype=np.complex128)
-    r = np.linalg.qr(a, mode="r")
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    check_full_rank(diag.real**2 + diag.imag**2, np.sum(a.real**2 + a.imag**2, axis=-2))
-    return r
-
-
 def mgs_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(Q, R)`` with ``a = QR`` for a stack ``(..., m, n)``, n <= m: Q has
     orthonormal columns spanning those of ``a``, slice by slice, and R is
     upper triangular.
 
-    R is :func:`r_factor`'s, so the rank rule runs before anything is
-    divided by its diagonal. Q is solved as ``a R^-1`` by
-    :func:`solve_triangular`, one row of ``a`` at a time, so equal rows of
-    ``a`` give bit-equal rows of Q; Householder's own Q does not, and would
-    break exact ties between beams. The name is the one the benchmark's
-    tracer wraps.
+    R is Householder's, and :func:`check_full_rank` accepts its diagonal
+    against the column norms of ``a`` before anything is divided by it. Q
+    is solved as ``a R^-1`` by :func:`solve_triangular`, one row of ``a``
+    at a time, so equal rows of ``a`` give bit-equal rows of Q;
+    Householder's own Q does not, and would break exact ties between beams.
+    The name is the one the benchmark's tracer wraps.
     """
     a = np.asarray(a, dtype=np.complex128)
-    r = r_factor(a)
+    r = np.linalg.qr(a, mode="r")
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    check_full_rank(diag.real**2 + diag.imag**2, np.sum(a.real**2 + a.imag**2, axis=-2))
     q = solve_triangular(r.swapaxes(-1, -2), a.swapaxes(-1, -2), lower=True)  # Q^T = R^-T a^T
     return q.swapaxes(-1, -2), r
 
@@ -186,7 +177,7 @@ def gram_solve(h, v) -> np.ndarray:
     """Solve ``(H H^H) u = H v`` for the unnormalised combiner ``u`` of one
     channel, after the rank rule."""
     h = as_channel(h)
-    r = r_factor(h.conj().T)  # H H^H = R^H R
+    r = mgs_columns(h.conj().T)[1]  # H H^H = R^H R
     y = solve_triangular(r.conj().T, (h @ _as_vector(v))[:, None], lower=True)
     return solve_triangular(r, y)[:, 0]
 

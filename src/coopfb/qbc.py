@@ -5,8 +5,10 @@ so that the effective channel ``H^H z`` aligns as well as possible with the
 codeword: project the codeword onto the channel's row subspace, then find
 the combiner that reproduces the projection, by substitution on the
 Householder R factor of ``H^H = QR`` (:func:`numerics.solve_triangular`),
-with the row-space basis ``Q = H^H R^-1``. A caller that needs the
-effective channel forms it as ``H^H z``.
+with the row-space basis ``Q = H^H R^-1``, both from the one QR entry
+:func:`numerics.mgs_columns`. The stage also gives cos^2 of the projection
+and ``||H^H z||^2``, which :func:`combine_for_codeword` reports beside the
+effective channel ``H^H z``, so no caller recomputes them from it.
 
 One stage does this for channels ``(..., n, m)`` of any leading axes,
 broadcast like ``matmul``: a rate block (trials, users), one channel, or
@@ -31,11 +33,14 @@ class CombinedChannel:
     """Result of combining toward one target codeword.
 
     ``combiner`` is unit norm and ``h_eff = H^H combiner`` points along the
-    projected codeword.
+    projected codeword. ``cos2`` and ``eff_norm2`` are the stage's cos^2
+    between a unit codeword and the channel subspace and ``||h_eff||^2``.
     """
 
     combiner: np.ndarray
     h_eff: np.ndarray
+    cos2: np.ndarray
+    eff_norm2: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -52,12 +57,13 @@ def combine_for_codeword(h: np.ndarray, codeword) -> CombinedChannel:
     """QBC combiner and effective channel for a single target codeword.
 
     Channels ``(..., n, m)`` take one codeword each ``(..., m)`` and give
-    the combiners ``(..., n)`` and effective channels ``(..., m)``.
+    the combiners ``(..., n)``, effective channels ``(..., m)`` and the
+    stage's cos^2 and squared effective norms ``(...)``.
     """
     if np.ndim(h) == 2:
         h = numerics.as_channel(h)
-    z = _qbc_stage(*_subspace(h), np.asarray(codeword)[..., None])[2]
-    return CombinedChannel(z[..., 0], np.matmul(h.conj().swapaxes(-1, -2), z)[..., 0])
+    cos2, eff_norm2, z = _qbc_stage(*_subspace(h), np.asarray(codeword)[..., None])
+    return CombinedChannel(z[..., 0], np.matmul(h.conj().swapaxes(-1, -2), z)[..., 0], cos2[..., 0], eff_norm2[..., 0])
 
 
 def _subspace(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -273,11 +273,14 @@ class TestRejectedInputs:
             ("fig8", {"bcl": 4, "b_cl": 4}),
             ("fig8", {"k": {"users": 20}}),
             ("sweep", {"rho_db": [0, [10]]}),
+            ("fig3", {"bcl": None, "seed": None, "trials": 5}),
+            # Raw text: a dict cannot hold a repeated key.
+            ("fig8", '{"trials": 5, "trials": 7}'),
         ],
     )
     def test_config_file_keys_refused(self, tmp_path, capsys, command, keys):
         config = tmp_path / "run.json"
-        config.write_text(json.dumps(keys))
+        config.write_text(keys if isinstance(keys, str) else json.dumps(keys))
         out = tmp_path / "out"
         status = cli.run([command, "--config", str(config), "--trials", "2", "--out-dir", str(out)])
         assert status == 2

@@ -345,13 +345,13 @@ class TestMgsColumns:
             q, _ = numerics.mgs_columns(np.vstack([h0, h0 + d]).conj().T)
             assert self.gram_error(q) <= 1e-9
 
-    def test_r_factor_is_the_r_of_the_qr(self):
+    def test_r_is_householders_and_a_dependent_slice_fails_the_stack(self):
         rng = np.random.default_rng(11)
         a = (rng.standard_normal((5, 4, 3)) + 1j * rng.standard_normal((5, 4, 3))) / np.sqrt(2)
-        np.testing.assert_array_equal(numerics.r_factor(a), numerics.mgs_columns(a)[1])
+        np.testing.assert_array_equal(numerics.mgs_columns(a)[1], np.linalg.qr(a, mode="r"))
         a[2, :, 1] = 3 * a[2, :, 0]
         with pytest.raises(RankDeficient):
-            numerics.r_factor(a)
+            numerics.mgs_columns(a)
 
 
 class TestAppendColumn:

@@ -120,6 +120,33 @@ class TestStackedCombine:
             combine_for_codeword(hs, cs)
 
 
+class TestStageOutputs:
+    """The cos^2 and squared effective norm ``combine_for_codeword`` reports
+    from the stage, against the same quantities recomputed from its own
+    ``h_eff``: ``|h_eff^H c|^2 / ||h_eff||^2`` and ``||h_eff||^2``."""
+
+    @staticmethod
+    def assert_matches_h_eff(combined, c):
+        norm2 = np.sum(np.abs(combined.h_eff) ** 2, axis=-1)
+        cos2 = np.abs(np.sum(combined.h_eff.conj() * c, axis=-1)) ** 2 / norm2
+        assert combined.cos2.shape == combined.eff_norm2.shape == norm2.shape
+        np.testing.assert_allclose(combined.cos2, cos2, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(combined.eff_norm2, norm2, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_channel(self, n):
+        rng = np.random.default_rng(80 + n)
+        h, c = random_channel(n, 4, rng), haar_codebook(4, seed=n).codeword(2)
+        self.assert_matches_h_eff(combine_for_codeword(h, c), c)
+
+    @pytest.mark.parametrize("m, n", [(4, 1), (4, 2), (4, 3), (3, 1)])
+    def test_partner_stacked_block(self, m, n):
+        rng = np.random.default_rng(90 + 10 * m + n)
+        hs = np.stack([random_channel(n + 1, m, rng) for _ in range(64)])
+        cs = numerics.haar_unitary(m, [np.random.default_rng(s) for s in range(64)])[:, :, 0]
+        self.assert_matches_h_eff(combine_for_codeword(hs, cs), cs)
+
+
 class TestShapeRule:
     """The stages take any leading axes: a block stays (trials, users) and
     one channel needs no stack of one, bit for bit."""

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import reference
-from coopfb import montecarlo, numerics
+from coopfb import cooperation, montecarlo, numerics, qbc
 from coopfb.model import (
     RandomStream,
     SystemConfig,
@@ -138,6 +138,35 @@ class TestBlockBoundaries:
         errors, _ = local_error_chunk(cfg, 0, cfg.trials)
         parts = [local_error_chunk(cfg, lo, hi)[0] for lo, hi in ((0, split), (split, cfg.trials))]
         np.testing.assert_array_equal(errors, np.concatenate(parts))
+
+
+class TestPairBlockReadsTheStage:
+    """The pair sampler's global columns are the cos^2 and squared norm the
+    QBC stage reports; the recomputation from ``h_eff`` they replace is the
+    oracle, on the sampler's own draws."""
+
+    @staticmethod
+    def recomputed(cfg, rngs):
+        pairs = complex_gaussian(montecarlo._generators(rngs, "channels"), (2, cfg.n, cfg.m))
+        codewords = gen_global_codebook(cfg, rngs).codeword(0)
+        local = cooperation.acquire_local_csi(pairs[:, 1], gen_local_codebook(cfg, rngs))
+        combined = qbc.combine_for_codeword(cooperation.build_global_matrix(pairs[:, 0], local).h_qu, codewords)
+        h_eff = combined.h_eff
+        norm2 = np.sum(h_eff.real**2 + h_eff.imag**2, axis=1)
+        cos2 = np.abs(np.sum(h_eff.conj() * codewords, axis=1)) ** 2 / norm2
+        last_row = combined.combiner[:, cfg.n]
+        hv_norm2 = np.sum(local.h_virt.real**2 + local.h_virt.imag**2, axis=1)
+        local_intf = (last_row.real**2 + last_row.imag**2) * hv_norm2 * local.sin2_error
+        return np.column_stack([local.sin2_error, np.clip(1.0 - cos2, 0.0, 1.0), norm2, local_intf])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_columns_match_the_recomputation_from_h_eff(self, n):
+        cfg = cfg_for(n, trials=64)
+        rngs = [derive_trial_rng(cfg.seed, t) for t in range(cfg.trials)]
+        rows, want = montecarlo._pair_block(cfg, rngs), self.recomputed(cfg, rngs)
+        assert rows.shape == want.shape == (cfg.trials, 4)
+        np.testing.assert_allclose(rows[:, [0, 2, 3]], want[:, [0, 2, 3]], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(rows[:, 1], want[:, 1], rtol=1e-12, atol=1e-14)
 
 
 class TestForcedResample:
