@@ -84,16 +84,20 @@ def ks_distance(samples: Sequence[float], cdf: Callable, region: Optional[float]
 
 
 def ks_distances(samples: Sequence[float], cdf: Callable, regions: Sequence[Optional[float]]) -> list:
-    """:func:`ks_distance` for each of ``regions``, evaluating ``cdf`` once
-    for all of them."""
+    """:func:`ks_distance` for each of ``regions``, from one call of ``cdf``
+    on the sorted samples and their left neighbours together.
+
+    ``cdf`` must be pointwise, each value depending on its own argument
+    alone, as the closed-form cdfs and :func:`empirical_cdf` are; then the
+    one call gives the bits of two."""
     s = np.sort(np.asarray(samples, dtype=float))
     n = s.size
     if n == 0:
         raise EmptyInput("ks_distance needs at least one sample")
     # Evaluating the model's left limits keeps the statistic exact when the
     # model itself is a step function (e.g. another empirical cdf).
-    model_right = np.asarray(cdf(s), dtype=float)
-    model_left = np.asarray(cdf(np.nextafter(s, -np.inf)), dtype=float)
+    model = np.asarray(cdf(np.concatenate([s, np.nextafter(s, -np.inf)])), dtype=float)
+    model_right, model_left = model[:n], model[n:]
     below = np.arange(0, n) / n
     above = np.arange(1, n + 1) / n
     gaps = np.maximum(np.abs(above - model_right), np.abs(below - model_left))

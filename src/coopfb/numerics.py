@@ -15,6 +15,10 @@ A complex array is scaled by a real factor ``d`` as ``x * (1.0 / d)``, never
 ``x / d``: numpy divides by ``d + 0j`` with Smith's algorithm, which gives
 the same bits (but on a -0.0 component) at several times the cost. R's
 diagonal is complex, so a solve on it still divides.
+
+The special functions are pointwise: :func:`expn` and :func:`gammainc` run
+each series and fraction to a length fixed by the orders alone, never by
+the batch's data, so a point's value is the same alone as in any batch.
 """
 
 from __future__ import annotations
@@ -234,21 +238,28 @@ def gammainc(a: int, x) -> np.ndarray:
 
     Below x = a + 1 the series P = exp(-x) x^a / a! * sum_i x^i / ((a+1)...(a+i))
     avoids the cancellation of 1 - Q; above it, 1 - Q is exact to rounding.
+    The series runs, for every x, the terms it needs at x = a + 1, where its
+    terms fall slowest, so each value depends on its own argument alone.
     """
     if int(a) != a or a < 1:
         raise DomainError(f"gammainc needs an integer shape >= 1, got {a}")
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise DomainError("gammainc needs x >= 0")
+    terms, top, top_sum = _MAX_TERMS - 1, 1.0, 1.0
+    for i in range(1, _MAX_TERMS):
+        top = top * (a + 1.0) / (a + i)
+        top_sum += top
+        if top <= _EPS * top_sum:
+            terms = i
+            break
     low = x < a + 1.0
     xs = np.where(low, x, 0.0)
     term = np.ones_like(xs)
     series = np.ones_like(xs)
-    for i in range(1, _MAX_TERMS):
+    for i in range(1, terms + 1):
         term = term * xs / (a + i)
         series += term
-        if np.all(term <= _EPS * series):
-            break
     lead = np.exp(a * np.log(np.where(xs > 0.0, xs, 1.0)) - xs - math.lgamma(a + 1.0))
     lower = np.where(xs > 0.0, lead * series, 0.0)
     return np.where(low, lower, 1.0 - gammaincc(a, np.where(low, a + 1.0, x)))
@@ -263,7 +274,9 @@ def expn(k, x) -> np.ndarray:
     series for x <= 2 and the continued fraction for x > 2 (the two
     classical expansions of E_k). The series' alternating terms cost at
     most a factor e^(2x) of rounding, and the fraction needs fewer levels
-    the larger x is, so the switch sits at 2 rather than the usual 1.
+    the larger x is, so the switch sits at 2 rather than the usual 1. Both
+    run the length x = 2 needs for the largest order at every x, so each
+    value depends on its own argument and the orders alone.
     """
     orders = np.atleast_1d(np.asarray(k))
     if orders.ndim != 1 or np.any(orders < 1) or np.any(orders != np.floor(orders)):
@@ -283,33 +296,48 @@ def expn(k, x) -> np.ndarray:
         # psi(k) = -gamma + H_(k-1), the coefficient of the log term.
         psi = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1.0, kmax))])[orders - 1] - _EULER
         total = np.where(kcol > 1, 1.0 / np.maximum(kcol - 1, 1), -log_x - _EULER)
-        # E_k(x) > exp(-x) / (x + k), so terms below this are negligible.
+        # E_k(x) > exp(-x) / (x + k), so terms below this are negligible;
+        # |x^i / i!| reaches it last at x = 2.
         floor = _EPS * math.exp(-2.0) / (2.0 + kmax)
-        fact = np.ones_like(xs)
+        terms, top = _MAX_TERMS - 1, 1.0
         for i in range(1, _MAX_TERMS):
-            fact *= -xs / i
-            denom = i - kcol + 1.0
-            log_row = denom == 0.0
-            total -= np.where(log_row, 0.0, 1.0 / np.where(log_row, 1.0, denom)) * fact
-            for r in np.flatnonzero(log_row[:, 0]):
-                total[r] += fact * (psi[r] - log_x)
-            if i >= kmax - 1 and np.abs(fact).max() <= floor:
+            top *= 2.0 / i
+            if i >= kmax - 1 and top <= floor:
+                terms = i
                 break
+        # Term i of order k carries 1 / (i - k + 1), but for i = k - 1, the
+        # row's log term.
+        denom = np.arange(1, terms + 1)[:, None, None] - kcol + 1.0
+        log_row = denom == 0.0
+        coefs = np.where(log_row, 0.0, 1.0 / np.where(log_row, 1.0, denom))
+        log_rows = {}
+        for row, order in enumerate(orders.tolist()):
+            log_rows.setdefault(order - 1, []).append(row)
+        neg_x = -xs
+        fact = np.ones_like(xs)
+        for i in range(1, terms + 1):
+            fact *= neg_x / i
+            total -= coefs[i - 1] * fact
+            if i in log_rows:
+                rows = log_rows[i]
+                total[rows] += fact * (psi[rows, None] - log_x)
         out[:, small] = total
 
     if not small.all():
         xl = flat[~small]
         # E_k(x) = exp(-x) / (x + k - 1*k / (x + k + 2 - 2*(k+1) / (x + k + 4 - ...))),
         # evaluated bottom-up. Its convergence is slowest at small x and
-        # large k; this depth reaches full double precision for x > 1
-        # (the tests check orders up to 32 against mpmath).
-        depth = int(math.ceil(100.0 / xl.min())) + 20 + kmax
-        denom = xl + kcol + 2.0 * (depth + 1)
+        # large k: ceil(100 / x) + 20 + k levels reach full double precision
+        # for x > 1 (the tests check orders up to 32 against mpmath), and
+        # every x > 2 runs the 70 + kmax that x = 2 needs.
+        levels = np.arange(70.0 + kmax, 0.0, -1.0)[:, None, None]
+        numerators = -levels * (kcol - 1.0 + levels)
+        denom = xl + kcol + 2.0 * (levels.size + 1)
         tail = np.zeros_like(denom)
-        for i in range(depth, 0, -1):
+        for numerator in numerators:
             denom -= 2.0
             np.add(denom, tail, out=tail)
-            np.divide(-i * (kcol - 1.0 + i), tail, out=tail)
+            np.divide(numerator, tail, out=tail)
         out[:, ~small] = np.exp(-xl) / (denom - 2.0 + tail)
     return out.reshape(np.shape(k) + x.shape)
 

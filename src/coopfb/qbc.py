@@ -84,7 +84,15 @@ def _qbc_stage(basis: np.ndarray, r: np.ndarray, cb: np.ndarray):
     Returns per (channel, beam): cos^2 of the projection, squared effective
     norm, and the unit combiners as columns.
     """
-    corr = np.matmul(basis.conj().swapaxes(-1, -2), cb)  # (..., rank, beams)
+    qh = basis.conj().swapaxes(-1, -2)  # (..., rank, m)
+    if cb.ndim == qh.ndim >= 3 and cb.shape[-3] == 1 < qh.shape[-3]:
+        # A codebook shared along the users axis: one product per codebook,
+        # the users' rows stacked, in place of one tiny product per user.
+        *lead, users, rank, m = qh.shape
+        corr = np.matmul(qh.reshape(*lead, users * rank, m), cb[..., 0, :, :])
+        corr = corr.reshape(*corr.shape[:-2], users, rank, cb.shape[-1])
+    else:
+        corr = np.matmul(qh, cb)  # (..., rank, beams)
     cos2 = np.sum(corr.real**2 + corr.imag**2, axis=-2)  # (..., beams)
     norms = np.sqrt(cos2)
     if np.any(norms <= numerics.PROJECTION_TOL):

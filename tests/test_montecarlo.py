@@ -98,6 +98,43 @@ class TestKsDistance:
         cdf = lambda x: 1.0 - np.exp(-np.asarray(x, dtype=float))
         assert ks_distance([0.1, 0.2], cdf, region=0.5) is None
 
+    @staticmethod
+    def two_call_distances(samples, cdf, regions):
+        """The statistics from one cdf call on the sorted samples and another
+        on their left neighbours: the oracle for the single call."""
+        s = np.sort(np.asarray(samples, dtype=float))
+        n = s.size
+        right = np.asarray(cdf(s), dtype=float)
+        left = np.asarray(cdf(np.nextafter(s, -np.inf)), dtype=float)
+        gaps = np.maximum(np.abs(np.arange(1, n + 1) / n - right), np.abs(np.arange(n) / n - left))
+        picked = [gaps if region is None else gaps[right >= region] for region in regions]
+        return [float(g.max()) if g.size else None for g in picked]
+
+    @pytest.mark.parametrize("case", ["exact_law", "tied_steps"])
+    def test_one_cdf_call_gives_the_two_call_statistics(self, case):
+        rng = np.random.default_rng(11)
+        if case == "exact_law":
+            # fig6's defaults at 10 dB; samples on both sides of E_k's switch at lam = 2.
+            m, n, rho = 4, 2, 10.0
+            pars = analysis.derive_params(m, n, 2**8, rho)
+            scale = rho / (m * pars.alpha) * pars.varrho_sq
+            samples = scale * rng.exponential(2.0, size=400)
+            model = partial(analysis.sinr_cdf_exact, m=m, n=n, rho=rho, alpha=pars.alpha, varrho_sq=pars.varrho_sq)
+        else:
+            samples = rng.integers(0, 6, size=60).astype(float)
+            ties = rng.integers(0, 6, size=40).astype(float)
+            model = lambda x: empirical_cdf(ties, x)
+        calls = []
+
+        def counted(x):
+            calls.append(np.size(x))
+            return model(x)
+
+        regions = [None, 0.5, 0.99]
+        got = montecarlo.ks_distances(samples, counted, regions)
+        assert calls == [2 * len(samples)]
+        assert got == self.two_call_distances(samples, model, regions)
+
 
 class TestEngineAgainstModules:
     """The batched workspace must reproduce the per-user module pipeline."""

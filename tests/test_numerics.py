@@ -249,6 +249,29 @@ class TestIncompleteGammaAndExpn:
                 for xi, value in zip(x, numerics.gammaincc(a, x)):
                     self.assert_relative(value, mpmath.gammainc(a, mpmath.mpf(xi), mpmath.inf, regularized=True))
 
+    @pytest.mark.parametrize("orders", [list(range(1, 9)), [5, 2], [3], [8]])
+    def test_expn_is_pointwise(self, orders):
+        # Points on both sides of the switch at x = 2, the batch's smallest
+        # x > 2 just above it: each value alone equals its value in the batch.
+        rng = np.random.default_rng(sum(orders))
+        x = np.concatenate(
+            [rng.uniform(1e-3, 2.0, 60), [2.0, np.nextafter(2.0, 3.0)], rng.uniform(2.0, 60.0, 60)]
+        )
+        batch = numerics.expn(orders, x)
+        alone = np.stack([numerics.expn(orders, xi) for xi in x], axis=-1)
+        np.testing.assert_array_equal(alone, batch)
+
+    @pytest.mark.parametrize("a", range(1, 9))
+    def test_gammainc_is_pointwise(self, a):
+        # Points on both sides of the switch at x = a + 1, and just below it.
+        rng = np.random.default_rng(a)
+        x = np.concatenate(
+            [[0.0], rng.uniform(0.0, a + 1.0, 60), [np.nextafter(a + 1.0, 0.0), a + 1.0], rng.uniform(a + 1.0, 4.0 * a + 20.0, 60)]
+        )
+        batch = numerics.gammainc(a, x)
+        alone = np.array([numerics.gammainc(a, xi) for xi in x])
+        np.testing.assert_array_equal(alone, batch)
+
     def test_limits(self):
         assert numerics.gammainc(2, np.inf) == 1.0
         assert numerics.gammaincc(2, np.inf) == 0.0
