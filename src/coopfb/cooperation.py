@@ -47,16 +47,15 @@ class LocalCsi:
 
     @property
     def error_direction(self) -> np.ndarray:
-        """Unit vector e with h_virt = cqi*cdi + ||h_virt|| sin(phi) e.
+        """Unit vectors e with h_virt = cqi*cdi + ||h_virt|| sin(phi) e, one
+        per record of a stack, normed over the last axis.
 
-        Zero vector when the quantization was exact (sin(phi) ~ 0). Defined
-        for the result of a single channel, not a stack.
+        A zero vector where the quantization was exact (sin(phi) ~ 0).
         """
         residual = self.h_virt - self.quantized_virtual
-        norm = np.linalg.norm(residual)
-        if norm <= numerics.PROJECTION_TOL * np.linalg.norm(self.h_virt):
-            return np.zeros_like(self.h_virt)
-        return residual / norm
+        norm = np.linalg.norm(residual, axis=-1, keepdims=True)
+        exact = norm <= numerics.PROJECTION_TOL * np.linalg.norm(self.h_virt, axis=-1, keepdims=True)
+        return np.where(exact, 0.0, residual / np.where(exact, 1.0, norm))
 
 
 @dataclass(frozen=True)

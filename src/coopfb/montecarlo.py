@@ -193,8 +193,8 @@ def _workspaces(
     Each user's own rows go through one QR: its basis and R serve the
     conventional stage, the local pick and, with the partner's quantized
     row appended as one column, the global stage."""
-    k, n = cfg.k, cfg.n
-    h = complex_gaussian(_generators(rngs, "channels"), (k, n, cfg.m))  # (b, k, n, m)
+    k = cfg.k
+    h = complex_gaussian(_generators(rngs, "channels"), (k, cfg.n, cfg.m))  # (b, k, n, m)
     cb = gen_global_codebook(cfg, rngs).matrix[:, None]  # (b, 1, m, beams)
 
     basis, r = qbc._subspace(h)
@@ -209,9 +209,9 @@ def _workspaces(
 
         # Global acquisition over the partner-stacked (n+1)-row matrices
         # (b, k, n+1, m); k is even, so user u pairs with u ^ 1.
-        glob = cooperation.build_global_matrix(h, local[:, np.arange(k) ^ 1])
-        row_norm2 = np.sum(h.real**2 + h.imag**2, axis=-1)
-        stacked = numerics.append_column(basis, r, row_norm2, glob.h_qu[..., n, :].conj())
+        partner = local[:, np.arange(k) ^ 1]
+        glob = cooperation.build_global_matrix(h, partner)
+        stacked = numerics.append_column(basis, r, partner.quantized_virtual)
         cos2_g, eff_norm2, combiners = qbc._qbc_stage(*stacked, cb)
         # Not combined toward the codebook: correlate the served beam; the
         # unitary codebook's other beams carry the rest of the norm.

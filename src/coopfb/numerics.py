@@ -14,7 +14,7 @@ per-user API takes them in.
 A complex array is scaled by a real factor ``d`` as ``x * (1.0 / d)``, never
 ``x / d``: numpy divides by ``d + 0j`` with Smith's algorithm, which gives
 the same bits (but on a -0.0 component) at several times the cost. R's
-diagonal is complex, so a solve on it still divides.
+diagonal is complex in type but real in value; a solve on it still divides.
 
 The special functions are pointwise: :func:`expn` and :func:`gammainc` run
 each series and fraction to a length fixed by the orders alone, never by
@@ -79,33 +79,31 @@ def _as_vector(v) -> np.ndarray:
 def mgs_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(Q, R)`` with ``a = QR`` for a stack ``(..., m, n)``, n <= m: Q has
     orthonormal columns spanning those of ``a``, slice by slice, and R is
-    upper triangular.
+    upper triangular with a real diagonal.
 
-    R is Householder's, and :func:`check_full_rank` accepts its diagonal
-    against the column norms of ``a`` before anything is divided by it. Q
-    is solved as ``a R^-1`` by :func:`solve_triangular`, one row of ``a``
-    at a time, so equal rows of ``a`` give bit-equal rows of Q;
-    Householder's own Q does not, and would break exact ties between beams.
-    The name is the one the benchmark's tracer wraps.
+    R is Householder's, and :func:`check_full_rank` accepts it before
+    anything is divided by its diagonal. Q is solved as ``a R^-1`` by
+    :func:`solve_triangular`, one row of ``a`` at a time, so equal rows of
+    ``a`` give bit-equal rows of Q; Householder's own Q does not, and would
+    break exact ties between beams. The name is the one perfbench wraps.
     """
     a = np.asarray(a, dtype=np.complex128)
     r = np.linalg.qr(a, mode="r")
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    check_full_rank(diag.real**2 + diag.imag**2, np.sum(a.real**2 + a.imag**2, axis=-2))
+    check_full_rank(r)
     q = solve_triangular(r.swapaxes(-1, -2), a.swapaxes(-1, -2), lower=True)  # Q^T = R^-T a^T
     return q.swapaxes(-1, -2), r
 
 
-def append_column(q: np.ndarray, r: np.ndarray, col_norm2: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def append_column(q: np.ndarray, r: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(Q', R')`` with ``[a | x] = Q'R'`` for a stack ``a = QR``: Q
-    ``(..., m, n)`` with orthonormal columns, R ``(..., n, n)``, the squared
-    column norms of ``a`` ``(..., n)`` and the new columns ``x`` ``(..., m)``.
+    ``(..., m, n)`` with orthonormal columns, R ``(..., n, n)`` and the new
+    columns ``x`` ``(..., m)``.
 
     Classical Gram-Schmidt with one reorthogonalisation pass, which keeps Q'
     orthonormal to rounding however close ``x`` lies to the span of ``a``
-    (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 1976). The rank rule runs
-    on ``[|R_ii|^2, rho^2]`` against ``[col_norm2, ||x||^2]``, the diagonal
-    the Householder R of ``[a | x]`` would have, before ``rho`` divides.
+    (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 1976). R' takes the
+    residual's norm ``rho``, real, as its new diagonal entry, and
+    :func:`check_full_rank` accepts R' before ``rho`` divides the residual.
     Each entry of the new column is a sum of products over its own row of
     Q, in the same order for every row and without BLAS, so equal rows of
     ``[a | x]`` give bit-equal rows of Q', as in :func:`mgs_columns`.
@@ -115,15 +113,10 @@ def append_column(q: np.ndarray, r: np.ndarray, col_norm2: np.ndarray, x: np.nda
     res = x - np.einsum("...in,...n->...i", q, c)
     c2 = np.einsum("...in,...i->...n", qh, res)
     res -= np.einsum("...in,...n->...i", q, c2)
-    rho2 = np.sum(res.real**2 + res.imag**2, axis=-1)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    check_full_rank(
-        np.concatenate([diag.real**2 + diag.imag**2, rho2[..., None]], axis=-1),
-        np.concatenate([col_norm2, np.sum(x.real**2 + x.imag**2, axis=-1)[..., None]], axis=-1),
-    )
-    n, rho = r.shape[-1], np.sqrt(rho2)
+    n, rho = r.shape[-1], np.sqrt(np.sum(res.real**2 + res.imag**2, axis=-1))
     r_new = np.zeros(r.shape[:-2] + (n + 1, n + 1), dtype=np.complex128)
     r_new[..., :n, :n], r_new[..., :n, n], r_new[..., n, n] = r, c + c2, rho
+    check_full_rank(r_new)
     return np.concatenate([q, (res * (1.0 / rho)[..., None])[..., None]], axis=-1), r_new
 
 
@@ -153,16 +146,20 @@ def gram_matrix(h: np.ndarray) -> np.ndarray:
     return h @ np.conj(np.swapaxes(h, -1, -2))
 
 
-def check_full_rank(r_diag2: np.ndarray, row_norm2: np.ndarray) -> None:
-    """Raise :class:`RankDeficient` unless every slice of the stacks
-    ``(..., n)`` of squared R diagonals of ``H^H = QR`` and squared row
-    norms of ``H`` has ``prod |R_ii|^2 / prod ||h_i||^2`` above ``RANK_TOL``.
+def check_full_rank(r: np.ndarray) -> None:
+    """Raise :class:`RankDeficient` unless every slice of the stack
+    ``(..., n, n)`` of R factors of ``H^H = QR``, zero below the diagonal,
+    has ``prod |R_jj|^2 / prod ||R_:j||^2`` above ``RANK_TOL``.
 
-    The ratio is ``det(G) / prod(G_ii)`` for ``G = H H^H``, in [0, 1]; as a
-    product of per-row ratios it stays in range at any scale of the rows.
+    R's column norms are those of ``H^H``, so the ratio is ``det(G) /
+    prod(G_ii)`` for ``G = H H^H``, in [0, 1]; as a product of per-column
+    ratios it stays in range at any scale of the rows.
     """
-    with np.errstate(invalid="ignore"):  # a zero row's 0/0 is NaN, which the negated strict test fails
-        ratio_ok = np.prod(r_diag2 / row_norm2, axis=-1) > RANK_TOL
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    # einsum sums each column in one pass; a sum over the short middle axis runs row by row.
+    col_norm2 = np.einsum("...ij,...ij->...j", r, r.conj()).real
+    with np.errstate(invalid="ignore"):  # a zero column's 0/0 is NaN, which the negated strict test fails
+        ratio_ok = np.prod((diag.real**2 + diag.imag**2) / col_norm2, axis=-1) > RANK_TOL
     if not ratio_ok.all():
         raise RankDeficient("channel rows numerically dependent")
 

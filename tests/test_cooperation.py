@@ -95,6 +95,21 @@ class TestAcquireLocalCsi:
         assert abs(scaled.sin2_error - local.sin2_error) <= 1e-12
         np.testing.assert_allclose(scaled.error_direction, local.error_direction, rtol=0, atol=1e-12)
 
+    def test_stacked_record_gives_each_channels_direction(self):
+        # One norm over the whole stack read row 0 of an 8-user stack at
+        # 0.412 and 0.329 away from its one-channel direction. User 5's
+        # codeword lies in its span, so its row is zero.
+        rng = np.random.default_rng(6)
+        h = np.stack([random_channel(2, 4, rng) for _ in range(8)])
+        inside = h[5].conj().T @ np.array([0.3, 0.7j])
+        cb = LocalCodebook(np.vstack([random_codebook(15, 4, rng).vectors, inside / np.linalg.norm(inside)]))
+        stacked = acquire_local_csi(h, cb).error_direction
+        assert stacked.shape == (8, 4)
+        for u in range(8):
+            np.testing.assert_array_equal(stacked[u], acquire_local_csi(h[u], cb).error_direction)
+        assert not stacked[5].any()
+        np.testing.assert_allclose(np.linalg.norm(np.delete(stacked, 5, axis=0), axis=-1), 1.0, rtol=0, atol=1e-15)
+
 
 def per_user_pipeline(channels, local_cb, codebook, rho):
     """Criterion 1's per-user cooperative pipeline on one trial's channels:

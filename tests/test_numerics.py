@@ -72,10 +72,9 @@ class TestOrthonormalBasis:
 
 
 def rank_inputs(h):
-    """``check_full_rank``'s arguments for the rows of ``h``: the squared R
-    diagonal of ``H^H = QR`` by Householder QR, and the squared row norms."""
-    r = np.linalg.qr(h.conj().T, mode="r")
-    return np.abs(np.diag(r)) ** 2, np.sum(np.abs(h) ** 2, axis=1)
+    """``check_full_rank``'s argument for the rows of ``h``: the R factor of
+    ``H^H = QR`` by Householder QR."""
+    return np.linalg.qr(h.conj().T, mode="r")
 
 
 class TestScaleRelativeRank:
@@ -83,7 +82,7 @@ class TestScaleRelativeRank:
         h = random_channel(3, 4, np.random.default_rng(0))
         v = random_channel(1, 4, np.random.default_rng(1))[0]
         for scale in (1e-3, 1e3):
-            numerics.check_full_rank(*rank_inputs(scale * h))
+            numerics.check_full_rank(rank_inputs(scale * h))
             np.testing.assert_allclose(orthonormal_basis(scale * h), orthonormal_basis(h), atol=1e-12)
             np.testing.assert_allclose(gram_solve(scale * h, v) * scale, gram_solve(h, v), rtol=1e-10)
 
@@ -91,14 +90,14 @@ class TestScaleRelativeRank:
         h = random_channel(1, 4)
         for scale in (1e-6, 1.0, 1e6):
             with pytest.raises(RankDeficient):
-                numerics.check_full_rank(*rank_inputs(scale * np.vstack([h, 2 * h])))
+                numerics.check_full_rank(rank_inputs(scale * np.vstack([h, 2 * h])))
             with pytest.raises(RankDeficient):
                 numerics.mgs_columns(scale * np.vstack([h, 2 * h]).conj().T)
 
     def test_zero_row_rejected(self):
         h = np.vstack([random_channel(1, 4), np.zeros((1, 4))])
         with pytest.raises(RankDeficient):
-            numerics.check_full_rank(*rank_inputs(h))
+            numerics.check_full_rank(rank_inputs(h))
         with pytest.raises(RankDeficient):
             numerics.mgs_columns(h.conj().T)
 
@@ -390,7 +389,7 @@ class TestAppendColumn:
     @staticmethod
     def appended(a, x):
         q, r = numerics.mgs_columns(a)
-        return numerics.append_column(q, r, np.sum(a.real**2 + a.imag**2, axis=-2), x)
+        return numerics.append_column(q, r, x)
 
     @staticmethod
     def near_span(rng, a, angle):
@@ -455,13 +454,65 @@ class TestAppendColumn:
         rng = np.random.default_rng(16 + n)
         a, x = (scale * part.reshape(lead + part.shape[1:]) for part in self.stack(rng, math.prod(lead), n))
         q, r = numerics.mgs_columns(a)
-        q_new, r_new = numerics.append_column(q, r, np.sum(a.real**2 + a.imag**2, axis=-2), x)
+        q_new, r_new = numerics.append_column(q, r, x)
         c = np.einsum("...in,...i->...n", q.conj(), x)
         res = x - np.einsum("...in,...n->...i", q, c)
         res -= np.einsum("...in,...n->...i", q, np.einsum("...in,...i->...n", q.conj(), res))
         rho = np.sqrt(np.sum(res.real**2 + res.imag**2, axis=-1))
         assert q_new[..., -1].tobytes() == (res / rho[..., None]).tobytes()
         assert q_new[..., :-1].tobytes() == q.tobytes() and r_new[..., n, n].tobytes() == rho.astype(complex).tobytes()
+
+
+class TestRealDiagonal:
+    """R's diagonal is complex in type and real in value: its imaginary
+    parts are exactly +0.0, LAPACK's Householder beta from
+    :func:`numerics.mgs_columns` and the residual norm rho from
+    :func:`numerics.append_column`. A solve that divides by the diagonal's
+    real part alone would rest on this."""
+
+    @staticmethod
+    def assert_real_diagonal(r):
+        imag = np.diagonal(r, axis1=-2, axis2=-1).imag
+        assert not imag.any() and not np.signbit(imag).any()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_on_one_channel_and_on_stacks(self, n):
+        rng = np.random.default_rng(30 + n)
+        a, x = TestAppendColumn.stack(rng, 500, n)
+        for one_or_stack in (np.s_[0], np.s_[:]):
+            q, r = numerics.mgs_columns(a[one_or_stack])
+            self.assert_real_diagonal(r)
+            self.assert_real_diagonal(numerics.append_column(q, r, x[one_or_stack])[1])
+
+
+class TestRankThreshold:
+    """The rank rule on both sides of ``RANK_TOL``, two rows at rank ratio
+    ``det(H H^H) / prod ||h_i||^2`` of 1e-11 and 1e-13, the ratio checked by
+    numpy's determinant at unit scale, through both factorisations at any
+    scale."""
+
+    @staticmethod
+    def rows(ratio):
+        rng = np.random.default_rng(40)
+        h0, d = random_channel(2, 4, rng)
+        d -= (h0.conj() @ d) / (h0.conj() @ h0) * h0
+        d *= np.sqrt(ratio / (1.0 - ratio)) * np.linalg.norm(h0) / np.linalg.norm(d)
+        h = np.vstack([h0, h0 + d])
+        oracle = np.linalg.det(h @ h.conj().T).real / np.prod(np.linalg.norm(h, axis=1) ** 2)
+        assert oracle == pytest.approx(ratio, rel=0.05)
+        return h
+
+    @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+    @pytest.mark.parametrize("ratio, accepted", [(1e-11, True), (1e-13, False)])
+    def test_accepts_above_and_refuses_below(self, ratio, accepted, scale):
+        a = scale * self.rows(ratio).conj().T
+        q, r = numerics.mgs_columns(a[:, :1])
+        for factor in (lambda: numerics.mgs_columns(a), lambda: numerics.append_column(q, r, a[:, 1])):
+            if accepted:
+                factor()
+            else:
+                with pytest.raises(RankDeficient):
+                    factor()
 
 
 class TestRealScaling:

@@ -4,10 +4,11 @@ or compare every output with another checkout's.
     python tools/run_list.py <checkout> [--workers N]
     python tools/run_list.py <checkout> --against <baseline> [--workers N]
 
-Each run is ``python -m coopfb.cli`` with ``<checkout>/src`` on the path, in
-a fresh output directory. One more run, ``per_user_link_seed7``, covers
-criterion 1's per-user pipeline, which no command reaches: it imports the
-checkout's ``perfbench/workloads.py`` without writing to it and writes what
+Each run is :func:`run_entry` in a fresh interpreter with ``<checkout>/src``
+on the path, in a fresh output directory: ``coopfb.cli.run`` on its command
+line. One more run, ``per_user_link_seed7``, covers criterion 1's per-user
+pipeline, which no command reaches: it imports the checkout's
+``perfbench/workloads.py`` without writing to it and writes what
 ``run_per_user`` returns to ``per_user.csv`` (:func:`write_per_user`).
 For every run the script prints its exit code,
 the sha256 of its stdout (with the output directory replaced by ``<out>``)
@@ -146,11 +147,6 @@ def versions() -> str:
     return f"# python {platform.python_version()}, numpy {metadata.version('numpy')}"
 
 
-def _cli_args(argv: tuple, workers: int, out_dir: Path) -> tuple:
-    """A command line with the writing runs given ``--workers`` and ``--out-dir``."""
-    return argv if argv[0] == "analyze" else (*argv, "--workers", str(workers), "--out-dir", str(out_dir))
-
-
 def _outputs(code: int, stdout: bytes, stderr: bytes, out_dir: Path) -> dict[str, bytes]:
     """Every output of one run by name: ``exit``, ``stdout``, ``stderr`` and
     each file it wrote, manifests normalised."""
@@ -160,37 +156,40 @@ def _outputs(code: int, stdout: bytes, stderr: bytes, out_dir: Path) -> dict[str
     return outputs
 
 
-def execute(src: Path, argv: tuple, workers: int, out_dir: Path) -> dict[str, bytes]:
-    """The outputs of one run, in a fresh interpreter with ``src`` on the path."""
-    env = {key: value for key, value in os.environ.items() if key != "COOPFB_OUT_DIR"}
-    env["PYTHONPATH"] = str(src)
+def run_entry(argv: tuple, workers: int, out_dir: str, perfbench: str) -> int:
+    """Run one entry of the list in this process and return its exit code:
+    ``coopfb.cli.run`` on the command line, the writing runs given
+    ``--workers`` and ``--out-dir``, or :func:`write_per_user` on the
+    ``workloads.py`` in ``perfbench``."""
     if argv[0] == "per_user":
-        env["PYTHONPATH"] += os.pathsep + str(Path(__file__).resolve().parent)
-        env["PYTHONDONTWRITEBYTECODE"] = "1"  # leaves the checkout's perfbench/ as it is
-        script = "import sys, run_list; run_list.write_per_user(*sys.argv[1:])"
-        command = ["-c", script, str(src.parent / "perfbench"), *argv[1:], str(out_dir)]
-    else:
-        command = ["-m", "coopfb.cli", *_cli_args(argv, workers, out_dir)]
-    done = subprocess.run([sys.executable, *command], capture_output=True, env=env, cwd=out_dir.parent)
+        write_per_user(perfbench, *argv[1:], out_dir)
+        return 0
+    from coopfb import cli
+
+    try:
+        return cli.run(list(argv if argv[0] == "analyze" else (*argv, "--workers", str(workers), "--out-dir", out_dir)))
+    except SystemExit as exc:  # argparse's refusals
+        return exc.code
+
+
+def execute(src: Path, argv: tuple, workers: int, out_dir: Path) -> dict[str, bytes]:
+    """The outputs of one run, :func:`run_entry` in a fresh interpreter
+    with ``src`` on the path."""
+    env = {key: value for key, value in os.environ.items() if key != "COOPFB_OUT_DIR"}
+    env["PYTHONPATH"] = os.pathsep.join([str(src), str(Path(__file__).resolve().parent)])
+    env["PYTHONDONTWRITEBYTECODE"] = "1"  # leaves the checkout's perfbench/ as it is
+    script = "import json, sys, run_list; sys.exit(run_list.run_entry(*json.loads(sys.argv[1])))"
+    entry = json.dumps([argv, workers, str(out_dir), str(src.parent / "perfbench")])
+    done = subprocess.run([sys.executable, "-c", script, entry], capture_output=True, env=env, cwd=out_dir.parent)
     return _outputs(done.returncode, done.stdout, done.stderr, out_dir)
 
 
 def execute_in_process(argv: tuple, out_dir: Path, perfbench: str) -> dict[str, bytes]:
     """The outputs of one run at one worker, from the ``coopfb`` this
-    process imports: ``coopfb.cli.run`` with its stdout and stderr captured,
-    or :func:`write_per_user` on the ``workloads.py`` in ``perfbench``."""
+    process imports: :func:`run_entry` with its stdout and stderr captured."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        if argv[0] == "per_user":
-            write_per_user(perfbench, *argv[1:], str(out_dir))
-            code = 0
-        else:
-            from coopfb import cli
-
-            try:
-                code = cli.run(list(_cli_args(argv, 1, out_dir)))
-            except SystemExit as exc:  # argparse's refusals
-                code = exc.code
+        code = run_entry(argv, 1, str(out_dir), perfbench)
     return _outputs(code, out.getvalue().encode(), err.getvalue().encode(), out_dir)
 
 
