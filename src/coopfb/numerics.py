@@ -17,8 +17,11 @@ the same bits (but on a -0.0 component) at several times the cost. R's
 diagonal is complex in type but real in value; a solve on it still divides.
 
 The special functions are pointwise: :func:`expn` and :func:`gammainc` run
-each series and fraction to a length fixed by the orders alone, never by
-the batch's data, so a point's value is the same alone as in any batch.
+each series, recurrence and fraction to a length fixed by the orders or the
+shape alone, never by the batch's data, so a point's value is the same alone
+as in any batch. Below x = 2 :func:`expn` runs one series, E_1's, and reaches
+the higher orders by the upward recurrence, which is stable there but
+amplifies errors ever more above 2, where the continued fraction runs.
 """
 
 from __future__ import annotations
@@ -209,7 +212,6 @@ def binomial(n: int, k: int) -> int:
 
 _EPS = np.finfo(float).eps
 _EULER = 0.5772156649015329
-_MAX_TERMS = 500
 
 
 def gammaincc(a: int, x) -> np.ndarray:
@@ -234,22 +236,23 @@ def gammainc(a: int, x) -> np.ndarray:
     """Regularized lower incomplete gamma P(a, x) for an integer shape a >= 1.
 
     Below x = a + 1 the series P = exp(-x) x^a / a! * sum_i x^i / ((a+1)...(a+i))
-    avoids the cancellation of 1 - Q; above it, 1 - Q is exact to rounding.
-    The series runs, for every x, the terms it needs at x = a + 1, where its
-    terms fall slowest, so each value depends on its own argument alone.
+    avoids the cancellation of 1 - Q; it runs, for every x, the terms it
+    needs at x = a + 1, where its terms fall slowest. Above it P = 1 - Q with
+    Q = exp(-x) sum_{j<a} x^j / j!, summed down over a fixed a - 1 steps from
+    its largest term, j = a - 1, whose factor exp(-x) x^(a-1) / (a-1)! is
+    taken in logs: exp(-x) alone underflows past x = 745. Both lengths
+    depend on a alone, so each value depends on its own argument alone.
     """
     if int(a) != a or a < 1:
         raise DomainError(f"gammainc needs an integer shape >= 1, got {a}")
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise DomainError("gammainc needs x >= 0")
-    terms, top, top_sum = _MAX_TERMS - 1, 1.0, 1.0
-    for i in range(1, _MAX_TERMS):
-        top = top * (a + 1.0) / (a + i)
+    terms, top, top_sum = 0, 1.0, 1.0
+    while top > _EPS * top_sum:
+        terms += 1
+        top = top * (a + 1.0) / (a + terms)
         top_sum += top
-        if top <= _EPS * top_sum:
-            terms = i
-            break
     low = x < a + 1.0
     xs = np.where(low, x, 0.0)
     term = np.ones_like(xs)
@@ -259,7 +262,15 @@ def gammainc(a: int, x) -> np.ndarray:
         series += term
     lead = np.exp(a * np.log(np.where(xs > 0.0, xs, 1.0)) - xs - math.lgamma(a + 1.0))
     lower = np.where(xs > 0.0, lead * series, 0.0)
-    return np.where(low, lower, 1.0 - gammaincc(a, np.where(low, a + 1.0, x)))
+    inf = np.isposinf(x)
+    xu = np.where(low | inf, a + 1.0, x)
+    term = np.ones_like(xu)
+    tail = np.ones_like(xu)
+    for j in range(int(a) - 1, 0, -1):  # term = x^j / j! over x^(a-1) / (a-1)!
+        term = term * j / xu
+        tail += term
+    upper = 1.0 - np.exp((a - 1) * np.log(xu) - xu - math.lgamma(a)) * tail
+    return np.where(low, lower, np.where(inf, 1.0, upper))
 
 
 def expn(k, x) -> np.ndarray:
@@ -267,13 +278,16 @@ def expn(k, x) -> np.ndarray:
     for x > 0 and integer orders k >= 1.
 
     ``k`` is one order or a 1-D sequence of them; the result has shape
-    ``shape(k) + shape(x)``, so one call evaluates several orders. Power
-    series for x <= 2 and the continued fraction for x > 2 (the two
-    classical expansions of E_k). The series' alternating terms cost at
-    most a factor e^(2x) of rounding, and the fraction needs fewer levels
-    the larger x is, so the switch sits at 2 rather than the usual 1. Both
-    run the length x = 2 needs for the largest order at every x, so each
-    value depends on its own argument and the orders alone.
+    ``shape(k) + shape(x)``, so one call evaluates several orders. For
+    x <= 2, E_1's power series and then the upward recurrence
+    E_(k+1) = (exp(-x) - x E_k) / k up to the largest order; for x > 2, the
+    continued fraction. A step of the recurrence multiplies E_k's error by
+    x E_k / (k E_(k+1)), which below x = 2 is at most about 2.6 (k = 1) and
+    1.3 after it, but grows like x / k beyond; the fraction needs fewer
+    levels the larger x is, so the switch sits at 2. The series runs the
+    terms x = 2 needs and the fraction the levels x = 2 needs for the
+    largest order, at every x, so each value depends on its own argument
+    and the orders alone.
     """
     orders = np.atleast_1d(np.asarray(k))
     if orders.ndim != 1 or np.any(orders < 1) or np.any(orders != np.floor(orders)):
@@ -289,36 +303,17 @@ def expn(k, x) -> np.ndarray:
     small = flat <= 2.0
     if small.any():
         xs = flat[small]
-        log_x = np.log(xs)
-        # psi(k) = -gamma + H_(k-1), the coefficient of the log term.
-        psi = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1.0, kmax))])[orders - 1] - _EULER
-        total = np.where(kcol > 1, 1.0 / np.maximum(kcol - 1, 1), -log_x - _EULER)
-        # E_k(x) > exp(-x) / (x + k), so terms below this are negligible;
-        # |x^i / i!| reaches it last at x = 2.
-        floor = _EPS * math.exp(-2.0) / (2.0 + kmax)
-        terms, top = _MAX_TERMS - 1, 1.0
-        for i in range(1, _MAX_TERMS):
-            top *= 2.0 / i
-            if i >= kmax - 1 and top <= floor:
-                terms = i
-                break
-        # Term i of order k carries 1 / (i - k + 1), but for i = k - 1, the
-        # row's log term.
-        denom = np.arange(1, terms + 1)[:, None, None] - kcol + 1.0
-        log_row = denom == 0.0
-        coefs = np.where(log_row, 0.0, 1.0 / np.where(log_row, 1.0, denom))
-        log_rows = {}
-        for row, order in enumerate(orders.tolist()):
-            log_rows.setdefault(order - 1, []).append(row)
-        neg_x = -xs
-        fact = np.ones_like(xs)
-        for i in range(1, terms + 1):
+        # E_1(x) = -gamma - ln x - sum_i (-x)^i / (i i!); at x = 2 the
+        # terms fall below eps * E_1(2) from i = 24 on.
+        e1 = -_EULER - np.log(xs)
+        neg_x, fact = -xs, np.ones_like(xs)
+        for i in range(1, 25):
             fact *= neg_x / i
-            total -= coefs[i - 1] * fact
-            if i in log_rows:
-                rows = log_rows[i]
-                total[rows] += fact * (psi[rows, None] - log_x)
-        out[:, small] = total
+            e1 -= fact / i
+        e_k, exp_x = [e1], np.exp(neg_x)
+        for order in range(1, kmax):
+            e_k.append((exp_x - xs * e_k[-1]) / order)
+        out[:, small] = np.array(e_k)[orders - 1]
 
     if not small.all():
         xl = flat[~small]

@@ -267,7 +267,7 @@ class TestSinrCdfExact:
         (effective_norm_pdf, (0.7, 4, 2, 0.8), 0.4559428340233685),
         (effective_norm_cdf, (0.7, 4, 2, 0.8), 0.21838371310279667),
         (sinr_cdf, (2.5, 4, 2, 10.0, 1.3, 0.8), 0.8312185641106908),
-        (sinr_cdf_exact, (2.5, 4, 2, 10.0, 1.3, 0.8), 0.8536508992498335),
+        (sinr_cdf_exact, (2.5, 4, 2, 10.0, 1.3, 0.8), 0.8536508992498336),
         (sinr_cdf_exact, (2.5, 4, 3, 10.0, 1.3, 0.8), 0.8030883247958063),
     ],
     ids=["local_error_cdf", "effective_norm_pdf", "effective_norm_cdf", "sinr_cdf", "sinr_cdf_exact", "sinr_cdf_exact_n3"],

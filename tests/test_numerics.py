@@ -196,6 +196,11 @@ class TestIncompleteGammaAndExpn:
     """In-package special functions against mpmath, over the arguments the
     fig6 exact-law cdf and the fig9 norm model evaluate."""
 
+    # Below x = 2, E_k comes from E_1 by the upward recurrence, whose
+    # cancellation peaks as x nears 2; each grid also holds 2 and the next
+    # double, the switch to the continued fraction.
+    SWITCH_BAND = np.concatenate([np.linspace(1.5, 2.0, 51), [np.nextafter(2.0, 3.0)]])
+
     @staticmethod
     def assert_relative(value, expected, tol=1e-13):
         expected = float(expected)
@@ -216,7 +221,7 @@ class TestIncompleteGammaAndExpn:
                 self.assert_relative(value, mpmath.gammainc(a, mpmath.mpf(xi), mpmath.inf, regularized=True))
 
     def test_expn_against_mpmath(self):
-        x = np.logspace(-8, np.log10(500.0), 161)
+        x = np.concatenate([np.logspace(-8, np.log10(500.0), 161), self.SWITCH_BAND])
         orders = np.arange(1, 8)
         together = numerics.expn(orders, x)
         assert together.shape == (orders.size, x.size)
@@ -232,7 +237,7 @@ class TestIncompleteGammaAndExpn:
         # P(m - n, .), so larger antenna counts reach higher orders; m is
         # unbounded, and this covers m up to 33. mpmath's own expint loses
         # digits at large k and x in double precision, hence the extra digits.
-        x = np.logspace(-8, np.log10(500.0), 41)
+        x = np.concatenate([np.logspace(-8, np.log10(500.0), 41), self.SWITCH_BAND])
         orders = np.arange(8, 33)
         with mpmath.workdps(40):
             for k, row in zip(orders, numerics.expn(orders, x)):
@@ -248,7 +253,20 @@ class TestIncompleteGammaAndExpn:
                 for xi, value in zip(x, numerics.gammaincc(a, x)):
                     self.assert_relative(value, mpmath.gammainc(a, mpmath.mpf(xi), mpmath.inf, regularized=True))
 
-    @pytest.mark.parametrize("orders", [list(range(1, 9)), [5, 2], [3], [8]])
+    @pytest.mark.parametrize("a", [100, 800, 5000])
+    def test_large_shapes_against_mpmath(self, a):
+        # Both sides of the switch at x = a + 1, and past x = 745, where
+        # exp(-x) underflows. Each side's lead carries exp(a ln x - x) or
+        # exp((a - 1) ln x - x), whose rounding grows with a |ln x|.
+        x = np.concatenate(
+            [a * np.array([0.8, 0.95, 1.0, 1.05, 1.2, 2.0]), [np.nextafter(a + 1.0, 0.0), a + 1.0, a + 2.0, 750.0]]
+        )
+        with mpmath.workdps(40):
+            for xi, value in zip(x, numerics.gammainc(a, x)):
+                tol = max(2e-13, 2.0 * np.finfo(float).eps * a * math.log(xi))
+                self.assert_relative(value, mpmath.gammainc(a, 0, mpmath.mpf(xi), regularized=True), tol=tol)
+
+    @pytest.mark.parametrize("orders", [list(range(1, 9)), list(range(1, 33)), [5, 2], [3], [8]])
     def test_expn_is_pointwise(self, orders):
         # Points on both sides of the switch at x = 2, the batch's smallest
         # x > 2 just above it: each value alone equals its value in the batch.

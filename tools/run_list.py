@@ -65,8 +65,11 @@ RUNS = [
     ("fig6_rho5,15_bcl6", ("fig6", "--rho-db", "5,15", "--bcl", "6", "--trials", "300")),
     # n + 1 = m: the pair sampler's square stack and sinr_cdf_exact's n = m - 1 branch.
     ("fig6_n3", ("fig6", "--n", "3", "--seed", "2", "--trials", "300")),
-    # n = m - 3: the only run through sinr_cdf_exact's negative-order term (gammaincc at k <= 0).
+    # n = m - 3: the smallest gap through sinr_cdf_exact's negative-order term (gammaincc at k <= 0).
     ("fig6_n1", ("fig6", "--n", "1", "--seed", "2", "--trials", "300")),
+    # m = 6, n = 2: expn's orders 1-6 and gammaincc's negative-order terms at
+    # Beta shape a = 3; no other entry reaches an order above 4.
+    ("fig6_m6", ("fig6", "--m", "6", "--n", "2", "--seed", "2", "--trials", "300")),
     ("fig7_defaults", ("fig7", "--trials", "6")),
     ("fig7_n2_bcl4_k20-50", ("fig7", "--n", "2", "--bcl", "4", "--k-grid", "20,30,50", "--trials", "6")),
     ("fig8_defaults", ("fig8", "--trials", "20")),
