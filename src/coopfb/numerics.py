@@ -16,12 +16,15 @@ A complex array is scaled by a real factor ``d`` as ``x * (1.0 / d)``, never
 the same bits (but on a -0.0 component) at several times the cost. R's
 diagonal is complex in type but real in value; a solve on it still divides.
 
-The special functions are pointwise: :func:`expn` and :func:`gammainc` run
-each series, recurrence and fraction to a length fixed by the orders or the
-shape alone, never by the batch's data, so a point's value is the same alone
-as in any batch. Below x = 2 :func:`expn` runs one series, E_1's, and reaches
-the higher orders by the upward recurrence, which is stable there but
-amplifies errors ever more above 2, where the continued fraction runs.
+The special functions are pointwise: :func:`expn` and the incomplete gamma
+ratios run each series, recurrence and fraction to a length fixed by the
+orders or the shape alone, never by the batch's data, so a point's value is
+the same alone as in any batch. Below x = 2 :func:`expn` runs one series,
+E_1's, and reaches the higher orders by the upward recurrence, which is
+stable there but amplifies errors ever more above 2, where the continued
+fraction runs. :func:`gammainc` and :func:`gammaincc` are the two views of
+one routine, :func:`_gamma_ratios`, which sums P below x = a + 1 and Q from
+there up, where neither nears 1, and takes the other as its complement.
 """
 
 from __future__ import annotations
@@ -214,40 +217,26 @@ _EPS = np.finfo(float).eps
 _EULER = 0.5772156649015329
 
 
-def gammaincc(a: int, x) -> np.ndarray:
-    """Regularized upper incomplete gamma Q(a, x) for an integer shape a >= 1.
+def _gamma_ratios(a: int, x) -> tuple[np.ndarray, np.ndarray]:
+    """Regularized incomplete gamma ratios ``(P(a, x), Q(a, x))`` for an
+    integer shape a >= 1 and x >= 0, each summed on the side where it is
+    accurate and the other taken as its complement (DiDonato & Morris 1986).
 
-    For integer shapes Q(a, x) = exp(-x) * sum_{j<a} x^j / j!, a finite sum
-    of positive terms, so it is accurate wherever it is not rounded to 1.
+    Below x = a + 1, P = exp(-x) x^a / a! * sum_i x^i / ((a+1)...(a+i)), a
+    series of positive terms, run for every x to the terms x = a + 1 needs,
+    where they fall slowest. From x = a + 1 up, Q = exp(-x) sum_{j<a} x^j / j!,
+    summed down over a fixed a - 1 steps from its largest term, j = a - 1,
+    whose factor exp(-x) x^(a-1) / (a-1)! is taken in logs: exp(-x) alone
+    underflows past x = 745. The summed ratio stays below 1 - e^-2 = 0.86
+    (P's bound, at a = 1; Q's is 1/2), so its complement keeps about 7 eps
+    relative. Both lengths depend on a alone, so each value depends on its
+    own argument alone.
     """
     if int(a) != a or a < 1:
-        raise DomainError(f"gammaincc needs an integer shape >= 1, got {a}")
-    x = np.asarray(x, dtype=float)
-    with np.errstate(invalid="ignore", over="ignore"):
-        term = np.exp(-x)
-        total = term.copy()
-        for j in range(1, int(a)):
-            term = term * x / j
-            total += term
-    return np.where(np.isposinf(x), 0.0, total)
-
-
-def gammainc(a: int, x) -> np.ndarray:
-    """Regularized lower incomplete gamma P(a, x) for an integer shape a >= 1.
-
-    Below x = a + 1 the series P = exp(-x) x^a / a! * sum_i x^i / ((a+1)...(a+i))
-    avoids the cancellation of 1 - Q; it runs, for every x, the terms it
-    needs at x = a + 1, where its terms fall slowest. Above it P = 1 - Q with
-    Q = exp(-x) sum_{j<a} x^j / j!, summed down over a fixed a - 1 steps from
-    its largest term, j = a - 1, whose factor exp(-x) x^(a-1) / (a-1)! is
-    taken in logs: exp(-x) alone underflows past x = 745. Both lengths
-    depend on a alone, so each value depends on its own argument alone.
-    """
-    if int(a) != a or a < 1:
-        raise DomainError(f"gammainc needs an integer shape >= 1, got {a}")
+        raise DomainError(f"the incomplete gamma ratios need an integer shape >= 1, got {a}")
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
-        raise DomainError("gammainc needs x >= 0")
+        raise DomainError("the incomplete gamma ratios need x >= 0")
     terms, top, top_sum = 0, 1.0, 1.0
     while top > _EPS * top_sum:
         terms += 1
@@ -269,8 +258,18 @@ def gammainc(a: int, x) -> np.ndarray:
     for j in range(int(a) - 1, 0, -1):  # term = x^j / j! over x^(a-1) / (a-1)!
         term = term * j / xu
         tail += term
-    upper = 1.0 - np.exp((a - 1) * np.log(xu) - xu - math.lgamma(a)) * tail
-    return np.where(low, lower, np.where(inf, 1.0, upper))
+    upper = np.where(inf, 0.0, np.exp((a - 1) * np.log(xu) - xu - math.lgamma(a)) * tail)
+    return np.where(low, lower, 1.0 - upper), np.where(low, 1.0 - lower, upper)
+
+
+def gammainc(a: int, x) -> np.ndarray:
+    """Regularized lower incomplete gamma P(a, x); see :func:`_gamma_ratios`."""
+    return _gamma_ratios(a, x)[0]
+
+
+def gammaincc(a: int, x) -> np.ndarray:
+    """Regularized upper incomplete gamma Q(a, x); see :func:`_gamma_ratios`."""
+    return _gamma_ratios(a, x)[1]
 
 
 def expn(k, x) -> np.ndarray:

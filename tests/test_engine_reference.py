@@ -8,6 +8,8 @@ the codebook's columns explicitly, so the two share no arithmetic.
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 import reference
 from coopfb import montecarlo
@@ -18,6 +20,7 @@ from coopfb.model import (
     gen_global_codebook,
     gen_local_codebook,
 )
+from coopfb.numerics import DegenerateProjection, RankDeficient
 
 TOL = dict(rtol=1e-9, atol=1e-12)
 
@@ -51,15 +54,43 @@ def reference_arrays(cfg, trial, resamples):
     return out
 
 
+def assert_matches_reference(ws, resamples):
+    """Every workspace array of ``ws`` against :func:`reference_arrays`."""
+    want = reference_arrays(ws.cfg, ws.trial, resamples)
+    got = {"sig": ws.conv.sig, "intf": ws.conv.intf}
+    got.update(sig_qu=ws.coop.sig, intf_qu=ws.coop.intf)
+    got.update((name, getattr(ws.coop, name)) for name in want if name not in got)
+    for name, value in want.items():
+        np.testing.assert_allclose(got[name], value, err_msg=f"trial {ws.trial}: {name}", **TOL)
+
+
 @pytest.mark.parametrize("codebook_mode", ["haar", "dft"])
 @pytest.mark.parametrize("n", [2, 3])
 def test_workspace_beam_powers_match_explicit_sums(n, codebook_mode):
     cfg = SystemConfig(m=4, n=n, k=8, rho=5.0, bcl=4, trials=1, seed=50 + n, codebook_mode=codebook_mode)
     for trial in range(6):
         ws = montecarlo.build_workspace(cfg, trial, coop=True, conv=True)
-        want = reference_arrays(cfg, trial, ws.resamples)
-        got = {"sig": ws.conv.sig, "intf": ws.conv.intf}
-        got.update(sig_qu=ws.coop.sig, intf_qu=ws.coop.intf)
-        got.update((name, getattr(ws.coop, name)) for name in want if name not in got)
-        for name, value in want.items():
-            np.testing.assert_allclose(got[name], value, err_msg=name, **TOL)
+        assert_matches_reference(ws, ws.resamples)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dims=st.integers(2, 6).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m - 1))),
+    bcl=st.sampled_from([1, 3, 6]),
+    codebook_mode=st.sampled_from(["haar", "dft"]),
+    trials=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocks_match_explicit_sums_over_configurations(dims, bcl, codebook_mode, trials, seed):
+    # One block of several trials, each trial's codebook its own: a trial
+    # served another's codebook or users fails here.
+    m, n = dims
+    cfg = SystemConfig(m=m, n=n, k=2 * m, rho=5.0, bcl=bcl, trials=trials, seed=seed, codebook_mode=codebook_mode)
+    rngs = [derive_trial_rng(seed, trial) for trial in range(trials)]
+    try:
+        block = montecarlo._workspaces(cfg, rngs, coop=True, conv=True)
+    except (RankDeficient, DegenerateProjection):
+        reject()
+    assert [ws.trial for ws in block] == list(range(trials))
+    for ws in block:
+        assert_matches_reference(ws, 0)

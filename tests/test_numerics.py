@@ -206,19 +206,42 @@ class TestIncompleteGammaAndExpn:
         expected = float(expected)
         assert abs(value - expected) <= tol * abs(expected), (value, expected)
 
-    def test_gammainc_against_mpmath(self):
-        x = np.concatenate([[0.0], np.logspace(-10, np.log10(200.0), 121)])
-        for a in range(1, 7):
-            values = numerics.gammainc(a, x)
-            assert values[0] == 0.0
-            for xi, value in zip(x[1:], values[1:]):
-                self.assert_relative(value, mpmath.gammainc(a, 0, mpmath.mpf(xi), regularized=True))
+    @classmethod
+    def assert_ratio(cls, value, expected, tol):
+        """Relative, unless the ratio is a subnormal double: then the value
+        must not be a normal one."""
+        if 0.0 < expected < np.finfo(float).tiny:
+            assert value < np.finfo(float).tiny, (value, expected)
+        else:
+            cls.assert_relative(value, expected, tol)
 
-    def test_gammaincc_against_mpmath(self):
-        x = np.logspace(-10, np.log10(500.0), 121)
-        for a in range(1, 7):
-            for xi, value in zip(x, numerics.gammaincc(a, x)):
-                self.assert_relative(value, mpmath.gammainc(a, mpmath.mpf(xi), mpmath.inf, regularized=True))
+    @pytest.mark.parametrize(
+        "view, oracle, x",
+        [
+            (
+                numerics.gammainc,
+                lambda a, x: mpmath.gammainc(a, 0, x, regularized=True),
+                np.concatenate([[0.0], np.logspace(-10, np.log10(200.0), 121)]),
+            ),
+            # exp(-x) underflows past x = 745; Q, at least exp(-x) x^(a-1) / (a-1)!,
+            # stays a normal double up to x = 708-736 at these shapes.
+            (
+                numerics.gammaincc,
+                lambda a, x: mpmath.gammainc(a, x, mpmath.inf, regularized=True),
+                np.concatenate(
+                    [[0.0], np.logspace(-10, np.log10(500.0), 121), np.arange(510.0, 800.0, 10.0), [1000.0, 2000.0]]
+                ),
+            ),
+        ],
+        ids=["P", "Q"],
+    )
+    def test_gamma_ratio_against_mpmath(self, view, oracle, x):
+        with mpmath.workdps(40):
+            for a in range(1, 7):
+                for xi, value in zip(x, view(a, x)):
+                    # Past x = 500 the lead exp((a - 1) ln x - x) rounds by about eps x.
+                    tol = 1e-13 if xi <= 500.0 else np.finfo(float).eps * xi
+                    self.assert_ratio(value, float(oracle(a, mpmath.mpf(xi))), tol)
 
     def test_expn_against_mpmath(self):
         x = np.concatenate([np.logspace(-8, np.log10(500.0), 161), self.SWITCH_BAND])
@@ -262,9 +285,10 @@ class TestIncompleteGammaAndExpn:
             [a * np.array([0.8, 0.95, 1.0, 1.05, 1.2, 2.0]), [np.nextafter(a + 1.0, 0.0), a + 1.0, a + 2.0, 750.0]]
         )
         with mpmath.workdps(40):
-            for xi, value in zip(x, numerics.gammainc(a, x)):
+            for xi, p, q in zip(x, numerics.gammainc(a, x), numerics.gammaincc(a, x)):
                 tol = max(2e-13, 2.0 * np.finfo(float).eps * a * math.log(xi))
-                self.assert_relative(value, mpmath.gammainc(a, 0, mpmath.mpf(xi), regularized=True), tol=tol)
+                self.assert_relative(p, mpmath.gammainc(a, 0, mpmath.mpf(xi), regularized=True), tol=tol)
+                self.assert_ratio(q, float(mpmath.gammainc(a, mpmath.mpf(xi), mpmath.inf, regularized=True)), tol)
 
     @pytest.mark.parametrize("orders", [list(range(1, 9)), list(range(1, 33)), [5, 2], [3], [8]])
     def test_expn_is_pointwise(self, orders):
@@ -280,14 +304,16 @@ class TestIncompleteGammaAndExpn:
 
     @pytest.mark.parametrize("a", range(1, 9))
     def test_gammainc_is_pointwise(self, a):
-        # Points on both sides of the switch at x = a + 1, and just below it.
+        # Points on both sides of the switch at x = a + 1, and just below it,
+        # through both views.
         rng = np.random.default_rng(a)
         x = np.concatenate(
             [[0.0], rng.uniform(0.0, a + 1.0, 60), [np.nextafter(a + 1.0, 0.0), a + 1.0], rng.uniform(a + 1.0, 4.0 * a + 20.0, 60)]
         )
-        batch = numerics.gammainc(a, x)
-        alone = np.array([numerics.gammainc(a, xi) for xi in x])
-        np.testing.assert_array_equal(alone, batch)
+        for view in (numerics.gammainc, numerics.gammaincc):
+            batch = view(a, x)
+            alone = np.array([view(a, xi) for xi in x])
+            np.testing.assert_array_equal(alone, batch)
 
     def test_limits(self):
         assert numerics.gammainc(2, np.inf) == 1.0
@@ -303,6 +329,10 @@ class TestIncompleteGammaAndExpn:
             numerics.gammainc(2, -1.0)
         with pytest.raises(DomainError):
             numerics.gammaincc(0, 1.0)
+        with pytest.raises(DomainError):
+            numerics.gammaincc(2, -1.0)
+        with pytest.raises(DomainError):
+            numerics.gammaincc(3, -2.0)
         with pytest.raises(DomainError):
             numerics.expn(0, 1.0)
         with pytest.raises(DomainError):

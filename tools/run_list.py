@@ -65,7 +65,8 @@ RUNS = [
     ("fig6_rho5,15_bcl6", ("fig6", "--rho-db", "5,15", "--bcl", "6", "--trials", "300")),
     # n + 1 = m: the pair sampler's square stack and sinr_cdf_exact's n = m - 1 branch.
     ("fig6_n3", ("fig6", "--n", "3", "--seed", "2", "--trials", "300")),
-    # n = m - 3: the smallest gap through sinr_cdf_exact's negative-order term (gammaincc at k <= 0).
+    # n = m - 3: the smallest gap through sinr_cdf_exact's negative-order term (gammaincc at k <= 0),
+    # whose shape 1 - k is at most 2 here, so below x = 1 - k + 1 it reads Q as 1 - P.
     ("fig6_n1", ("fig6", "--n", "1", "--seed", "2", "--trials", "300")),
     # m = 6, n = 2: expn's orders 1-6 and gammaincc's negative-order terms at
     # Beta shape a = 3; no other entry reaches an order above 4.
