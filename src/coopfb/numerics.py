@@ -340,14 +340,15 @@ def haar_unitary(m: int, gens) -> np.ndarray:
     QR of a complex Ginibre draw with the R-diagonal phase correction, which
     makes the distribution exactly rotation invariant. The stack is taken
     through one QR; each generator draws its real part before its imaginary
-    part, so slice ``i`` is exactly what ``[gens[i]]`` alone gives.
+    part, straight into the stack's buffer, so slice ``i`` is exactly what
+    ``[gens[i]]`` alone gives.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     parts = np.empty((2, len(gens), m, m))
     for i, gen in enumerate(gens):
-        parts[0, i] = gen.standard_normal((m, m))
-        parts[1, i] = gen.standard_normal((m, m))
+        gen.standard_normal(out=parts[0, i])
+        gen.standard_normal(out=parts[1, i])
     parts *= 1.0 / np.sqrt(2.0)
     q, r = np.linalg.qr(parts[0] + 1j * parts[1])
     diag = np.diagonal(r, axis1=-2, axis2=-1)

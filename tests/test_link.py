@@ -94,8 +94,10 @@ class TestSimulateSymbolPath:
                 return _SilentGen()
 
         class _SilentGen:
-            def standard_normal(self, shape):
-                return np.zeros(shape)
+            def standard_normal(self, size=None, out=None):
+                if out is None:
+                    return np.zeros(size)
+                out[...] = 0.0
 
         obs, combined = link.simulate_symbol_path(
             h[0], local, z_bar, codebook, s, cfg.rho, _SilentStream()

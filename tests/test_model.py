@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,51 @@ class TestRandomStream:
     def test_child_extends_path(self):
         s = derive_trial_rng(1, 2).child("p")
         assert s.child("q").path == (2, "p", "q")
+
+
+def _crafted_digests():
+    """16-byte digests whose ints have fewer than four 32-bit words (any
+    word zero, all zeros included) or extreme words (all ones, the top bit
+    alone), plus 5,000 sha256 digests."""
+    word = [b"\x00" * 4, b"\x01\x00\x00\x00", b"\xff" * 4, b"\x00\x00\x00\x80"]
+    crafted = [a + b + c + d for a in word for b in word for c in word for d in word]
+    return crafted + [bytes(15) + b"\x01"] + [hashlib.sha256(i.to_bytes(4, "little")).digest() for i in range(5000)]
+
+
+class TestStreamSeeding:
+    """``RandomStream.generator`` builds PCG64's state itself; numpy's own
+    seeding from the digest's int is the oracle."""
+
+    def test_state_words_match_seed_sequence(self):
+        for d in _crafted_digests():
+            want = np.random.SeedSequence(int.from_bytes(d[:16], "little")).generate_state(4, np.uint64)
+            got = model._state_words(d)
+            assert got.dtype == np.uint64 and got.tolist() == want.tolist(), d.hex()
+
+    @pytest.mark.parametrize(
+        "stream",
+        [
+            model.RandomStream(0),
+            derive_trial_rng(0, 0),
+            derive_trial_rng(7, 123).child("local_codebook"),
+            derive_trial_rng(2**40, 5).child("resample", 3),
+            derive_trial_rng(11, 9).child("noise", 6),
+            derive_trial_rng(-3, 2).child("resample", 1).child("channels"),
+        ],
+    )
+    def test_generator_matches_pcg64_of_the_int(self, stream):
+        tag = repr((int(stream.seed), stream.path)).encode("utf-8")
+        oracle = np.random.Generator(np.random.PCG64(int.from_bytes(hashlib.sha256(tag).digest()[:16], "little")))
+        gen = stream.generator()
+        assert gen.bit_generator.state == oracle.bit_generator.state
+        assert gen.standard_normal(1000).tobytes() == oracle.standard_normal(1000).tobytes()
+        assert gen.uniform(0.0, 1.0, 1000).tobytes() == oracle.uniform(0.0, 1.0, 1000).tobytes()
+
+    def test_state_words_refuse_other_requests(self):
+        words = model._StateWords(model._state_words(bytes(16)))
+        for n_words, dtype in [(4, np.uint32), (2, np.uint64), (8, np.uint32)]:
+            with pytest.raises(ValueError, match="4 uint64 words"):
+                words.generate_state(n_words, dtype)
 
 
 class TestChannelGeneration:

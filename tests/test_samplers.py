@@ -92,8 +92,10 @@ def zero_draws_at(monkeypatch, trial, purpose="channels"):
     original = RandomStream.generator
 
     class Zeros:
-        def standard_normal(self, shape):
-            return np.zeros(shape)
+        def standard_normal(self, size=None, out=None):
+            if out is None:
+                return np.zeros(size)
+            out[...] = 0.0
 
         def uniform(self, low, high, size):
             return np.zeros(size)
