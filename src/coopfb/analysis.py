@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DomainError, binomial, expn, gammainc, gammaincc, ln_beta
+from .numerics import DomainError, binomial, expn, gammainc, gammaincc, in_domain, ln_beta
 
 COOPERATIVE = "cooperative"
 CONVENTIONAL = "conventional"
@@ -24,9 +24,11 @@ class InvalidRegime(ValueError):
     (too few users for the requested SNR)."""
 
 
-def _check_dims(m: int, n: int, **scales: float) -> None:
+def _check_dims(m: int, n: int, qcl: int = 1, **scales: float) -> None:
     if not (1 <= n < m):
         raise DomainError(f"need 1 <= n < m, got n={n}, m={m}")
+    if qcl < 1:
+        raise DomainError(f"need qcl >= 1, got {qcl}")
     for name, value in scales.items():  # SNR, alpha, varrho^2
         if not (value > 0.0 and math.isfinite(value)):
             raise DomainError(f"need a positive finite {name}, got {value}")
@@ -44,9 +46,7 @@ def expected_local_error(m: int, n: int, qcl: int) -> float:
     ``qcl * binom(m-1, n-1)^(-1/(m-n)) * B(qcl, (m-n+1)/(m-n))``, evaluated
     in the log domain so large codebooks stay finite and accurate.
     """
-    _check_dims(m, n)
-    if qcl < 1:
-        raise DomainError(f"need qcl >= 1, got {qcl}")
+    _check_dims(m, n, qcl)
     ratio = (m - n + 1.0) / (m - n)
     log_delta = -math.log(binomial(m - 1, n - 1)) / (m - n)
     return math.exp(math.log(qcl) + log_delta + ln_beta(float(qcl), ratio))
@@ -55,9 +55,7 @@ def expected_local_error(m: int, n: int, qcl: int) -> float:
 def reference_local_error(m: int, n: int, qcl: int) -> float:
     """Comparison formula ``[qcl * binom(m-1, n-1)]^(-1/(m-n))`` from the
     earlier antenna-combining literature."""
-    _check_dims(m, n)
-    if qcl < 1:
-        raise DomainError(f"need qcl >= 1, got {qcl}")
+    _check_dims(m, n, qcl)
     return (qcl * binomial(m - 1, n - 1)) ** (-1.0 / (m - n))
 
 
@@ -67,11 +65,8 @@ def local_error_cdf(s, m: int, n: int):
     ``binom(m-1, n-1) * s^(m-n)`` below the support edge, 1 above it,
     clamped to [0, 1], as an ndarray (0-d for a scalar).
     """
-    _check_dims(m, n)
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr < 0.0) or np.any(s_arr > 1.0):
-        raise DomainError("quantization error values must lie in [0, 1]")
-    edge = error_support_edge(m, n)
+    edge = error_support_edge(m, n)  # checks m and n
+    s_arr = in_domain(s, "quantization error values", 1.0)
     raw = binomial(m - 1, n - 1) * s_arr ** (m - n)
     return np.where(s_arr > edge, 1.0, np.clip(raw, 0.0, 1.0))
 
@@ -92,9 +87,7 @@ def effective_norm_params(m: int, n: int, omega: float) -> float:
 def effective_norm_pdf(u, m: int, n: int, varrho_sq: float):
     """Gamma(m-n, varrho_sq) density of the stacked effective norm, as an ndarray."""
     _check_dims(m, n, varrho_sq=varrho_sq)
-    u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr < 0.0):
-        raise DomainError("norm-square values must be nonnegative")
+    u_arr = in_domain(u, "norm-square values")
     shape = m - n
     return np.asarray(
         u_arr ** (shape - 1)
@@ -122,9 +115,7 @@ def sinr_cdf(x, m: int, n: int, rho: float, alpha: float, varrho_sq: float):
     x = 0; clamping keeps it a valid cdf there.
     """
     _check_dims(m, n, rho=rho, alpha=alpha, varrho_sq=varrho_sq)
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0.0):
-        raise DomainError("SINR values must be nonnegative")
+    x_arr = in_domain(x, "SINR values")
     raw = 1.0 - binomial(m - 1, n) * np.exp(-m * alpha * x_arr / (rho * varrho_sq)) / (
         x_arr + 1.0
     ) ** (m - n - 1)
@@ -150,9 +141,7 @@ def sinr_cdf_exact(x, m: int, n: int, rho: float, alpha: float, varrho_sq: float
     Unlike :func:`sinr_cdf`, it holds over the whole distribution.
     """
     _check_dims(m, n, rho=rho, alpha=alpha, varrho_sq=varrho_sq)
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0.0):
-        raise DomainError("SINR values must be nonnegative")
+    x_arr = in_domain(x, "SINR values")
     c = rho / (m * alpha)
     if n == m - 1:
         return effective_norm_cdf(x_arr / c, m, n, varrho_sq)

@@ -89,7 +89,11 @@ def parse_grid(text: str, name: str = "a grid") -> list:
     parts = text.split("..") if ranged else [v for v in text.split(",") if v.strip()]
     if ranged and len(parts) not in (2, 3):
         raise ConfigError(f"bad grid {text!r}; use start..stop[..step]")
-    values = _finite([float(v) for v in parts], name, text)
+    try:  # integer text exactly, so a seed past 2**53 keeps its digits
+        numbers = [int(v) if v.strip().lstrip("+-").isdigit() and int(v) != float(v) else float(v) for v in parts]
+    except ValueError:  # text that is no number, refused below by name
+        numbers = [math.nan]
+    values = _finite(numbers, name, text)
     if not ranged:
         return values
     start, stop, step = values + [1.0] * (3 - len(values))
@@ -119,14 +123,14 @@ def _int_grid(values) -> list:
 # Every flag a command may take, by argparse dest: the parameter it sets
 # unless the command's spec remaps it, and its argparse options.
 FLAGS = {
-    "m": ("m", dict(type=int, help="transmit antennas / beams")),
-    "n": ("n", dict(type=int, help="receive antennas per user")),
-    "k": ("k", dict(type=int, help="number of users (even)")),
+    "m": ("m", dict(help="transmit antennas / beams")),
+    "n": ("n", dict(help="receive antennas per user")),
+    "k": ("k", dict(help="number of users (even)")),
     "k_grid": ("k_grid", dict(help="user-count grid, e.g. 50,100,200,400")),
     "bcl": ("bcl", dict(help="cooperation-link bits")),
     "rho_db": ("rho_db", dict(help="SNR grid in dB (scalar, list, or a..b[..step])")),
-    "trials": ("trials", dict(type=int, help="Monte Carlo repetitions")),
-    "seed": ("seed", dict(type=int, help="master seed (default 0, never wall clock)")),
+    "trials": ("trials", dict(help="Monte Carlo repetitions")),
+    "seed": ("seed", dict(help="master seed (default 0, never wall clock)")),
     "codebook": ("codebook_mode", dict(choices=CODEBOOK_MODES, help="global codebook mode")),
     "mode": ("modes", dict(choices=MODES, action="append", help="mode(s) to simulate")),
 }

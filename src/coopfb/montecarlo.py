@@ -191,8 +191,8 @@ def _workspaces(
     users, ...)`` through the stages, each trial's codebook broadcast.
 
     Each user's own rows go through one QR: its basis and R serve the
-    conventional stage, the local pick and, with the partner's quantized
-    row appended as one column, the global stage."""
+    conventional stage, the local pick and, with the stacked matrix's
+    partner row appended as one column, the global stage."""
     k = cfg.k
     h = complex_gaussian(_generators(rngs, "channels"), (k, cfg.n, cfg.m))  # (b, k, n, m)
     cb = gen_global_codebook(cfg, rngs).matrix[:, None]  # (b, 1, m, beams)
@@ -211,7 +211,7 @@ def _workspaces(
         # (b, k, n+1, m); k is even, so user u pairs with u ^ 1.
         partner = local[:, np.arange(k) ^ 1]
         glob = cooperation.build_global_matrix(h, partner)
-        stacked = numerics.append_column(basis, r, partner.quantized_virtual)
+        stacked = numerics.append_column(basis, r, glob.h_qu[..., -1, :].conj())
         cos2_g, eff_norm2, combiners = qbc._qbc_stage(*stacked, cb)
         # Not combined toward the codebook: correlate the served beam; the
         # unitary codebook's other beams carry the rest of the norm.

@@ -9,7 +9,7 @@ solves the basis Q on it; :func:`append_column` extends both factors by one
 column under the same rule, and every solve on R is a substitution over the
 whole stack, :func:`solve_triangular`.
 ``as_channel`` and ``check_snr`` check one channel and one SNR where the
-per-user API takes them in.
+per-user API takes them in, and :func:`in_domain` each closed-form argument.
 
 A complex array is scaled by a real factor ``d`` as ``x * (1.0 / d)``, never
 ``x / d``: numpy divides by ``d + 0j`` with Smith's algorithm, which gives
@@ -52,6 +52,14 @@ class DegenerateProjection(ValueError):
 
 class DomainError(ValueError):
     """A special-function argument lies outside the supported domain."""
+
+
+def in_domain(x, what: str, upper: float = math.inf) -> np.ndarray:
+    """``x`` as a float array; :class:`DomainError` unless every value lies in [0, upper], as no NaN does."""
+    x = np.asarray(x, dtype=float)
+    if not np.all((x >= 0.0) & (x <= upper)):
+        raise DomainError(f"{what} must lie in [0, {upper:g}]")
+    return x
 
 
 def as_channel(h) -> np.ndarray:
@@ -234,9 +242,7 @@ def _gamma_ratios(a: int, x) -> tuple[np.ndarray, np.ndarray]:
     """
     if int(a) != a or a < 1:
         raise DomainError(f"the incomplete gamma ratios need an integer shape >= 1, got {a}")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise DomainError("the incomplete gamma ratios need x >= 0")
+    x = in_domain(x, "the incomplete gamma ratios' x")
     terms, top, top_sum = 0, 1.0, 1.0
     while top > _EPS * top_sum:
         terms += 1

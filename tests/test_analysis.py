@@ -281,6 +281,26 @@ def test_scalar_gives_zero_dim_array(func, args, value):
     assert float(out) == value
 
 
+@pytest.mark.parametrize("point", [math.nan, [0.5, math.nan]])
+@pytest.mark.parametrize(
+    "func, args",
+    [
+        (local_error_cdf, (4, 2)),
+        (effective_norm_pdf, (4, 2, 0.8)),
+        (effective_norm_cdf, (4, 2, 0.8)),
+        (sinr_cdf, (4, 2, 10.0, 1.3, 0.8)),
+        (sinr_cdf_exact, (4, 2, 10.0, 1.3, 0.8)),
+        (sinr_cdf_exact, (4, 3, 10.0, 1.3, 0.8)),
+    ],
+    ids=["local_error_cdf", "effective_norm_pdf", "effective_norm_cdf", "sinr_cdf", "sinr_cdf_exact", "sinr_cdf_exact_n3"],
+)
+def test_nan_point_refused(func, args, point):
+    # One domain check serves every law: a NaN lies in no interval, so it is
+    # refused like a value outside the law's, never answered with 0 or NaN.
+    with pytest.raises(DomainError):
+        func(point, *args)
+
+
 _SCALES = {"rho": 10.0, "alpha": 1.3, "varrho_sq": 0.8}
 # Each closed-form call and the scales it checks; estimate_scheduled_sinr's
 # rho has its own test in TestEstimateScheduledSinr.

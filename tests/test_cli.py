@@ -118,6 +118,47 @@ class TestConfigFile:
         assert summary["seed"] == 3
 
 
+class TestFlagsReadAsConfigKeys:
+    """A parameter flag's text goes through the parser that config-file
+    values go through, so a flag takes what its key takes and a run
+    written either way writes the same bytes."""
+
+    def outputs(self, tmp_path, command, *args, config=None):
+        """The CSV and summary JSON bytes of one run in a fresh directory."""
+        out = tmp_path / str(len(list(tmp_path.iterdir())))
+        out.mkdir()
+        argv = [command, *args, "--out-dir", str(out)]
+        if config is not None:
+            path = out / "run.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        assert cli.run(argv) == 0
+        return [(out / f"{command}{ext}").read_bytes() for ext in (".csv", ".json")]
+
+    def test_whole_float_count(self, tmp_path):
+        want = self.outputs(tmp_path, "fig3", "--bcl", "2,3", "--trials", "10")
+        assert self.outputs(tmp_path, "fig3", "--bcl", "2,3", "--trials", "10.0") == want
+        assert self.outputs(tmp_path, "fig3", "--bcl", "2,3", config={"trials": 10.0}) == want
+
+    def test_grid_flag_as_grid_key(self, tmp_path):
+        want = self.outputs(tmp_path, "fig9", "--trials", "20", config={"n": [2, 3]})
+        assert self.outputs(tmp_path, "fig9", "--trials", "20", "--n", "2,3") == want
+
+    def test_analyze_k_as_k_grid(self, capsys):
+        tables = []
+        for flag in ("--k", "--k-grid"):
+            assert cli.run(["analyze", flag, "50,100", "--rho-db", "0,10"]) == 0
+            tables.append(capsys.readouterr().out)
+        assert tables[0] == tables[1] and len(tables[0].splitlines()) == 5
+
+    @pytest.mark.parametrize("seed", ["9007199254740993", "-18446744073709551617"])
+    def test_seed_past_float_precision_kept_exact(self, seed):
+        # Integer text is read exactly, not through a float that rounds past
+        # 2**53: a seed's every digit names its streams.
+        assert cli.resolve("fig3", {"seed": seed})["seed"] == int(seed)
+        assert cli.resolve("fig3", {"seed": int(seed)})["seed"] == int(seed)
+
+
 class TestFig6Command:
     def test_single_trial_records_empty_upper_tail_as_null(self, tmp_path):
         # One sample lies below the model median at every SNR of fig6.
@@ -214,10 +255,31 @@ class TestRejectedInputs:
             (["sweep", "--rho-db", "0..inf..5"], "--rho-db takes finite numbers"),
             (["fig3", "--bcl", "inf"], "--bcl takes finite numbers"),
             (["fig7", "--k-grid", "50,inf"], "--k-grid takes finite numbers"),
+            (["fig3", "--bcl", "abc"], "--bcl takes finite numbers, got 'abc'"),
         ],
     )
     def test_command_exits_2(self, tmp_path, capsys, args, message):
         status = cli.run(args + ["--trials", "2", "--out-dir", str(tmp_path)])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--trials", "x", "--trials takes finite numbers, got 'x'"),
+            ("--trials", "inf", "--trials takes finite numbers"),
+            ("--trials", "", "--trials is empty"),
+            ("--m", "4.5", "expected integers in grid, got 4.5"),
+            ("--seed", "1,2", "fig8 takes a single --seed value"),
+            ("--k", "20..40..20", "fig8 takes a single --k value"),
+        ],
+    )
+    def test_count_flag_exits_2(self, tmp_path, capsys, flag, value, message):
+        # Count flags are read by the parser config-file values go through,
+        # so their refusals are its error lines, not argparse's usage error.
+        status = cli.run(["fig8", "--rho-db", "0", flag, value, "--out-dir", str(tmp_path)])
         assert status == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
@@ -296,6 +358,7 @@ class TestRejectedInputs:
             ("m", float("-inf")),
             pytest.param("rho_db", 10**400, id="rho_db-int-beyond-float"),
             pytest.param("trials", 10**400, id="trials-int-beyond-float"),
+            ("bcl", "abc"),
         ],
     )
     def test_config_file_non_finite_refused(self, tmp_path, capsys, key, value):

@@ -1,9 +1,12 @@
-"""The engine's workspace arrays against ``reference``, beam by beam.
+"""The engine's workspace arrays against ``reference``, beam by beam, and
+its sum-rates against the oracle's selection rules.
 
 The engine reads every beam power off the QBC identity (cos^2 and the
 squared effective norm of one stage call); the oracle here combines toward
 each codeword with ``reference.combine`` and sums ``|c_j^H h_eff|^2`` over
-the codebook's columns explicitly, so the two share no arithmetic.
+the codebook's columns explicitly, so the two share no arithmetic. The
+sum-rates are then scheduled from those powers by ``reference.first_max``,
+``main_user`` and ``schedule``, which walk plain lists.
 """
 
 import numpy as np
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 
 import reference
 from coopfb import montecarlo
+from coopfb.analysis import CONVENTIONAL, COOPERATIVE
 from coopfb.model import (
     SystemConfig,
     derive_trial_rng,
@@ -94,3 +98,77 @@ def test_blocks_match_explicit_sums_over_configurations(dims, bcl, codebook_mode
     assert [ws.trial for ws in block] == list(range(trials))
     for ws in block:
         assert_matches_reference(ws, 0)
+
+
+# Relative gap under which two CQIs count as tied; breaking ties is
+# test_selection_rules.py's job, so an example with one is rejected.
+TIE_GAP = 1e-9
+
+
+def near_tie(values):
+    """Whether the two largest of ``values`` lie within ``TIE_GAP`` relative."""
+    top = sorted(values, reverse=True)[:2]
+    return len(top) == 2 and top[0] - top[1] <= TIE_GAP * top[0]
+
+
+def reference_rates(cfg, trial, rho_lin, pipelines):
+    """A :func:`montecarlo._rate_block` row of one trial from
+    :func:`reference_arrays`: each pipeline's sum-rate at each SNR, then the
+    beams left unassigned over them all; None where a decision is a near tie."""
+    arrays = reference_arrays(cfg, trial, 0)
+    k, m = cfg.k, cfg.m
+    row, unassigned = [], 0
+    for mode in pipelines:
+        # Cooperative users report off the quantized-row matrix; the downlink
+        # flows through the partner's unquantized row.
+        reported = ("sig_qu", "intf_qu") if mode == COOPERATIVE else ("sig", "intf")
+        delivered = ("sig_dl", "intf_dl") if mode == COOPERATIVE else reported
+        for rho in rho_lin:
+            noise = m / rho
+            cqi = [list(arrays[reported[0]][u] / (noise + arrays[reported[1]][u])) for u in range(k)]
+            if any(near_tie(c) for c in cqi):
+                return None
+            best = [reference.first_max(c) for c in cqi]
+            reports = [(u, best[u], cqi[u][best[u]]) for u in range(k)]
+            if mode == COOPERATIVE:
+                pairs = [(reports[u], reports[u + 1]) for u in range(0, k, 2)]
+                if any(near_tie([a[2], b[2]]) for a, b in pairs):
+                    return None
+                reports = [pair[reference.main_user(pair[0][2], pair[1][2])] for pair in pairs]
+            if any(near_tie([c for _, b, c in reports if b == beam]) for beam in range(m)):
+                return None
+            served = reference.schedule(reports, m)
+            sig, intf = (arrays[name] for name in delivered)
+            rates = [np.log2(1.0 + sig[u, b] / (noise + intf[u, b])) for b, u in enumerate(served) if u is not None]
+            row.append(sum(rates))
+            unassigned += served.count(None)
+    return row + [unassigned]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.integers(2, 6).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m - 1))),
+    bcl=st.sampled_from([1, 3, 6]),
+    codebook_mode=st.sampled_from(["haar", "dft"]),
+    trials=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_sum_rates_match_reference_schedule_over_configurations(dims, bcl, codebook_mode, trials, seed):
+    # The whole rate path of one block, both pipelines: the noise m / rho,
+    # each user's best beam, the pair rule, the per-beam pick and the
+    # delivered rates, against the oracle's rules on its own powers.
+    m, n = dims
+    cfg = SystemConfig(m=m, n=n, k=2 * m, rho=5.0, bcl=bcl, trials=trials, seed=seed, codebook_mode=codebook_mode)
+    rngs = [derive_trial_rng(seed, trial) for trial in range(trials)]
+    rho_lin = 10.0 ** (np.array([0.0, 10.0, 20.0]) / 10.0)
+    pipelines = (COOPERATIVE, CONVENTIONAL)
+    try:
+        block = montecarlo._rate_block(cfg, rho_lin, pipelines, rngs)
+        want = [reference_rates(cfg, trial, rho_lin, pipelines) for trial in range(trials)]
+    except (RankDeficient, DegenerateProjection, reference.Degenerate):
+        reject()
+    if any(row is None for row in want):
+        reject()
+    for trial, (got, row) in enumerate(zip(block, want)):
+        np.testing.assert_allclose(got[:-1], row[:-1], rtol=1e-9, err_msg=f"trial {trial}")
+        assert got[-1] == row[-1], f"trial {trial}: unassigned beams"

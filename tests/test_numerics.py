@@ -333,10 +333,29 @@ class TestIncompleteGammaAndExpn:
             numerics.gammaincc(2, -1.0)
         with pytest.raises(DomainError):
             numerics.gammaincc(3, -2.0)
+        for ratio in (numerics.gammainc, numerics.gammaincc):
+            for x in (math.nan, [1.0, math.nan]):
+                with pytest.raises(DomainError, match="the incomplete gamma ratios' x must lie in"):
+                    ratio(3, x)
         with pytest.raises(DomainError):
             numerics.expn(0, 1.0)
         with pytest.raises(DomainError):
             numerics.expn(2, 0.0)
+
+
+class TestInDomain:
+    def test_returns_floats_in_the_interval(self):
+        out = numerics.in_domain([0, 1, 2.5], "values")
+        assert out.dtype == float and out.tolist() == [0.0, 1.0, 2.5]
+        assert numerics.in_domain(math.inf, "values").item() == math.inf
+        assert numerics.in_domain(1.0, "values", 1.0).item() == 1.0
+
+    @pytest.mark.parametrize(
+        "x, upper", [(-1e-300, math.inf), (math.nan, math.inf), ([0.5, math.nan], 1.0), (1.5, 1.0)]
+    )
+    def test_refuses_outside_or_nan(self, x, upper):
+        with pytest.raises(DomainError, match=r"what it is must lie in \[0, "):
+            numerics.in_domain(x, "what it is", upper)
 
 
 class TestHaarUnitary:
