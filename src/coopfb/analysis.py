@@ -88,19 +88,19 @@ def effective_norm_pdf(u, m: int, n: int, varrho_sq: float):
     """Gamma(m-n, varrho_sq) density of the stacked effective norm, as an ndarray."""
     _check_dims(m, n, varrho_sq=varrho_sq)
     u_arr = in_domain(u, "norm-square values")
+    with np.errstate(over="ignore"):  # an exponent past the float range decays to 0 as well
+        decay = np.exp(-u_arr / varrho_sq)
     shape = m - n
-    return np.asarray(
-        u_arr ** (shape - 1)
-        * np.exp(-u_arr / varrho_sq)
-        / (varrho_sq**shape * math.gamma(shape))
-    )
+    u_live = np.where(decay > 0.0, u_arr, 0.0)  # where the decay underflows, the density reads 0
+    return np.asarray(u_live ** (shape - 1) * decay / (varrho_sq**shape * math.gamma(shape)))
 
 
 def effective_norm_cdf(u, m: int, n: int, varrho_sq: float):
     """Cdf of :func:`effective_norm_pdf` (regularized lower gamma), as an ndarray."""
     _check_dims(m, n, varrho_sq=varrho_sq)
     u_arr = np.asarray(u, dtype=float)
-    return gammainc(m - n, np.maximum(u_arr, 0.0) / varrho_sq)
+    with np.errstate(over="ignore"):  # a point past the float range reads 1, as inf does
+        return gammainc(m - n, np.maximum(u_arr, 0.0) / varrho_sq)
 
 
 def sinr_cdf(x, m: int, n: int, rho: float, alpha: float, varrho_sq: float):
@@ -116,9 +116,10 @@ def sinr_cdf(x, m: int, n: int, rho: float, alpha: float, varrho_sq: float):
     """
     _check_dims(m, n, rho=rho, alpha=alpha, varrho_sq=varrho_sq)
     x_arr = in_domain(x, "SINR values")
-    raw = 1.0 - binomial(m - 1, n) * np.exp(-m * alpha * x_arr / (rho * varrho_sq)) / (
-        x_arr + 1.0
-    ) ** (m - n - 1)
+    with np.errstate(over="ignore"):  # an exponent past the float range decays to 0 as well
+        decay = np.exp(-m * alpha * x_arr / (rho * varrho_sq))
+    x_live = np.where(decay > 0.0, x_arr, 0.0)  # where the decay underflows, the cdf reads 1
+    raw = 1.0 - binomial(m - 1, n) * decay / (x_live + 1.0) ** (m - n - 1)
     return np.asarray(np.clip(raw, 0.0, 1.0))
 
 
@@ -143,14 +144,16 @@ def sinr_cdf_exact(x, m: int, n: int, rho: float, alpha: float, varrho_sq: float
     _check_dims(m, n, rho=rho, alpha=alpha, varrho_sq=varrho_sq)
     x_arr = in_domain(x, "SINR values")
     c = rho / (m * alpha)
+    with np.errstate(over="ignore"):  # a point past the float range reads 1, as inf does
+        u, lam = x_arr / c, x_arr / (c * varrho_sq)
     if n == m - 1:
-        return effective_norm_cdf(x_arr / c, m, n, varrho_sq)
+        return effective_norm_cdf(u, m, n, varrho_sq)
     # S ~ Beta(a, b); U has Gamma shape a + 1.
     a, b = m - n - 1, n + 1
-    out = np.where(np.isposinf(x_arr), 1.0, 0.0)
-    pos = (x_arr > 0.0) & np.isfinite(x_arr)
-    xp = x_arr[pos]
-    lam = xp / (c * varrho_sq)
+    # Where exp(-lam) underflows, so does every term of 1 - F, and F reads 1.
+    live = (x_arr > 0.0) & (np.exp(-lam) > 0.0)
+    out = np.where(x_arr > 0.0, 1.0, 0.0)
+    xp, lam = x_arr[live], lam[live]
     t = 1.0 / (1.0 + xp)
     tau = xp / (1.0 + xp)
     # With s = t (w-1)/w the Beta density and ds = t dw / w^2 give
@@ -176,7 +179,7 @@ def sinr_cdf_exact(x, m: int, n: int, rho: float, alpha: float, varrho_sq: float
                 coef = (-1) ** i * binomial(a - 1, i) * binomial(b - 1, r) / math.factorial(j)
                 tail += coef * tau**r * t ** (b - 1 - r) * lam_e
     inv_beta = a * binomial(m - 1, a)  # 1 / B(a, b) for integer arguments
-    out[pos] = np.clip(1.0 - inv_beta * t**a * tail, 0.0, 1.0)
+    out[live] = np.clip(1.0 - inv_beta * t**a * tail, 0.0, 1.0)
     return out
 
 

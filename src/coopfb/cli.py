@@ -1,6 +1,8 @@
 """Command-line front end: flags and config files resolved against each
 command's spec, and CSV/JSON emission.
 
+argparse checks no value: a number, from a flag's text or a config file, is
+read by :func:`_value`, and a name (codebook, mode) is checked by the library.
 Every randomized run requires an explicit seed (or uses seed 0); nothing is
 clock-seeded, and floats are printed with 17 significant digits so output
 files are byte-stable golden-file material.
@@ -96,7 +98,7 @@ def parse_grid(text: str, name: str = "a grid") -> list:
     values = _finite(numbers, name, text)
     if not ranged:
         return values
-    start, stop, step = values + [1.0] * (3 - len(values))
+    start, stop, step = values + [1] * (3 - len(values))  # an int step keeps int ends exact
     if step <= 0:
         raise ConfigError("grid step must be positive")
     span = (stop - start) / step + 1e-9
@@ -113,13 +115,6 @@ def _finite(values: list, name: str, given) -> list:
     return values
 
 
-def _int_grid(values) -> list:
-    fractional = [v for v in values if abs(v - round(v)) > 1e-9]
-    if fractional:
-        raise ConfigError(f"expected integers in grid, got {fractional[0]}")
-    return [int(round(v)) for v in values]
-
-
 # Every flag a command may take, by argparse dest: the parameter it sets
 # unless the command's spec remaps it, and its argparse options.
 FLAGS = {
@@ -131,8 +126,8 @@ FLAGS = {
     "rho_db": ("rho_db", dict(help="SNR grid in dB (scalar, list, or a..b[..step])")),
     "trials": ("trials", dict(help="Monte Carlo repetitions")),
     "seed": ("seed", dict(help="master seed (default 0, never wall clock)")),
-    "codebook": ("codebook_mode", dict(choices=CODEBOOK_MODES, help="global codebook mode")),
-    "mode": ("modes", dict(choices=MODES, action="append", help="mode(s) to simulate")),
+    "codebook": ("codebook_mode", dict(help=f"global codebook mode: {' or '.join(CODEBOOK_MODES)}")),
+    "mode": ("modes", dict(action="append", help=f"mode(s) to simulate: {', '.join(MODES)}")),
 }
 
 # Config-file keys and the flag each stands for.
@@ -168,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
         for dest in _routes(spec):
             p.add_argument(_flag(dest), dest=dest, **FLAGS[dest][1])
         if spec.writes:
-            p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+            p.add_argument("--workers", default=1, help="parallel worker processes")
             p.add_argument("--out-dir", type=str, default=None, help=f"output directory (or ${OUT_DIR_ENV})")
             p.add_argument("--config", type=str, default=None, help="JSON config file; flags override its keys")
     return parser
@@ -214,7 +209,10 @@ def _value(command: str, dest: str, value, default):
     items = value if isinstance(value, list) else [value]
     if kind is not str:
         items = [v for item in items for v in _numbers(dest, item)]
-        items = _int_grid(items) if kind is int else [float(v) for v in items]
+        fractional = [v for v in items if kind is int and int(v) != v]
+        if fractional:
+            raise ConfigError(f"{_flag(dest)} takes integers, got {fractional[0]}")
+        items = [kind(v) for v in items]
     if not items:
         raise ConfigError("the SNR grid is empty" if dest == "rho_db" else f"{_flag(dest)} is empty")
     if grid:
@@ -291,7 +289,8 @@ def run(argv=None) -> int:
         config = getattr(args, "config", None)
         sources = [_load_config_file(config, routes)] if config else []
         params = resolve(args.command, *sources, {dest: getattr(args, dest) for dest in routes})
-        result = montecarlo.run_experiment(args.command, params, workers=getattr(args, "workers", 1))
+        workers = _value(args.command, "workers", getattr(args, "workers", 1), 1)
+        result = montecarlo.run_experiment(args.command, params, workers=workers)
         if not spec.writes:
             _print_advice(result)
             return 0

@@ -129,11 +129,8 @@ def complex_gaussian(gen, shape) -> np.ndarray:
 
 def db_to_linear(rho_db):
     """Linear SNR of ``rho_db`` (a number or an array); 0 and infinity are refused."""
-    try:
-        with np.errstate(over="ignore"):
-            rho = 10.0 ** (rho_db / 10.0)
-    except OverflowError:  # a Python float beyond the float range
-        rho = math.inf
+    with np.errstate(over="ignore"):
+        rho = 10.0 ** (np.asarray(rho_db, dtype=float) / 10.0)
     ok = np.isfinite(rho) & (rho > 0.0)
     if not np.all(ok):
         raise ConfigError(f"SNR {np.asarray(rho_db)[~ok].tolist()} dB is 0 or infinite on the linear scale")

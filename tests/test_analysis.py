@@ -301,6 +301,29 @@ def test_nan_point_refused(func, args, point):
         func(point, *args)
 
 
+@pytest.mark.parametrize("x", [1e78, 1e155, 1e300, 1e308, math.inf])
+@pytest.mark.parametrize("m, n", [(4, 1), (4, 2), (4, 3), (6, 2), (8, 3)])
+@pytest.mark.parametrize(
+    "func, scales, limit",
+    [
+        (effective_norm_pdf, (0.8,), 0.0),
+        (effective_norm_pdf, (0.5,), 0.0),
+        (effective_norm_cdf, (0.5,), 1.0),
+        (sinr_cdf, (10.0, 1.3, 0.8), 1.0),
+        (sinr_cdf, (1.0, 1.3, 0.5), 1.0),
+        (sinr_cdf_exact, (10.0, 1.3, 0.8), 1.0),
+        (sinr_cdf_exact, (1.0, 1.3, 0.5), 1.0),
+    ],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_law_reads_its_limit_at_the_top_of_the_domain(func, scales, limit, m, n, x):
+    # in_domain admits x up to +inf; where the exponential decay underflows,
+    # a law reads its limit with no overflow or inf * 0 on the way (the
+    # suite turns RuntimeWarnings into errors). At the smaller scales the
+    # exponent's own argument overflows near x = 1e308.
+    assert func(x, m, n, *scales) == limit
+
+
 _SCALES = {"rho": 10.0, "alpha": 1.3, "varrho_sq": 0.8}
 # Each closed-form call and the scales it checks; estimate_scheduled_sinr's
 # rho has its own test in TestEstimateScheduledSinr.

@@ -52,7 +52,8 @@ from pathlib import Path
 
 _COOP_CONV = ("--mode", "cooperative", "--mode", "conventional")
 
-# (label, command line); the writing runs are also given --workers and --out-dir.
+# (label, command line); the writing runs are also given --workers and --out-dir,
+# ahead of the entry's own flags, which win.
 RUNS = [
     ("fig3_seed2", ("fig3", "--seed", "2", "--trials", "300")),
     ("fig3_bcl2-4_n1", ("fig3", "--bcl", "2..4", "--n", "1", "--trials", "300")),
@@ -108,6 +109,10 @@ RUNS = [
     ("analyze_n3_bcl4", ("analyze", "--n", "3", "--bcl", "4")),
     # perfbench's per_user_link workload at seed 7: (seed, trials) of run_per_user.
     ("per_user_link_seed7", ("per_user", "7", "40")),
+    # Values refused by their one check, each exiting 2 with an error line.
+    ("fig8_m4.5", ("fig8", "--m", "4.5", "--trials", "1")),
+    ("sweep_codebook_foo", ("sweep", "--codebook", "foo", "--trials", "1")),
+    ("fig3_workers_x", ("fig3", "--workers", "x", "--trials", "1")),
 ]
 
 
@@ -163,15 +168,16 @@ def _outputs(code: int, stdout: bytes, stderr: bytes, out_dir: Path) -> dict[str
 def run_entry(argv: tuple, workers: int, out_dir: str, perfbench: str) -> int:
     """Run one entry of the list in this process and return its exit code:
     ``coopfb.cli.run`` on the command line, the writing runs given
-    ``--workers`` and ``--out-dir``, or :func:`write_per_user` on the
-    ``workloads.py`` in ``perfbench``."""
+    ``--workers`` and ``--out-dir`` ahead of the entry's own flags, or
+    :func:`write_per_user` on the ``workloads.py`` in ``perfbench``."""
     if argv[0] == "per_user":
         write_per_user(perfbench, *argv[1:], out_dir)
         return 0
     from coopfb import cli
 
     try:
-        return cli.run(list(argv if argv[0] == "analyze" else (*argv, "--workers", str(workers), "--out-dir", out_dir)))
+        run_options = () if argv[0] == "analyze" else ("--workers", str(workers), "--out-dir", out_dir)
+        return cli.run([argv[0], *run_options, *argv[1:]])
     except SystemExit as exc:  # argparse's refusals
         return exc.code
 
