@@ -9,7 +9,7 @@ from .model import (
     SystemConfig,
     derive_trial_rng,
 )
-from .montecarlo import ExperimentResult, run_experiment, run_sweep
+from .montecarlo import ExperimentResult, run_experiment
 
 __version__ = "0.1.0"
 
@@ -22,6 +22,5 @@ __all__ = [
     "SystemConfig",
     "derive_trial_rng",
     "run_experiment",
-    "run_sweep",
     "__version__",
 ]

@@ -214,7 +214,7 @@ def _value(command: str, dest: str, value, default):
             raise ConfigError(f"{_flag(dest)} takes integers, got {fractional[0]}")
         items = [kind(v) for v in items]
     if not items:
-        raise ConfigError("the SNR grid is empty" if dest == "rho_db" else f"{_flag(dest)} is empty")
+        raise ConfigError(f"{_flag(dest)} is empty")
     if grid:
         return items
     if len(items) != 1:

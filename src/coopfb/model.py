@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,13 +129,21 @@ def complex_gaussian(gen, shape) -> np.ndarray:
     return z if block else z[0]
 
 
-def db_to_linear(rho_db):
-    """Linear SNR of ``rho_db`` (a number or an array); 0 and infinity are refused."""
+def db_to_linear(rho_db) -> np.ndarray:
+    """Linear SNRs ``10**(dB/10)`` of the grid ``rho_db``: the one conversion
+    of an SNR in dB. One ConfigError names, as given, every value whose linear
+    SNR is not positive and finite: a non-number (None, a bool, text), NaN,
+    an int past the float range (abs() compares it exactly), or a dB figure
+    whose linear value is 0 or overflows."""
+    db = [
+        v if isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max else math.nan
+        for v in rho_db
+    ]
     with np.errstate(over="ignore"):
-        rho = 10.0 ** (np.asarray(rho_db, dtype=float) / 10.0)
-    ok = np.isfinite(rho) & (rho > 0.0)
-    if not np.all(ok):
-        raise ConfigError(f"SNR {np.asarray(rho_db)[~ok].tolist()} dB is 0 or infinite on the linear scale")
+        rho = 10.0 ** (np.array(db, dtype=float) / 10.0)
+    refused = [v for v, r in zip(rho_db, rho) if not 0.0 < r < math.inf]  # NaN fails too
+    if refused:
+        raise ConfigError(f"need SNRs in dB whose linear value is positive and finite, got {refused}")
     return rho
 
 

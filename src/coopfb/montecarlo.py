@@ -240,11 +240,9 @@ class _ModeEval:
 
 
 def evaluate_mode(ws: TrialWorkspace, mode: str, rho_lin: np.ndarray) -> _ModeEval:
-    """Selection, role assignment, scheduling, and rates at each SNR."""
+    """Selection, role assignment, scheduling, and rates at each SNR of
+    ``rho_lin``, the 1-D output of :func:`db_to_linear`, not checked again."""
     m = ws.cfg.m
-    rho_lin = np.atleast_1d(np.asarray(rho_lin, dtype=float))
-    if not (rho_lin.min() > 0.0 and rho_lin.max() < math.inf):  # NaN fails the first
-        raise ValueError(f"need positive finite SNRs, got {rho_lin}")
     noise = m / rho_lin  # (r,)
 
     records = {analysis.COOPERATIVE: ws.coop, analysis.CONVENTIONAL: ws.conv}
@@ -525,7 +523,7 @@ def _run_fig6(params: dict, workers: int):
     sample reaches model cdf 0.5.
     """
     cfg = _system(params)
-    rhos = [db_to_linear(rho_db) for rho_db in params["rho_db"]]
+    rhos = db_to_linear(params["rho_db"])
     data, resamples = _simulate(partial(_pair_block, cfg), cfg, workers)
     sin2_local, sin2_global, norm2, local_intf = data.T
     cos2_global = 1.0 - sin2_global
@@ -596,8 +594,7 @@ def _mode_rates(cfg: SystemConfig, modes: Sequence[str], rho_lin: np.ndarray, wo
 
 def _run_fig7(params: dict, workers: int):
     """Cooperative sum-rate: Monte Carlo vs closed-form estimate over K and SNR."""
-    rho_db = np.asarray(params["rho_db"], dtype=float)
-    rho_lin = db_to_linear(rho_db)
+    rho_lin = db_to_linear(params["rho_db"])
     rows = []
     aggregates = {"mean_rel_gap": {}, "max_rel_gap": {}}
     resamples = unassigned = 0
@@ -623,13 +620,13 @@ def _run_fig7(params: dict, workers: int):
         aggregates["max_rel_gap"][key] = float(rel_gap.max())
         rows.extend(
             (cfg.n, cfg.bcl, cfg.k, float(db), float(mc), float(est))
-            for db, mc, est in zip(rho_db, rates, estimate)
+            for db, mc, est in zip(params["rho_db"], rates, estimate)
         )
     aggregates["unassigned_beams"] = unassigned
     return ["n", "bcl", "k", "rho_db", "rate_num", "rate_estimate"], rows, aggregates, resamples
 
 
-def _crossing_db(rho_db: np.ndarray, delta: np.ndarray) -> Optional[float]:
+def _crossing_db(rho_db: Sequence[float], delta: np.ndarray) -> Optional[float]:
     """First sign change of ``delta`` along the dB axis, linearly interpolated."""
     for i in range(len(rho_db) - 1):
         d0, d1 = delta[i], delta[i + 1]
@@ -644,7 +641,7 @@ def _crossing_db(rho_db: np.ndarray, delta: np.ndarray) -> Optional[float]:
 
 def _run_fig8(params: dict, workers: int):
     """Sum-rates of conventional, cooperative, and adaptive modes vs SNR."""
-    rho_db = np.asarray(params["rho_db"], dtype=float)
+    rho_db = params["rho_db"]
     means, decisions, resamples, unassigned = _mode_rates(_system(params), MODES, db_to_linear(rho_db), workers)
     coop, conv = means[analysis.COOPERATIVE], means[analysis.CONVENTIONAL]
     est_coop = np.array([d.rate_cooperative for d in decisions])
@@ -696,15 +693,15 @@ def _run_fig9(params: dict, workers: int):
 def run_sweep(
     cfg: SystemConfig, modes: Sequence[str], rho_db: Sequence[float], workers: int = 1
 ) -> ExperimentResult:
-    """Mean sum-rate of the requested modes over an SNR grid: the sweep
-    command run on the fields of ``cfg`` that its spec declares."""
+    """The sweep command on the fields of ``cfg`` that its spec declares, so
+    ``cfg.rho`` is not read. Unexported; kept while perfbench's spans name it."""
     fields = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg) if f.name in SPECS["sweep"].params}
     return run_experiment("sweep", {**fields, "modes": modes, "rho_db": rho_db}, workers)
 
 
 def _run_sweep(params: dict, workers: int):
     """Mean sum-rate over an SNR grid for chosen modes."""
-    modes, rho_db = params["modes"], np.asarray(params["rho_db"], dtype=float)
+    modes, rho_db = params["modes"], params["rho_db"]
     means, _, resamples, unassigned = _mode_rates(_system(params), modes, db_to_linear(rho_db), workers)
     rows = [(float(db), mode, float(r)) for mode in modes for db, r in zip(rho_db, means[mode])]
     return ["rho_db", "mode", "sum_rate"], rows, {"unassigned_beams": unassigned}, resamples
@@ -713,9 +710,10 @@ def _run_sweep(params: dict, workers: int):
 def _run_analyze(params: dict, workers: int):
     """Closed-form mode advice without simulation."""
     rows = []
+    rhos = db_to_linear(params["rho_db"])
     for cfg in [_system(params, k=k_users) for k_users in params["k_grid"]]:
-        for db in params["rho_db"]:
-            d = analysis.mode_switch(cfg.k, cfg.m, cfg.n, db_to_linear(db), cfg.bcl)
+        for db, rho in zip(params["rho_db"], rhos):
+            d = analysis.mode_switch(cfg.k, cfg.m, cfg.n, rho, cfg.bcl)
             rows.append((cfg.k, db, d.rate_cooperative, d.rate_conventional, d.delta_rate, d.mode))
     return ["k", "rho_db", "rate_coop", "rate_conv", "delta", "decision"], rows, {}, 0
 

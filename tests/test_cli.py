@@ -226,7 +226,7 @@ class TestExplicitValues:
     def test_sweep_rejects_empty_snr_grid(self, tmp_path, capsys):
         status = cli.run(["sweep", "--rho-db", "", "--trials", "2", "--out-dir", str(tmp_path)])
         assert status == 2
-        assert "SNR grid is empty" in capsys.readouterr().err
+        assert "--rho-db is empty" in capsys.readouterr().err
 
     def test_sweep_rejects_a_repeated_mode(self, tmp_path, capsys):
         argv = ["sweep", "--mode", "cooperative", "--mode", "cooperative", "--trials", "2", "--out-dir", str(tmp_path)]
@@ -414,7 +414,7 @@ class TestRejectedInputs:
         status = cli.run(args)
         assert status == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error:") and "0 or infinite on the linear scale" in captured.err
+        assert captured.err.startswith("error:") and "whose linear value is positive and finite" in captured.err
         assert captured.out == ""
         assert not list(tmp_path.iterdir())
 
@@ -468,7 +468,6 @@ class TestEveryFlagActsOrIsRefused:
             raise self.Captured(*args, **kwargs)
 
         monkeypatch.setattr(montecarlo, "run_experiment", captured)
-        monkeypatch.setattr(montecarlo, "run_sweep", captured)
         config = tmp_path / "seed.json"
         config.write_text(json.dumps({"seed": 5}))
 

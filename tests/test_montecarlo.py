@@ -395,15 +395,6 @@ class TestWorkspaceEvaluate:
         with pytest.raises(ValueError, match="unknown mode 'adaptive'"):
             evaluate_mode(ws, "adaptive", np.array([1.0]))
 
-    @pytest.mark.parametrize("rho", [-1.0, 0.0, math.inf, math.nan])
-    def test_refuses_an_snr_not_positive_finite(self, rho):
-        # Unrefused, -1 gave a negative sum-rate, 0 divided by zero, inf
-        # rated noiseless beams and NaN gave NaN.
-        ws = build_workspace(small_cfg(seed=1), 0, coop=True, conv=True)
-        for mode in ("cooperative", "conventional"):
-            with pytest.raises(ValueError, match="need positive finite SNRs"):
-                evaluate_mode(ws, mode, np.array([1.0, rho]))
-
 
 class TestExperimentDeterminism:
     def test_worker_count_invariance(self):
@@ -537,6 +528,27 @@ class TestExperimentShapes:
         refuse_trials(monkeypatch)
         with pytest.raises(ConfigError, match="k must be an integer, got k=None"):
             run_experiment("sweep", {"k": None, "trials": 2})
+
+    @pytest.mark.parametrize(
+        "rho_db, refused",
+        [
+            ([10**400], f"[{10**400}]"),
+            ([math.nan], "[nan]"),
+            (["abc"], "['abc']"),
+            ([None], "[None]"),
+            ([True], "[True]"),
+            ([0.0, 4000.0, -4000.0], "[4000.0, -4000.0]"),
+        ],
+        ids=["int-beyond-float", "nan", "text", "none", "bool", "zero-and-infinite"],
+    )
+    def test_snr_grid_refused_alike_before_any_trial(self, monkeypatch, rho_db, refused):
+        # Every command that reads rho_db converts it in one call of
+        # db_to_linear, which names each value it refuses as given.
+        refuse_trials(monkeypatch)
+        for experiment in ("fig6", "fig7", "fig8", "sweep", "analyze"):
+            with pytest.raises(ConfigError) as refusal:
+                run_experiment(experiment, {"rho_db": rho_db})
+            assert str(refusal.value) == f"need SNRs in dB whose linear value is positive and finite, got {refused}"
 
     @pytest.mark.parametrize("beam", [0, -1, 4, True, 1.0])
     @pytest.mark.parametrize("experiment", ["fig5", "fig6", "fig9"])

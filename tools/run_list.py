@@ -113,6 +113,9 @@ RUNS = [
     ("fig8_m4.5", ("fig8", "--m", "4.5", "--trials", "1")),
     ("sweep_codebook_foo", ("sweep", "--codebook", "foo", "--trials", "1")),
     ("fig3_workers_x", ("fig3", "--workers", "x", "--trials", "1")),
+    # SNRs whose linear value is infinite or 0, refused by db_to_linear: every bad point named at once.
+    ("fig6_rho0,4000,5000", ("fig6", "--rho-db", "0,4000,5000", "--trials", "1")),
+    ("analyze_rho-4000", ("analyze", "--rho-db=-4000")),
 ]
 
 
